@@ -16,21 +16,20 @@ cross-check of the whole series stack.
 
 The closed-form inducibility verdict reduces to base-domain Wallach
 membership of mu(c+m) for every integer m >= 0, which stabilizes once
-mu(c+m) passes the continuous threshold.  einstein_residual probes the
-Einstein property of the metric numerically with nested finite differences
-on an arbitrary-precision potential evaluation (double precision cannot
-survive the nested differencing at the required tolerances).
+mu(c+m) passes the continuous threshold.  einstein_residual checks the
+Einstein property of the metric at a point from the exact bidegree-(2,2)
+Taylor jet of the potential, so the metric and the Ricci form come from
+exact coefficients in double precision, with no numerical differentiation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import series as hs
@@ -51,15 +50,15 @@ from .domains import (
     sample,
     wallach_contains,
 )
+from .multiindex import basis
 from .series import HermitianSeries
 
-DEFAULT_FD_STEP = 1e-3
-DEFAULT_FD_DPS = 40
 CONDITION_LIMIT = 1e8
 
 
 class StencilError(Exception):
-    """A finite-difference stencil point left the domain."""
+    """The Einstein probe cannot run at the point: it lies outside the domain
+    or the metric there is not positive definite or is too ill-conditioned."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ class CHDomain:
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
     @property
     def n_vars(self) -> int:
@@ -207,7 +206,7 @@ def ch_truncated_verdict(
 @dataclass(frozen=True)
 class CHInducedVerdict:
     induced: bool
-    checked: tuple[tuple[int, float, bool], ...]  # (m, lambda_m, member)
+    checked: tuple[tuple[int, float, bool], ...]  # (m, lambda_m, member), up to the first failure
     first_failure: tuple[int, float] | None
     stabilized_at: int  # smallest m with lambda_m beyond the continuous threshold
 
@@ -216,11 +215,13 @@ def ch_projectively_induced(ch: CHDomain, c: float) -> CHInducedVerdict:
     """Closed-form reduction: c g(mu) is induced iff mu(c+m) lies in the
     base Wallach set minus {0} for every integer m >= 0.
 
-    Only finitely many m need checking: once mu(c+m) exceeds the continuous
-    threshold (r-1)a/2 every later m lands in the continuous part.
+    Once mu(c+m) exceeds the continuous threshold (r-1)a/2 every later m
+    lands in the continuous part.  Below it only the r-1 positive discrete
+    points pass and lambda_m increases, so the scan stops at the first
+    failure, in exact arithmetic after at most r steps.
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and positive, got {c}")
     base = ch.base
     threshold = (base.r - 1) * base.a / 2.0
     checked = []
@@ -232,10 +233,19 @@ def ch_projectively_induced(ch: CHDomain, c: float) -> CHInducedVerdict:
             break
         member = wallach_contains(base, lam) and lam > WALLACH_SNAP_TOL
         checked.append((m, lam, member))
-        if not member and first_failure is None:
+        if not member:
             first_failure = (m, lam)
+            break
         m += 1
-    return CHInducedVerdict(first_failure is None, tuple(checked), first_failure, m)
+    # Closed form of the first m with mu(c+m) > threshold, then a one-step
+    # fix-up with that same float test; the quotient is capped so that a
+    # subnormal mu cannot overflow it.
+    stabilized_at = max(0, math.floor(min(threshold / ch.mu - c, sys.float_info.max)) + 1)
+    if stabilized_at > 0 and ch.mu * (c + (stabilized_at - 1)) > threshold:
+        stabilized_at -= 1
+    elif not ch.mu * (c + stabilized_at) > threshold:
+        stabilized_at += 1
+    return CHInducedVerdict(first_failure is None, tuple(checked), first_failure, stabilized_at)
 
 
 def thm1_threshold(base: DomainModel) -> float:
@@ -245,265 +255,132 @@ def thm1_threshold(base: DomainModel) -> float:
 
 # --- Einstein residual probe ----------------------------------------------------
 
-# 4th-order first-derivative stencil in units of half the inner step:
-# offsets 2h, h, -h, -2h with weights -1, 8, -8, 1 over 12h.
-_D1_OFFSETS = (4, 2, -2, -4)
-_D1_WEIGHTS = (-1, 8, -8, 1)
+# Jets are bidegree-(2,2) coefficient arrays over basis(n, 2): entry [i, j] is
+# the coefficient of u^{m_i} vbar^{m_j} in F(p + u, p + v), the polarization
+# of F around the probe point p.  Every non-constant term has total degree
+# >= 1 and the jet stops at total degree 4, so a jet with zero constant term
+# has vanishing fifth power and four powers expand any function of it.
+# The contractions use reduceat and einsum, not matmul: they are so small that
+# a threaded BLAS made the I:2,2 probe 60 times slower on two cores.
+_JET_POWERS = 4
 
 
-def _det_mp(mat: list[list[mp.mpc]]) -> mp.mpc:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = mp.mpc(0)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for s in range(n):
-            if seen[s]:
-                continue
-            ln, j = 0, s
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        prod = mp.mpc(1)
-        for i in range(n):
-            prod *= mat[i][perm[i]]
-        total += sign * prod
-    return total
+@lru_cache(maxsize=None)
+def _jet_layout(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, starts): the index pairs whose exponent sum survives the
+    truncation, sorted by the position of that sum, and where each position's
+    run of pairs starts."""
+    table = hs.sum_table(n_vars, 2)
+    left, right = np.nonzero(table >= 0)
+    target = table[left, right]
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[order], np.arange(table.shape[0]))
+    return left[order], right[order], starts
 
 
-def _norm_diag_mp(base: DomainModel, z: list[mp.mpc]) -> mp.mpf:
-    """N(z, z) in arbitrary precision; real and positive inside the domain."""
-    if base.kind == "I":
-        p, q = base.params
-        zm = [[z[i * q + k] for k in range(q)] for i in range(p)]
-        mat = []
-        for i in range(p):
-            row = []
-            for j in range(p):
-                acc = mp.mpc(1 if i == j else 0)
-                for k in range(q):
-                    acc -= zm[i][k] * mp.conj(zm[j][k])
-                row.append(acc)
-            mat.append(row)
-        return _det_mp(mat).real
-    if base.kind == "III":
-        (n,) = base.params
-        idx = {}
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                idx[(i, j)] = pos
-                idx[(j, i)] = pos
-                pos += 1
-        mat = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = mp.mpc(1 if i == j else 0)
-                for k in range(n):
-                    acc -= z[idx[(i, k)]] * mp.conj(z[idx[(j, k)]])
-                row.append(acc)
-            mat.append(row)
-        return _det_mp(mat).real
-    if base.kind == "IV":
-        t = mp.mpf(0)
-        s = mp.mpc(0)
-        for zi in z:
-            t += (zi * mp.conj(zi)).real
-            s += zi * zi
-        return 1 - 2 * t + (s * mp.conj(s)).real
-    t = mp.mpf(0)
-    for zi in z:
-        t += (zi * mp.conj(zi)).real
-    return 1 - t
+def _jet_product(x: np.ndarray, y: np.ndarray, layout: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Truncated product: every pair of surviving terms, summed onto its target."""
+    left, right, starts = layout
+    terms = x[np.ix_(left, left)] * y[np.ix_(right, right)]
+    return np.add.reduceat(np.add.reduceat(terms, starts, axis=0), starts, axis=1)
 
 
-class _PotentialGrid:
-    """Cached arbitrary-precision potential evaluations on the stencil grid.
-
-    Grid nodes are integer offset vectors in units of step/2 relative to the
-    base point, which keeps cache keys exact.
-    """
-
-    def __init__(self, ch: CHDomain, center: np.ndarray, step: float, scale: float):
-        self.ch = ch
-        self.unit = mp.mpf(step) / 2
-        self.scale = mp.mpf(scale)
-        self.n = ch.n_vars
-        zw = np.asarray(center, dtype=np.complex128).reshape(-1)
-        self.base_coords = [
-            mp.mpf(float(v)) for pair in zip(zw.real, zw.imag) for v in pair
-        ]
-        self.cache: dict[tuple[int, ...], mp.mpf] = {}
-
-    def value(self, units: tuple[int, ...]) -> mp.mpf:
-        cached = self.cache.get(units)
-        if cached is not None:
-            return cached
-        coords = [b + k * self.unit for b, k in zip(self.base_coords, units)]
-        z = [mp.mpc(coords[2 * i], coords[2 * i + 1]) for i in range(self.n)]
-        nzz = _norm_diag_mp(self.ch.base, z[:-1])
-        w = z[-1]
-        arg = mp.power(nzz, self.ch.mu) - (w * mp.conj(w)).real
-        if not (nzz > 0 and arg > 0):
-            raise StencilError(f"stencil point at offsets {units} left the domain")
-        val = -self.scale * mp.log(arg)
-        self.cache[units] = val
-        return val
+def _jet_series(x: np.ndarray, coeffs: list[float], layout: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_k coeffs[k-1] y^k with y = x / x(p) - 1, for a jet x real at p."""
+    y = x / x[0, 0].real
+    y[0, 0] = 0.0
+    out = coeffs[0] * y
+    power = y
+    for c in coeffs[1:]:
+        power = _jet_product(power, y, layout)
+        out = out + c * power
+    return out
 
 
-def _metric_mp(grid: _PotentialGrid, node: tuple[int, ...]) -> list[list[mp.mpc]]:
-    """Complex Hessian (d+1)x(d+1) of the potential at a grid node.
-
-    4th-order central stencils on the real coordinates (inner step = 2 grid
-    units), combined into Wirtinger derivatives.
-    """
-    n = grid.n
-    nreal = 2 * n
-    hsq = (2 * grid.unit) ** 2
-
-    def shift(base: tuple[int, ...], coord: int, amount: int) -> tuple[int, ...]:
-        out = list(base)
-        out[coord] += amount
-        return tuple(out)
-
-    f0 = grid.value(node)
-    hess = [[mp.mpf(0)] * nreal for _ in range(nreal)]
-    for i in range(nreal):
-        acc = -30 * f0
-        for off, wgt in ((4, -1), (2, 16), (-2, 16), (-4, -1)):
-            acc += wgt * grid.value(shift(node, i, off))
-        hess[i][i] = acc / (12 * hsq)
-    for i in range(nreal):
-        for j in range(i + 1, nreal):
-            acc = mp.mpf(0)
-            for oi, wi in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                for oj, wj in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    acc += wi * wj * grid.value(shift(shift(node, i, oi), j, oj))
-            val = acc / (144 * hsq)
-            hess[i][j] = val
-            hess[j][i] = val
-    quarter = mp.mpf(1) / 4
-    g = []
-    for a in range(n):
-        row = []
-        xa, ya = 2 * a, 2 * a + 1
-        for b in range(n):
-            xb, yb = 2 * b, 2 * b + 1
-            re = hess[xa][xb] + hess[ya][yb]
-            im = hess[xa][yb] - hess[ya][xb]
-            row.append(quarter * mp.mpc(re, im))
-        g.append(row)
-    return g
+def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
+    """Jet of N(z + u, z + v) at point = (z, w), by binomial expansion of
+    base.norm_poly: z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
+    poly = base.norm_poly
+    pad = (0,) * (len(point) - base.d)
+    exps = np.array([mi.exponents + pad for mi in poly.basis])
+    jet_exps = np.array([mi.exponents for mi in basis(len(point), 2)])
+    pascal = np.array([[math.comb(a, k) for k in range(3)] for a in range(poly.cutoff + 1)])
+    rest = exps[:, None, :] - jet_exps[None, :, :]
+    transfer = np.prod(pascal[exps[:, None, :], jet_exps[None, :, :]], axis=-1) * np.prod(
+        point ** np.maximum(rest, 0), axis=-1
+    )
+    rows, cols, vals = (np.array(v) for v in zip(*poly.items_full()))
+    return np.einsum("rg,rd->gd", vals[:, None] * transfer[rows], transfer[cols].conj())
 
 
 def einstein_residual(
     ch: CHDomain,
     point: np.ndarray,
-    step: float = DEFAULT_FD_STEP,
-    dps: int = DEFAULT_FD_DPS,
     potential_scale: float = 1.0,
 ) -> tuple[float, float]:
     """Probe Ric(g) = k g at a point; returns (k_estimate, max residual).
 
-    The metric is the complex Hessian of the potential; the Ricci matrix is
-    minus the complex Hessian of log det g, formed by 2nd-order outer
-    differencing (outer step = step/2) of 4th-order inner stencils.  The
-    potential is evaluated in arbitrary precision because the nested
-    difference quotient loses ~3 digits per squaring in double precision.
+    Builds the exact bidegree-(2,2) Taylor jet of the potential
+    D = -potential_scale * log(N^mu - |w|^2) at the point, reads the metric
+    g and its first and mixed second derivatives off the jet coefficients,
+    and forms Ric = -ddbar log det g from them:
+
+        Ric_{c dbar} = -[tr(g^-1 d_c dbar_d g) - tr(g^-1 d_c g g^-1 dbar_d g)].
 
     k_estimate = trace(Ric g^{-1})/(d+1), residual = max |Ric - k g|.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
     zw = np.asarray(point, dtype=np.complex128).reshape(-1)
-    if zw.shape[0] != ch.n_vars:
-        raise ValueError(f"expected length-{ch.n_vars} point")
+    n = ch.n_vars
+    if zw.shape[0] != n:
+        raise ValueError(f"expected length-{n} point")
     if not ch_contains(ch, zw):
-        raise StencilError("base point is outside the Hartogs domain")
-    # Stated margin precondition: 4*step of slack per real coordinate.
-    nreal = 2 * ch.n_vars
-    reals = np.array([v for pair in zip(zw.real, zw.imag) for v in pair])
-    for i in range(nreal):
-        for sign in (1.0, -1.0):
-            shifted = reals.copy()
-            shifted[i] += sign * 4.0 * step
-            cand = shifted[0::2] + 1j * shifted[1::2]
-            if not ch_contains(ch, cand):
-                raise StencilError(
-                    f"margin precondition failed on real coordinate {i} "
-                    f"(need 4*step = {4 * step:g} of slack)"
-                )
+        raise StencilError("point is outside the Hartogs domain")
+    layout = _jet_layout(n)
 
-    with mp.workdps(dps):
-        grid = _PotentialGrid(ch, zw, step, potential_scale)
-        n = ch.n_vars
+    x = _norm_jet(ch.base, zw)
+    x0 = x[0, 0].real
+    # N^mu = x0^mu (1 + y)^mu with C(mu, k) = (-1)^k C(-mu + k - 1, k)
+    binomials = [(-1) ** k * hs.generalized_binomial(-ch.mu, k) for k in range(1, _JET_POWERS + 1)]
+    phi = x0**ch.mu * _jet_series(x, binomials, layout)
+    w = zw[-1]
+    phi[0, 0] += x0**ch.mu - abs(w) ** 2
+    phi[n, 0] -= np.conj(w)
+    phi[0, n] -= w
+    phi[n, n] -= 1.0
+    # log phi = log phi(p) + log(1 + y); the constant enters no derivative.
+    logs = [(-1.0) ** (k + 1) / k for k in range(1, _JET_POWERS + 1)]
+    pot = -potential_scale * _jet_series(phi, logs, layout)
 
-        f_cache: dict[tuple[int, ...], mp.mpf] = {}
-
-        def logdet_at(node: tuple[int, ...]) -> mp.mpf:
-            cached = f_cache.get(node)
-            if cached is not None:
-                return cached
-            g = _metric_mp(grid, node)
-            det = _det_mp(g)
-            if not det.real > 0:
-                raise StencilError(f"metric determinant not positive at offsets {node}")
-            val = mp.log(det.real)
-            f_cache[node] = val
-            return val
-
-        center = (0,) * nreal
-        g_center_mp = _metric_mp(grid, center)
-        g_center = np.array(
-            [[complex(entry) for entry in row] for row in g_center_mp],
-            dtype=np.complex128,
-        )
-        cond = float(np.linalg.cond(g_center))
-        if cond > CONDITION_LIMIT:
-            raise StencilError(f"metric condition number {cond:.3e} exceeds limit")
-
-        def outer_shift(coord: int, amount: int) -> tuple[int, ...]:
-            out = [0] * nreal
-            out[coord] = amount
-            return tuple(out)
-
-        hsq_out = grid.unit**2
-        f0 = logdet_at(center)
-        fhess = [[mp.mpf(0)] * nreal for _ in range(nreal)]
-        for i in range(nreal):
-            fhess[i][i] = (
-                logdet_at(outer_shift(i, 1)) - 2 * f0 + logdet_at(outer_shift(i, -1))
-            ) / hsq_out
-        for i in range(nreal):
-            for j in range(i + 1, nreal):
-                acc = mp.mpf(0)
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        node = [0] * nreal
-                        node[i] = si
-                        node[j] = sj
-                        acc += si * sj * logdet_at(tuple(node))
-                val = acc / (4 * hsq_out)
-                fhess[i][j] = val
-                fhess[j][i] = val
-
-        ric = np.zeros((n, n), dtype=np.complex128)
-        for a in range(n):
-            xa, ya = 2 * a, 2 * a + 1
-            for b in range(n):
-                xb, yb = 2 * b, 2 * b + 1
-                re = fhess[xa][xb] + fhess[ya][yb]
-                im = fhess[xa][yb] - fhess[ya][xb]
-                ric[a, b] = -0.25 * complex(mp.mpc(re, im))
-
-    k = float(np.trace(ric @ np.linalg.inv(g_center)).real) / n
-    residual = float(np.max(np.abs(ric - k * g_center)))
+    # Positions of e_a (1 + a) and of e_a + e_c, and the factorials
+    # (e_a + e_c)! that turn jet coefficients into derivatives.
+    first = np.arange(1, n + 1)
+    b = basis(n, 2)
+    unit = np.eye(n, dtype=np.int64)
+    second = np.array([b.position(tuple(unit[a] + unit[c])) for a in range(n) for c in range(n)])
+    fact = (1.0 + np.eye(n)).ravel()
+    g = pot[np.ix_(first, first)]
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise StencilError("metric is not positive definite at the point") from None
+    cond = float(np.linalg.cond(g))
+    if cond > CONDITION_LIMIT:
+        raise StencilError(f"metric condition number {cond:.3e} exceeds limit")
+    # Change to coordinates u = frame @ u' in which g is the identity, so g^-1
+    # drops out of the formula.  Near the boundary the two traces nearly
+    # cancel; in the original coordinates that cost k two to three digits.
+    frame = np.linalg.inv(chol).T
+    pair = np.kron(frame, frame)
+    # In the new frame: [(a, c), b] = d_c g_{a bbar};
+    # [a, (b, d)] = dbar_d g_{a bbar};  [(a, c), (b, d)] = d_c dbar_d g_{a bbar}
+    dg = np.einsum("pi,pb,bk->ik", pair, fact[:, None] * pot[np.ix_(second, first)], frame.conj())
+    dbar_g = np.einsum("ai,aq,qj->ij", frame, pot[np.ix_(first, second)] * fact, pair.conj())
+    ddbar_g = np.outer(fact, fact) * pot[np.ix_(second, second)]
+    ddbar_g = np.einsum("pi,pj->ij", pair, np.einsum("pq,qj->pj", ddbar_g, pair.conj()))
+    ric = np.einsum("acb,bad->cd", dg.reshape(n, n, n), dbar_g.reshape(n, n, n)) - np.einsum(
+        "acad->cd", ddbar_g.reshape(n, n, n, n)
+    )
+    k = float(np.trace(ric).real) / n
+    # Ric - k g, back in the original coordinates.
+    residual = float(np.max(np.abs(chol @ (ric - k * np.eye(n)) @ chol.conj().T)))
     return k, residual

@@ -11,6 +11,7 @@ scan subcommand.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,10 +50,26 @@ def _add_common(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
     p.add_argument("--out", type=Path, default=None, help="write output to a file")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _ch_domain(text: str) -> CHDomain:
+    try:
+        return parse_ch_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_lambda_or_c(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambda", dest="lam", type=float, help="Wallach exponent")
-    group.add_argument("--c", dest="c", type=float, help="metric scale; lambda = c * gamma")
+    group.add_argument("--lambda", dest="lam", type=_finite_float, help="Wallach exponent")
+    group.add_argument(
+        "--c", dest="c", type=_finite_float, help="metric scale; lambda = c * gamma"
+    )
 
 
 def _resolve_lambda(dom: DomainModel, args: argparse.Namespace) -> float:
@@ -97,26 +114,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("ch-check", help="Hartogs-extension inducibility verdict")
-    p.add_argument("chspec")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("chspec", type=_ch_domain)
+    p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=int, default=None, help="also run the block verdict")
     _add_common(p)
     p.set_defaults(func=_cmd_ch_check)
 
-    p = sub.add_parser("einstein", help="finite-difference Einstein residual probe")
-    p.add_argument("chspec")
+    p = sub.add_parser(
+        "einstein", help="Einstein residual |Ric - k g| from the potential's exact Taylor jet"
+    )
+    p.add_argument("chspec", type=_ch_domain)
     p.add_argument("--points", type=int, default=3)
-    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dps", type=int, default=40, help="working decimal precision")
     _add_common(p)
     p.set_defaults(func=_cmd_einstein)
 
     p = sub.add_parser("scan", help="min block eigenvalue vs lambda (CSV-friendly)")
     p.add_argument("domain")
-    p.add_argument("--lambda-from", dest="lam_from", type=float, required=True)
-    p.add_argument("--lambda-to", dest="lam_to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--lambda-from", dest="lam_from", type=_finite_float, required=True)
+    p.add_argument("--lambda-to", dest="lam_to", type=_finite_float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     _add_common(p, csv_ok=True)
@@ -288,7 +305,7 @@ def _cmd_gram(args):
 
 
 def _cmd_ch_check(args):
-    ch = parse_ch_spec(args.chspec)
+    ch = args.chspec
     cf = ch_projectively_induced(ch, args.c)
     threshold = thm1_threshold(ch.base)
     verdicts = {
@@ -334,12 +351,14 @@ def _cmd_ch_check(args):
 
 
 def _cmd_einstein(args):
-    ch = parse_ch_spec(args.chspec)
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
+    ch = args.chspec
     rng = np.random.default_rng(args.seed)
     ks, residuals = [], []
     for _ in range(args.points):
         point = ch_sample(ch, rng)
-        k, res = einstein_residual(ch, point, step=args.step, dps=args.dps)
+        k, res = einstein_residual(ch, point)
         ks.append(k)
         residuals.append(res)
     k_mean = float(np.mean(ks))
@@ -347,12 +366,7 @@ def _cmd_einstein(args):
     report = RunReport(
         command="einstein",
         domain=ch.spec_string,
-        parameters={
-            "points": args.points,
-            "step": args.step,
-            "seed": args.seed,
-            "dps": args.dps,
-        },
+        parameters={"points": args.points, "seed": args.seed},
         verdicts={
             "k_estimates": ks,
             "residuals": residuals,
@@ -361,7 +375,7 @@ def _cmd_einstein(args):
             "max_residual": max(residuals),
         },
     )
-    lines = [f"{ch.spec_string}: Einstein probe at {args.points} points (step {args.step:g})"]
+    lines = [f"{ch.spec_string}: Einstein probe at {args.points} points"]
     for i, (k, res) in enumerate(zip(ks, residuals)):
         lines.append(f"  point {i}: k={k:.10g} residual={res:.3e}")
     lines.append(f"  k spread (relative): {spread:.3e}, max residual: {max(residuals):.3e}")
@@ -371,6 +385,8 @@ def _cmd_einstein(args):
 def _scan_grid(lam_from: float, lam_to: float, step: float) -> list[float]:
     if step <= 0:
         raise UsageError("scan step must be positive")
+    if lam_from > lam_to:
+        raise UsageError(f"--lambda-from {lam_from:g} exceeds --lambda-to {lam_to:g}")
     n = int(round((lam_to - lam_from) / step))
     lams = [round(lam_from + i * step, 12) for i in range(n + 1)]
     return [x for x in lams if x <= lam_to + step * 1e-9]

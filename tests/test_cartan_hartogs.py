@@ -1,6 +1,7 @@
 """Hartogs-type extensions: series paths, reduction verdict, Einstein probe."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,30 @@ def test_reduction_failure_at_positive_m():
     v = wk.ch_projectively_induced(ch2, 2.0)  # 0.5, 0.75, ...
     assert not v.induced
     assert v.first_failure == (1, pytest.approx(0.75))
+    # the scan stops at the failure; lambda_3 = 1.25 is the first past 1.0
+    assert [(m, member) for m, _, member in v.checked] == [(0, True), (1, False)]
+    assert v.stabilized_at == 3
+
+
+def test_reduction_tiny_mu_answers_at_once():
+    # lambda_m = 1e-300 (m + 1) would take 1e300 steps to pass the threshold
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=1e-300)")
+    started = time.monotonic()
+    v = wk.ch_projectively_induced(ch, 1.0)
+    assert time.monotonic() - started < 1.0
+    assert not v.induced
+    assert v.checked == ((0, 1e-300, False),)
+    assert v.first_failure == (0, 1e-300)
+    assert v.stabilized_at == pytest.approx(1e300, rel=1e-12)
+
+
+def test_non_finite_mu_and_c_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        wk.parse_ch_spec("CHD(I:2,2;mu=inf)")
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=einstein)")
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            wk.ch_projectively_induced(ch, c)
 
 
 def test_rank_one_always_induced():
@@ -236,7 +261,7 @@ def test_einstein_residual_hyperbolic_plane():
     ch = CHDomain(wk.catalog("CH", 1), 1.0)
     rng = np.random.default_rng(3)
     zw = wk.ch_sample(ch, rng, z_radius_cap=0.3, w_fiber_cap=0.4)
-    k, residual = wk.einstein_residual(ch, zw, step=1e-3)
+    k, residual = wk.einstein_residual(ch, zw)
     assert residual <= 1e-5
     assert k == pytest.approx(-3.0, rel=1e-4)
 
@@ -244,18 +269,50 @@ def test_einstein_residual_hyperbolic_plane():
 def test_einstein_scaling_law():
     ch = CHDomain(wk.catalog("CH", 1), 1.0)
     zw = np.array([0.2 + 0.1j, 0.25 - 0.05j])
-    k1, r1 = wk.einstein_residual(ch, zw, step=1e-3)
-    k2, r2 = wk.einstein_residual(ch, zw, step=1e-3, potential_scale=2.0)
+    k1, r1 = wk.einstein_residual(ch, zw)
+    k2, r2 = wk.einstein_residual(ch, zw, potential_scale=2.0)
     assert k2 == pytest.approx(k1 / 2.0, rel=1e-6)
     assert r2 <= 1e-5
 
 
-def test_einstein_stencil_margin_enforced():
+@pytest.mark.parametrize("base_spec", ["III:2", "IV:3", "I:2,2"])
+def test_einstein_jet_exact_at_einstein_mu(base_spec):
+    # Ric = -(d+2) g on the Einstein extension of a d-dimensional base
+    ch = wk.parse_ch_spec(f"CHD({base_spec};mu=einstein)")
+    expected = -(ch.base.d + 2)
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        zw = wk.ch_sample(ch, rng, z_radius_cap=0.6, w_fiber_cap=0.8)
+        k, residual = wk.einstein_residual(ch, zw)
+        assert abs(k - expected) <= 1e-9
+        assert residual <= 1e-9
+        k2, residual2 = wk.einstein_residual(ch, zw, potential_scale=2.0)
+        assert abs(k2 - k / 2.0) <= 1e-12
+        assert residual2 <= 1e-9
+
+
+def test_einstein_jet_detects_non_einstein_mu():
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=1)")
+    zw = wk.ch_sample(ch, np.random.default_rng(12), z_radius_cap=0.3, w_fiber_cap=0.35)
+    k, residual = wk.einstein_residual(ch, zw)
+    assert residual > 0.1
+    assert abs(k + 6.0) > 0.1
+
+
+def test_einstein_near_edge_point():
+    # fiber bound at z=0.703 is sqrt(1-0.703^2) ~ 0.71119, so N^mu - |w|^2 is
+    # about 3e-3 here and the metric's condition number about 320
     ch = CHDomain(wk.catalog("CH", 1), 1.0)
-    # fiber bound at z=0.703 is sqrt(1-0.703^2) ~ 0.71119; slack < 4*step
     near_edge = np.array([0.703, 0.709], dtype=complex)
-    with pytest.raises(StencilError, match="margin"):
-        wk.einstein_residual(ch, near_edge, step=1e-3)
+    k, _ = wk.einstein_residual(ch, near_edge)
+    assert abs(k + 3.0) <= 1e-9
+
+
+def test_einstein_rejects_degenerate_metric():
+    ch = CHDomain(wk.catalog("CH", 1), 1.0)
+    zw = np.array([0.2, 0.1], dtype=complex)
+    with pytest.raises(StencilError, match="positive definite"):
+        wk.einstein_residual(ch, zw, potential_scale=-1.0)
 
 
 def test_einstein_rejects_outside_point():

@@ -152,9 +152,41 @@ def test_ch_check_below_threshold_with_blocks(capsys):
 def test_einstein_probe(capsys):
     code, d, _ = run_json(capsys, "einstein", "CHD(CH:1;mu=1)", "--points", "1")
     assert code == 0
+    assert d["parameters"] == {"points": 1, "seed": 0}
     v = d["verdicts"]
     assert v["k_mean"] == pytest.approx(-3.0, rel=1e-4)
     assert v["max_residual"] <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("ch-check", "CHD(I:2,2;mu=inf)", "--c", "1"), "mu"),
+        (("ch-check", "CHD(I:2,2;mu=einstein)", "--c", "inf"), "--c"),
+        (("wallach", "I:2,2", "--lambda", "nan"), "--lambda"),
+        (("calabi", "I:2,2", "--lambda", "nan", "--cutoff", "3"), "--lambda"),
+    ],
+)
+def test_non_finite_inputs_exit_one(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert named in err and ("finite" in err)
+
+
+def test_einstein_zero_points_exit_one(capsys):
+    code, out, err = run(capsys, "einstein", "CHD(CH:1;mu=1)", "--points", "0")
+    assert code == 1
+    assert out == ""
+    assert "--points" in err
+
+
+def test_scan_empty_range_exit_one(capsys):
+    argv = ("scan", "I:2,2", "--lambda-from", "2", "--lambda-to", "1", "--step", "0.1")
+    code, out, err = run(capsys, *argv, "--cutoff", "2")
+    assert code == 1
+    assert out == ""
+    assert "--lambda-from" in err and "--lambda-to" in err
 
 
 def test_immersion_components(capsys):

@@ -1,0 +1,14 @@
+"""The README's library example must run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_entry_points_example_runs():
+    text = README.read_text()
+    section = text.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block, "no python block under 'Library entry points'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
