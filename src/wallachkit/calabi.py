@@ -8,6 +8,14 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
+The kernel is invariant under the maximal torus of K (z -> D1 z D2 on type
+I), so each graded block is a direct sum of small weight spaces: permuted,
+it is block diagonal, with blocks given by the connected components of its
+nonzero pattern.  The verdict finds those components and solves one small
+eigenproblem per component (stacked by size) instead of one dense
+eigenproblem per block; the spectrum is the same, the witness is the
+minimising component's eigenvector, zero-padded to the block.
+
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
 finite cutoff is only "consistent-to-cutoff".
@@ -15,8 +23,8 @@ finite cutoff is only "consistent-to-cutoff".
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,8 +42,30 @@ NORMALIZATION_TOL = 1e-13
 GRADING_REL_TOL = 1e-13
 
 
+# The dense graded blocks of one Calabi matrix may take at most this much memory.
+DENSE_BLOCK_LIMIT_BYTES = 2 * 1024**3
+
+
 class GradingError(Exception):
     """Off-grade coefficients exceeded tolerance; input is not circular."""
+
+
+class BlockBudgetError(ValueError):
+    """The dense graded blocks would exceed DENSE_BLOCK_LIMIT_BYTES."""
+
+
+def check_block_budget(n_vars: int, cutoff: int) -> None:
+    """Refuse, before any allocation, a cutoff whose dense degree blocks
+    (sum over k of dim_k^2 float64 entries, dim_k = C(k + n - 1, k)) exceed
+    DENSE_BLOCK_LIMIT_BYTES."""
+    dims = [comb(k + n_vars - 1, k) for k in range(1, cutoff + 1)]
+    need = 8 * sum(d * d for d in dims)
+    if need > DENSE_BLOCK_LIMIT_BYTES:
+        raise BlockBudgetError(
+            f"cutoff {cutoff} in {n_vars} variables needs about {need / 1e9:.1f} GB of dense "
+            f"blocks (largest {dims[-1]} wide), over the "
+            f"{DENSE_BLOCK_LIMIT_BYTES / 1e9:.1f} GB limit"
+        )
 
 
 # Powers of Q = 1 - N are reused across lambda values of the same domain.
@@ -143,6 +173,7 @@ def graded_blocks(
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
     """bergman_diastasis_series + graded_blocks with metadata attached."""
+    check_block_budget(dom.d, cutoff)
     s = bergman_diastasis_series(dom, lam, cutoff)
     return graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
 
@@ -155,6 +186,8 @@ class BlockVerdict:
     rank: int           # eigenvalues above the block tolerance
     tol: float
     witness: np.ndarray | None  # eigenvector of the minimum eigenvalue if negative
+    components: int  # connected components of the block's nonzero pattern
+    largest_component: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +204,62 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _block_eigh(block: GradedBlock) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(block.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed on degree-{block.degree} block") from exc
+def _components(matrix: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of a symmetric matrix,
+    grouped by size: one (count, size) array of indices per size."""
+    rows, cols = np.nonzero(matrix)
+    label = np.arange(matrix.shape[0])
+    # Label propagation with pointer jumping; label[i] <= i stays a node of
+    # i's component, and at the fixpoint it is constant on each component.
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
+def _block_analysis(
+    block: GradedBlock, tol_abs: float, tol_rel: float
+) -> tuple[BlockVerdict, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The block's verdict and its spectrum as (indices, values, vectors) per
+    component size, from one stacked eigensolve per size."""
+    matrix = block.matrix
+    scale = max(float(matrix.max()), -float(matrix.min()))
+    if not np.isfinite(scale):
+        raise RuntimeError(
+            f"degree-{block.degree} block has non-finite coefficients (max |b| = {scale})"
+        )
+    tol = max(tol_abs, tol_rel * scale)
+    parts = []
+    for idx in _components(matrix):
+        try:
+            vals, vecs = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver failed on degree-{block.degree} block") from exc
+        parts.append((idx, vals, vecs))
+    idx, vals, vecs = min(parts, key=lambda part: part[1][:, 0].min())
+    worst = int(np.argmin(vals[:, 0]))
+    min_eig = float(vals[worst, 0])
+    witness = None
+    if min_eig < -tol:
+        witness = np.zeros(block.dim)
+        witness[idx[worst]] = vecs[worst, :, 0]
+    verdict = BlockVerdict(
+        block.degree,
+        block.dim,
+        min_eig,
+        sum(int(np.count_nonzero(part[1] > tol)) for part in parts),
+        tol,
+        witness,
+        sum(len(part[0]) for part in parts),
+        parts[-1][0].shape[1],
+    )
+    return verdict, parts
 
 
 def psd_verdict(
@@ -184,22 +268,12 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    per_block = []
-    psd = True
-    for block in m.blocks:
-        if block.dim == 0:
-            continue
-        scale = float(np.max(np.abs(block.matrix))) if block.dim else 0.0
-        tol = max(tol_abs, tol_rel * scale)
-        vals, vecs = _block_eigh(block)
-        min_eig = float(vals[0])
-        rank = int(np.count_nonzero(vals > tol))
-        witness = np.array(vecs[:, 0]) if min_eig < -tol else None
-        if min_eig < -tol:
-            psd = False
-        per_block.append(BlockVerdict(block.degree, block.dim, min_eig, rank, tol, witness))
+    per_block = tuple(
+        _block_analysis(block, tol_abs, tol_rel)[0] for block in m.blocks if block.dim
+    )
+    psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
-    return Verdict(psd, tuple(per_block), tol_abs, tol_rel, m.cutoff, certainty)
+    return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,31 +291,29 @@ def extract_immersion(
 ) -> list[ImmersionComponent]:
     """Components f_j with sum_j f_j(z) conj(f_j(w)) = 1 + series, to cutoff.
 
-    Each PSD block factors as B = L L^T through its eigen-decomposition;
+    Each PSD block factors as B = L L^T through the eigen-decompositions of
+    its components, taken per degree in decreasing eigenvalue order;
     eigenvalues at or below the block tolerance are clipped to zero, so the
     component count per degree equals the block's reported rank.
     """
-    verdict = psd_verdict(m, tol_abs, tol_rel)
-    if not verdict.psd:
+    analyses = [_block_analysis(block, tol_abs, tol_rel) for block in m.blocks if block.dim]
+    if any(bv.min_eigenvalue < -bv.tol for bv, _ in analyses):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]
-    for block in m.blocks:
-        if block.dim == 0:
-            continue
-        scale = float(np.max(np.abs(block.matrix)))
-        tol = max(tol_abs, tol_rel * scale)
-        vals, vecs = _block_eigh(block)
-        sl = b.degree_slice(block.degree)
-        exps = [b[i].exponents for i in range(sl.start, sl.stop)]
-        for idx in range(block.dim - 1, -1, -1):
-            if vals[idx] <= tol:
-                break
-            w = np.sqrt(vals[idx]) * vecs[:, idx]
+    for bv, parts in analyses:
+        start = b.degree_slice(bv.degree).start
+        kept = [
+            (float(vals[c, e]), idx[c], vecs[c, :, e])
+            for idx, vals, vecs in parts
+            for c, e in zip(*np.nonzero(vals > bv.tol))
+        ]
+        for val, positions, vec in sorted(kept, key=lambda t: -t[0]):
+            w = np.sqrt(val) * vec
             components.append(
                 ImmersionComponent(
-                    block.degree,
-                    {e: float(c) for e, c in zip(exps, w) if c != 0.0},
+                    bv.degree,
+                    {b[start + i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0},
                 )
             )
     return components
@@ -280,27 +352,18 @@ def scan_lambdas(
     cutoff: int,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    threads: int = 1,
 ) -> list[ScanRow]:
-    """Per-(lambda, degree) block eigen-data; one row per block.
+    """Per-(lambda, degree) block eigen-data; one row per block, in grid order.
 
-    The Q-power cache makes each lambda a cheap linear combination, so the
-    scan is dominated by the eigensolves.  Results are ordered by the input
-    grid regardless of thread count.
+    The Q-power cache makes each lambda a cheap linear combination followed
+    by the component eigensolves.
     """
-    lams = [float(x) for x in lams]
-    _norm_powers(dom, cutoff)  # warm the cache once before any fan-out
-
-    def rows_for(lam: float) -> list[ScanRow]:
+    rows = []
+    for lam in lams:
+        lam = float(lam)
         verdict = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel)
-        return [
+        rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
             for bv in verdict.per_block
-        ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for, lams))
-    else:
-        chunks = [rows_for(lam) for lam in lams]
-    return [row for chunk in chunks for row in chunk]
+        )
+    return rows

@@ -37,6 +37,7 @@ from .calabi import (
     CalabiMatrix,
     Verdict,
     bergman_diastasis_series,
+    check_block_budget,
     graded_blocks,
     psd_verdict,
 )
@@ -186,6 +187,7 @@ def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
 
 def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     """Graded Calabi matrix of e^{cD} - 1 from the assembled series."""
+    check_block_budget(ch.n_vars, cutoff)
     s = ch_assembled_series(ch, c, cutoff)
     return graded_blocks(s, domain_spec=ch.spec_string, lam=c)
 
@@ -218,32 +220,43 @@ def ch_projectively_induced(ch: CHDomain, c: float) -> CHInducedVerdict:
     Once mu(c+m) exceeds the continuous threshold (r-1)a/2 every later m
     lands in the continuous part.  Below it only the r-1 positive discrete
     points pass and lambda_m increases, so the scan stops at the first
-    failure, in exact arithmetic after at most r steps.
+    failure, in exact arithmetic after at most r steps.  Where c + m rounds
+    to c + m - 1 the float lambda_m repeats lambda_{m-1}, but exactly it lies
+    strictly above it: past the threshold if lambda_{m-1} is at it, inside
+    a gap otherwise.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be finite and positive, got {c}")
     base = ch.base
     threshold = (base.r - 1) * base.a / 2.0
+
+    def lam_at(m: int) -> float:
+        return ch.mu * (c + m)
+
+    def past(m: int) -> bool:
+        return lam_at(m) > threshold or (m > 0 and lam_at(m - 1) >= threshold)
+
     checked = []
     first_failure = None
     m = 0
-    while True:
-        lam = ch.mu * (c + m)
-        if lam > threshold:
-            break
-        member = wallach_contains(base, lam) and lam > WALLACH_SNAP_TOL
+    while not past(m):
+        lam = lam_at(m)
+        if m > 0 and lam == checked[-1][1]:
+            member = False  # float plateau below the threshold: in the gap above lambda_{m-1}
+        else:
+            member = wallach_contains(base, lam) and lam > WALLACH_SNAP_TOL
         checked.append((m, lam, member))
         if not member:
             first_failure = (m, lam)
             break
         m += 1
-    # Closed form of the first m with mu(c+m) > threshold, then a one-step
-    # fix-up with that same float test; the quotient is capped so that a
-    # subnormal mu cannot overflow it.
+    # Closed form of the first m past the threshold, then a one-step fix-up
+    # with the same test; the quotient is capped so that a subnormal mu
+    # cannot overflow it.
     stabilized_at = max(0, math.floor(min(threshold / ch.mu - c, sys.float_info.max)) + 1)
-    if stabilized_at > 0 and ch.mu * (c + (stabilized_at - 1)) > threshold:
+    if stabilized_at > 0 and past(stabilized_at - 1):
         stabilized_at -= 1
-    elif not ch.mu * (c + stabilized_at) > threshold:
+    elif not past(stabilized_at):
         stabilized_at += 1
     return CHInducedVerdict(first_failure is None, tuple(checked), first_failure, stabilized_at)
 
@@ -270,11 +283,12 @@ def _jet_layout(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(left, right, starts): the index pairs whose exponent sum survives the
     truncation, sorted by the position of that sum, and where each position's
     run of pairs starts."""
-    table = hs.sum_table(n_vars, 2)
-    left, right = np.nonzero(table >= 0)
-    target = table[left, right]
+    b = basis(n_vars, 2)
+    degrees = b.exponents.sum(axis=1)
+    left, right = np.nonzero(degrees[:, None] + degrees[None, :] <= 2)
+    target = b.rank(b.exponents[left] + b.exponents[right])
     order = np.argsort(target, kind="stable")
-    starts = np.searchsorted(target[order], np.arange(table.shape[0]))
+    starts = np.searchsorted(target[order], np.arange(len(b)))
     return left[order], right[order], starts
 
 

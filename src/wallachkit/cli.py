@@ -33,6 +33,8 @@ from .domains import DomainModel, parse_domain, wallach_contains, wallach_set
 from .reports import RunReport, format_float, report_to_dict, scan_csv, to_json
 
 REPLAY_TOL = 1e-12
+# Largest lambda grid a scan accepts.
+MAX_SCAN_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -135,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-to", dest="lam_to", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, csv_ok=True)
     p.set_defaults(func=_cmd_scan)
 
@@ -185,6 +186,8 @@ def _block_dicts(verdict: calabi.Verdict) -> list[dict]:
             "min_eig": bv.min_eigenvalue,
             "rank": bv.rank,
             "tol": bv.tol,
+            "components": bv.components,
+            "largest_component": bv.largest_component,
         }
         for bv in verdict.per_block
     ]
@@ -387,7 +390,13 @@ def _scan_grid(lam_from: float, lam_to: float, step: float) -> list[float]:
         raise UsageError("scan step must be positive")
     if lam_from > lam_to:
         raise UsageError(f"--lambda-from {lam_from:g} exceeds --lambda-to {lam_to:g}")
-    n = int(round((lam_to - lam_from) / step))
+    span = (lam_to - lam_from) / step  # inf when a subnormal step overflows it
+    if not span < MAX_SCAN_POINTS:
+        raise UsageError(
+            f"scan grid has {span + 1:.6g} lambda values, more than {MAX_SCAN_POINTS}; "
+            "use a larger --step"
+        )
+    n = int(round(span))
     lams = [round(lam_from + i * step, 12) for i in range(n + 1)]
     return [x for x in lams if x <= lam_to + step * 1e-9]
 
@@ -395,7 +404,7 @@ def _scan_grid(lam_from: float, lam_to: float, step: float) -> list[float]:
 def _cmd_scan(args):
     dom = parse_domain(args.domain)
     lams = _scan_grid(args.lam_from, args.lam_to, args.step)
-    rows = calabi.scan_lambdas(dom, lams, args.cutoff, threads=args.threads)
+    rows = calabi.scan_lambdas(dom, lams, args.cutoff)
     per_lambda_psd: dict[float, bool] = {}
     for row in rows:
         per_lambda_psd[row.lam] = per_lambda_psd.get(row.lam, True) and row.psd
@@ -534,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report, lines, payload = args.func(args)
-    except UsageError as exc:
+    except (UsageError, calabi.BlockBudgetError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except Exception as exc:

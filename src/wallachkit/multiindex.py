@@ -6,6 +6,10 @@ zero index first, and ties within a degree are broken lexicographically with
 the first variable most significant (so for two variables the degree-1 run
 is (1,0), (0,1)).  The order is deterministic, which keeps coefficient
 matrices and golden files stable.
+
+Positions follow in closed form from the combinatorial number system, so
+:meth:`Basis.rank` ranks whole arrays of exponent vectors (for instance the
+exponent sums of index pairs) without any lookup table.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,9 @@ class Basis:
         self.max_degree = max(0, int(max_degree))
         self.indices = enumerate_indices(n_vars, max_degree)
         self._pos = {mi.exponents: i for i, mi in enumerate(self.indices)}
-        # Contiguous position ranges per degree (the enumeration is graded).
-        self._degree_start = [0] * (self.max_degree + 2)
-        for i, mi in enumerate(self.indices):
-            self._degree_start[mi.degree + 1] = i + 1
-        for d in range(1, self.max_degree + 2):
-            self._degree_start[d] = max(self._degree_start[d], self._degree_start[d - 1])
         self.degrees = tuple(mi.degree for mi in self.indices)
+        self.exponents = np.array([mi.exponents for mi in self.indices], dtype=np.int64)
+        self.exponents.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -116,14 +119,45 @@ class Basis:
     def position_or_none(self, exponents: tuple[int, ...]) -> int | None:
         return self._pos.get(exponents)
 
+    def rank(self, exponents: np.ndarray) -> np.ndarray:
+        """Graded-order positions of the exponent vectors along the last axis.
+
+        Vectorised: with t_k the sum of the exponents from variable k on, the
+        position is C(t_0 - 1 + n, n) (the indices of lower degree) plus
+        sum_{k >= 1} C(t_k + n - k - 1, n - k) (the indices of the same degree
+        that come first).  A vector of degree above max_degree gets its
+        position in the untruncated enumeration, which is >= len(self).
+        """
+        exps = np.asarray(exponents, dtype=np.int64)
+        n = self.n_vars
+        if exps.shape[-1:] != (n,):
+            raise ValueError(f"expected exponent vectors of length {n}, got shape {exps.shape}")
+        tails = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+        pascal = _pascal(int(tails[..., 0].max(initial=0)) + n)
+        pos = pascal[tails[..., 0] + n - 1, n]
+        for k in range(1, n):
+            pos = pos + pascal[tails[..., k] + n - k - 1, n - k]
+        return pos
+
     def degree_slice(self, degree: int) -> slice:
         """Positions of all indices of the given total degree."""
         if degree < 0 or degree > self.max_degree:
             return slice(0, 0)
-        return slice(self._degree_start[degree], self._degree_start[degree + 1])
+        # The enumeration is graded: C(d - 1 + n, n) indices have degree < d.
+        n = self.n_vars
+        return slice(comb(degree - 1 + n, n), comb(degree + n, n))
 
     def __repr__(self) -> str:
         return f"Basis(n_vars={self.n_vars}, max_degree={self.max_degree}, size={len(self)})"
+
+
+@lru_cache(maxsize=None)
+def _pascal(size: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b <= size."""
+    table = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for a in range(size + 1):
+        table[a, : a + 1] = [comb(a, b) for b in range(a + 1)]
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,15 @@ real on the diagonal, so coefficients are real with b_{jk} = b_{kj}; the
 class stores only the lower-triangle pairs (j <= k), which makes Hermitian
 symmetry structural rather than a property to maintain.
 
+:func:`product` never builds a table of index sums.  It groups the entries
+of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
+bidegrees survive the truncation, ranks their exponent sums in closed form
+(:meth:`Basis.rank`) and sums equal targets with np.unique and bincount, so
+its memory follows the number of surviving pairs rather than the basis size
+squared.  Products of torus-invariant kernels, such as the catalog's
+1 - N, stay torus-invariant, which is what splits their graded blocks into
+the weight components :mod:`wallachkit.calabi` solves one at a time.
+
 The transcendental operations expand in powers of a series Q with zero
 constant term:
 
@@ -24,34 +33,11 @@ product to avoid gamma-function cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .multiindex import Basis, basis
-
-# Pairs per chunk in the convolution kernel; bounds peak memory.
-_PRODUCT_CHUNK = 2_000_000
-
-
-@lru_cache(maxsize=None)
-def sum_table(n_vars: int, cutoff: int) -> np.ndarray:
-    """Position of m_i + m_j in the (n_vars, cutoff) basis, or -1 if truncated."""
-    b = basis(n_vars, cutoff)
-    m = len(b)
-    table = np.full((m, m), -1, dtype=np.int64)
-    for i, mi in enumerate(b):
-        di = mi.degree
-        for j, mj in enumerate(b):
-            if di + mj.degree > cutoff:
-                continue
-            s = tuple(x + y for x, y in zip(mi.exponents, mj.exponents))
-            pos = b.position_or_none(s)
-            if pos is not None:
-                table[i, j] = pos
-    return table
-
 
 @dataclass(frozen=True)
 class HermitianSeries:
@@ -112,16 +98,14 @@ class HermitianSeries:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, cols, vals = [], [], []
-        for j, k, v in self.items_full():
-            rows.append(j)
-            cols.append(k)
-            vals.append(v)
-        return (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-        )
+        """(rows, cols, values) of items_full, in the same order."""
+        pairs = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2)
+        vals = np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(pairs))
+        # Each entry followed by its mirror; a diagonal entry has none.
+        keep = np.ones((len(pairs), 2), dtype=bool)
+        keep[:, 1] = pairs[:, 0] != pairs[:, 1]
+        keep = keep.ravel()
+        return pairs.ravel()[keep], pairs[:, ::-1].ravel()[keep], np.repeat(vals, 2)[keep]
 
     def __repr__(self) -> str:
         return (
@@ -198,31 +182,59 @@ def linear_combination(
     return HermitianSeries(shape[0], shape[1], out)
 
 
+def _bidegree_groups(
+    s: HermitianSeries,
+) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """All (j, k, value) entries, mirrors expanded, grouped by the degrees
+    (|m_j|, |m_k|) of their two sides: [(hol_deg, anti_deg, j, k, values)]."""
+    j, k, v = s._arrays()
+    degrees = s.basis.exponents.sum(axis=1)
+    hol, anti = degrees[j], degrees[k]
+    order = np.lexsort((anti, hol))
+    j, k, v, hol, anti = j[order], k[order], v[order], hol[order], anti[order]
+    cuts = np.flatnonzero((np.diff(hol) != 0) | (np.diff(anti) != 0)) + 1
+    bounds = zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(j)])))
+    return [(int(hol[lo]), int(anti[lo]), j[lo:hi], k[lo:hi], v[lo:hi]) for lo, hi in bounds]
+
+
 def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
-    """Coefficientwise convolution, truncated at the cutoff on both sides."""
+    """Coefficientwise convolution, truncated at the cutoff on both sides.
+
+    Only the entry pairs whose degrees survive the truncation are formed, one
+    bidegree group pair at a time; the positions of their exponent sums come
+    from Basis.rank, and equal targets are summed with np.unique and bincount.
+    """
     _check_shapes(a, b)
     if a.is_zero() or b.is_zero():
         return zero(a.n_vars, a.cutoff)
-    table = sum_table(a.n_vars, a.cutoff)
-    m = len(a.basis)
-    ja, ka, va = a._arrays()
-    jb, kb, vb = b._arrays()
-    acc = np.zeros(m * m, dtype=np.float64)
-    # Chunk the pair grid over a's entries to bound peak memory.
-    rows_per_chunk = max(1, _PRODUCT_CHUNK // max(1, len(jb)))
-    for start in range(0, len(ja), rows_per_chunk):
-        sl = slice(start, start + rows_per_chunk)
-        p = table[ja[sl, None], jb[None, :]]
-        q = table[ka[sl, None], kb[None, :]]
-        # Keep canonical targets only; the mirrored combinations land on the
-        # transposed entry, which Hermitian symmetry makes redundant.
-        mask = (p >= 0) & (q >= 0) & (p <= q)
-        if not mask.any():
-            continue
-        vals = va[sl, None] * vb[None, :]
-        np.add.at(acc, p[mask] * m + q[mask], vals[mask])
-    nz = np.nonzero(acc)[0]
-    coeffs = {(int(i) // m, int(i) % m): float(acc[i]) for i in nz}
+    bas = a.basis
+    exps = bas.exponents
+    m = len(bas)
+    keys, vals = [], []
+    groups_b = _bidegree_groups(b)
+    for hol_a, anti_a, ja, ka, va in _bidegree_groups(a):
+        for hol_b, anti_b, jb, kb, vb in groups_b:
+            hol, anti = hol_a + hol_b, anti_a + anti_b
+            # Keep canonical targets (p <= q) only; the mirrored combinations
+            # land on the transposed entry, which Hermitian symmetry makes
+            # redundant.  The order is graded, so hol > anti puts every
+            # target below the diagonal.
+            if anti > a.cutoff or hol > anti:
+                continue
+            p = bas.rank(exps[ja][:, None] + exps[jb][None, :]).ravel()
+            q = bas.rank(exps[ka][:, None] + exps[kb][None, :]).ravel()
+            w = (va[:, None] * vb[None, :]).ravel()
+            if hol == anti:
+                keep = p <= q
+                p, q, w = p[keep], q[keep], w[keep]
+            keys.append(p * m + q)
+            vals.append(w)
+    if not keys:
+        return zero(a.n_vars, a.cutoff)
+    targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(slot, weights=np.concatenate(vals))
+    rows, cols = np.divmod(targets, m)
+    coeffs = dict(zip(zip(rows.tolist(), cols.tolist()), sums.tolist()))
     return HermitianSeries(a.n_vars, a.cutoff, coeffs)
 
 

@@ -304,11 +304,49 @@ def test_scan_rows_structure():
     assert at_half_deg2.block_dim == 10
 
 
-def test_scan_threads_deterministic():
-    dom = wk.catalog("III", 2)
-    lams = [0.3, 0.5, 0.9, 2.0]
-    seq = scan_lambdas(dom, lams, 3, threads=1)
-    par = scan_lambdas(dom, lams, 3, threads=3)
-    assert [(r.lam, r.degree, r.min_eig, r.psd) for r in seq] == [
-        (r.lam, r.degree, r.min_eig, r.psd) for r in par
-    ]
+# --- weight components against the dense eigensolve ---------------------------------
+
+
+def _dense_block_verdicts(cm, tol_abs=1e-10, tol_rel=1e-9):
+    """Reference: one dense eigh per graded block, the pre-component verdict."""
+    out = []
+    for block in cm.blocks:
+        vals = np.linalg.eigvalsh(block.matrix)
+        scale = float(np.max(np.abs(block.matrix)))
+        tol = max(tol_abs, tol_rel * scale)
+        out.append((vals[0], int(np.count_nonzero(vals > tol)), scale))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, lams, cutoff",
+    [
+        ("I:2,2", (0.0, 0.5, 1.0, 1.5, 2.0), 4),  # discrete points 0 and 1
+        ("I:2,3", (0.5, 1.0, 1.25), 4),
+        ("I:3,3", (0.5, 1.0, 1.5, 2.0), 3),  # discrete points 0, 1, 2
+        ("III:2", (0.25, 0.5, 1.0), 4),
+        ("III:3", (0.5, 0.75, 1.0), 4),
+        ("IV:3", (0.3, 0.5, 1.0), 5),  # discrete points 0 and 1/2
+        ("IV:5", (1.0, 1.5, 2.0), 4),
+        ("CH:2", (0.2, 1.0), 5),
+    ],
+)
+def test_component_verdict_matches_dense_eigh(spec, lams, cutoff):
+    dom = wk.parse_domain(spec)
+    for lam in lams:
+        cm = wk.calabi_matrix(dom, lam, cutoff)
+        v = wk.psd_verdict(cm)
+        dense = _dense_block_verdicts(cm)
+        assert v.psd == all(min_eig >= -bv.tol for (min_eig, _, _), bv in zip(dense, v.per_block))
+        assert v.psd == wk.wallach_contains(dom, lam)
+        for bv, block, (min_eig, rank, scale) in zip(v.per_block, cm.blocks, dense):
+            assert bv.rank == rank, (spec, lam, bv.degree)
+            assert abs(bv.min_eigenvalue - min_eig) <= 1e-13 * max(scale, 1e-300)
+            assert bv.dim == block.dim
+            assert 1 <= bv.largest_component <= bv.dim
+            assert bv.components >= bv.dim / bv.largest_component
+            if bv.witness is not None:
+                w = bv.witness
+                assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+                residual = block.matrix @ w - bv.min_eigenvalue * w
+                assert np.max(np.abs(residual)) <= 1e-12 * scale

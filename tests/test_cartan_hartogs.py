@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
+from wallachkit.calabi import BlockBudgetError
 from wallachkit.cartan_hartogs import (
     CHDomain,
     StencilError,
@@ -215,6 +216,31 @@ def test_reduction_tiny_mu_answers_at_once():
     assert v.checked == ((0, 1e-300, False),)
     assert v.first_failure == (0, 1e-300)
     assert v.stabilized_at == pytest.approx(1e300, rel=1e-12)
+
+
+def test_reduction_float_plateau_uses_exact_monotonicity():
+    # c + m rounds to c, so every float lambda_m is 1e-20 * 1e20 = 1.0, the
+    # threshold of I:2,2; exactly, lambda_1 = 1 + 1e-20 is already past it.
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=1e-20)")
+    v = wk.ch_projectively_induced(ch, 1e20)
+    assert v.induced
+    assert v.checked == ((0, 1.0, True),)
+    assert v.stabilized_at == 1
+    # III:3 has the discrete point 0.5 below its threshold 1: the plateau
+    # above it is a gap.
+    v = wk.ch_projectively_induced(wk.parse_ch_spec("CHD(III:3;mu=0.5e-20)"), 1e20)
+    assert not v.induced
+    assert v.checked == ((0, 0.5, True), (1, 0.5, False))
+    assert v.first_failure == (1, 0.5)
+
+
+def test_block_assembly_refuses_over_budget():
+    # 10 variables at cutoff 9: the top block is 48620 wide, about 19 GB.
+    ch = wk.parse_ch_spec("CHD(I:3,3;mu=einstein)")
+    started = time.monotonic()
+    with pytest.raises(BlockBudgetError, match="48620 wide"):
+        wk.ch_block_assembly(ch, 1.0, 9)
+    assert time.monotonic() - started < 1.0
 
 
 def test_non_finite_mu_and_c_rejected():

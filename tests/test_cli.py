@@ -1,6 +1,11 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +192,63 @@ def test_scan_empty_range_exit_one(capsys):
     assert code == 1
     assert out == ""
     assert "--lambda-from" in err and "--lambda-to" in err
+
+
+@pytest.mark.parametrize("step, size", [("1e-9", "1e+18"), ("1e-320", "inf")])
+def test_scan_grid_too_large_exits_one(capsys, step, size):
+    argv = ("scan", "I:2,2", "--lambda-from", "0", "--lambda-to", "1e9", "--step", step)
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--cutoff", "2")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert f"{size} lambda values" in err
+
+
+def test_calabi_block_budget_exits_one(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "calabi", "I:3,3", "--lambda", "1.5", "--cutoff", "9")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "GB" in err and "24310 wide" in err
+
+
+def test_calabi_non_finite_coefficients_exit_one(capsys):
+    # lambda = 1e300 overflows the degree-2 coefficients to inf
+    code, out, err = run(capsys, "calabi", "I:2,2", "--lambda", "1e300", "--cutoff", "3")
+    assert code == 1
+    assert out == ""
+    assert "degree-2 block has non-finite coefficients" in err
+
+
+def test_calabi_reports_weight_components(capsys):
+    code, d, _ = run_json(capsys, "calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "2")
+    assert code == 0
+    blocks = [(b["dim"], b["components"], b["largest_component"]) for b in d["per_block"]]
+    assert blocks == [(4, 4, 1), (10, 9, 2)]
+
+
+def test_calabi_i33_cutoff7_peak_rss_under_1gb():
+    # A dense m x m position table would alone need about 1 GB here (m = 11440).
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = (
+        "import resource, sys\n"
+        "from wallachkit.cli import main\n"
+        "code = main(['calabi', 'I:3,3', '--cutoff', '7', '--lambda', '1.5', '--format', 'json'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdicts"]["truncated_psd"] is False
+    assert max(b["dim"] for b in report["per_block"]) == 6435
+    peak_kb = int(proc.stderr.strip().splitlines()[-1])  # ru_maxrss is in KiB on Linux
+    assert peak_kb < 1024 * 1024
 
 
 def test_immersion_components(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from wallachkit.multiindex import MultiIndex, Basis, basis, enumerate_indices, index_sum
@@ -99,3 +100,22 @@ def test_basis_cached():
 def test_basis_degrees_array():
     b = basis(2, 3)
     assert list(b.degrees) == [b[i].degree for i in range(len(b))]
+
+
+@pytest.mark.parametrize("n_vars, cutoff", [(1, 6), (2, 2), (3, 4), (4, 2), (6, 3), (9, 2)])
+def test_rank_matches_position(n_vars, cutoff):
+    b = basis(n_vars, cutoff)
+    assert b.rank(b.exponents).tolist() == [b.position(mi) for mi in b]
+    # Sums of two indices, as the series product ranks them, land where the
+    # doubled basis puts them, including degrees above this basis's cutoff.
+    wide = basis(n_vars, 2 * cutoff)
+    sums = b.exponents[:, None, :] + b.exponents[None, :, :]
+    expected = [[wide.position(tuple(e)) for e in row] for row in sums]
+    ranks = b.rank(sums)
+    assert ranks.tolist() == expected
+    assert np.array_equal(ranks >= len(b), sums.sum(axis=-1) > cutoff)
+
+
+def test_rank_rejects_wrong_length():
+    with pytest.raises(ValueError, match="length 3"):
+        basis(3, 2).rank(np.zeros((4, 2), dtype=np.int64))

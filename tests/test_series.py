@@ -13,6 +13,7 @@ import pytest
 
 import wallachkit as wk
 from wallachkit.domains import one_minus_norm
+from wallachkit.multiindex import basis
 from wallachkit.series import (
     HermitianSeries,
     add,
@@ -129,6 +130,44 @@ def test_product_truncation_rule():
     s = from_terms(1, 2, {((1,), (1,)): 1.0, ((2,), (2,)): 1.0})
     p = product(s, unit_disk_q(2))
     assert diag_coeffs(p) == [0.0, 0.0, 1.0]
+
+
+def _random_series(rng, n_vars, cutoff, n_terms):
+    """Random Hermitian entries, graded and off-grade, at random positions."""
+    b = basis(n_vars, cutoff)
+    terms = {}
+    for _ in range(n_terms):
+        j, k = (int(x) for x in rng.integers(0, len(b), size=2))
+        if ((b[k].exponents, b[j].exponents)) not in terms:
+            terms[(b[j].exponents, b[k].exponents)] = float(rng.normal())
+    return from_terms(n_vars, cutoff, terms)
+
+
+def _brute_force_product(a, b):
+    """Every pair of full entries, exponents added as tuples, kept within the cutoff."""
+    bas = a.basis
+    acc = {}
+    for j, k, va in a.items_full():
+        for jj, kk, vb in b.items_full():
+            hol = tuple(x + y for x, y in zip(bas[j].exponents, bas[jj].exponents))
+            anti = tuple(x + y for x, y in zip(bas[k].exponents, bas[kk].exponents))
+            if sum(hol) <= a.cutoff and sum(anti) <= a.cutoff:
+                acc[(hol, anti)] = acc.get((hol, anti), 0.0) + va * vb
+    return acc
+
+
+@pytest.mark.parametrize("n_vars, cutoff, seed", [(1, 5, 0), (2, 4, 1), (3, 3, 2), (3, 4, 3)])
+def test_product_matches_brute_force_convolution(n_vars, cutoff, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_series(rng, n_vars, cutoff, 25)
+    b = _random_series(rng, n_vars, cutoff, 15)
+    p = product(a, b)
+    expected = _brute_force_product(a, b)
+    assert {(p.basis[j].exponents, p.basis[k].exponents) for j, k, _ in p.items_full()} <= set(
+        expected
+    )
+    for (hol, anti), v in expected.items():
+        assert p.coefficient(hol, anti) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
 def test_product_commutative_exact():
