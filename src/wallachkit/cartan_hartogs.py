@@ -49,7 +49,7 @@ from .domains import (
     one_minus_norm,
     parse_domain,
     sample,
-    wallach_contains,
+    wallach_set,
 )
 from .multiindex import basis
 from .series import HermitianSeries
@@ -220,15 +220,17 @@ def ch_projectively_induced(ch: CHDomain, c: float) -> CHInducedVerdict:
     Once mu(c+m) exceeds the continuous threshold (r-1)a/2 every later m
     lands in the continuous part.  Below it only the r-1 positive discrete
     points pass and lambda_m increases, so the scan stops at the first
-    failure, in exact arithmetic after at most r steps.  Where c + m rounds
-    to c + m - 1 the float lambda_m repeats lambda_{m-1}, but exactly it lies
-    strictly above it: past the threshold if lambda_{m-1} is at it, inside
-    a gap otherwise.
+    failure, in exact arithmetic after at most r steps.  Because the exact
+    lambda_m strictly increase, two of them cannot be the same discrete
+    point: lambda_m (m > 0) passes only if it snaps to a different point
+    than lambda_{m-1} did.  This also covers the float plateau where c + m
+    rounds to c + m - 1.  A plateau at the threshold itself is past it.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be finite and positive, got {c}")
     base = ch.base
     threshold = (base.r - 1) * base.a / 2.0
+    positive_points = wallach_set(base).discrete[1:]
 
     def lam_at(m: int) -> float:
         return ch.mu * (c + m)
@@ -238,17 +240,19 @@ def ch_projectively_induced(ch: CHDomain, c: float) -> CHInducedVerdict:
 
     checked = []
     first_failure = None
+    previous = None
     m = 0
     while not past(m):
         lam = lam_at(m)
-        if m > 0 and lam == checked[-1][1]:
-            member = False  # float plateau below the threshold: in the gap above lambda_{m-1}
-        else:
-            member = wallach_contains(base, lam) and lam > WALLACH_SNAP_TOL
+        point = next(
+            (p for p in positive_points if abs(lam - p) <= WALLACH_SNAP_TOL), None
+        )
+        member = point is not None and point != previous
         checked.append((m, lam, member))
         if not member:
             first_failure = (m, lam)
             break
+        previous = point
         m += 1
     # Closed form of the first m past the threshold, then a one-step fix-up
     # with the same test; the quotient is capped so that a subnormal mu

@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=6)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-out", type=Path, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_gram)
@@ -260,7 +259,6 @@ def _cmd_gram(args):
         n_points=args.points,
         budget=args.budget,
         seed=args.seed,
-        threads=args.threads,
     )
     closed = wallach_contains(dom, lam)
     if result.found:

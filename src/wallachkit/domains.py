@@ -27,9 +27,9 @@ membership against the truncated positivity verdict on a lambda grid.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -265,64 +265,88 @@ def parse_domain(spec: str) -> DomainModel:
 # --- norm evaluation and membership -----------------------------------------
 
 
-def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != dom.d:
-        raise ValueError(f"expected length-{dom.d} coordinate vector, got {x.shape[0]}")
-    if dom.kind == "I":
-        p, q = dom.params
-        return x.reshape(p, q)
-    if dom.kind == "III":
-        (n,) = dom.params
-        z = np.zeros((n, n), dtype=np.complex128)
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                z[i, j] = x[pos]
-                z[j, i] = x[pos]
-                pos += 1
-        return z
+@lru_cache(maxsize=None)
+def upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries i <= j of an n x n matrix, row-major (read-only)."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def _coordinates(dom: DomainModel, x: np.ndarray) -> np.ndarray:
+    """Points along the last axis as complex128, checked against the dimension."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[-1:] != (dom.d,):
+        raise ValueError(
+            f"expected length-{dom.d} coordinate vectors, got shape {x.shape}"
+        )
     return x
+
+
+def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
+    """Type I and III points (..., d) as their matrices (..., p, q) or (..., n, n)."""
+    x = _coordinates(dom, x)
+    if dom.kind == "I":
+        return x.reshape(x.shape[:-1] + dom.params)
+    (n,) = dom.params
+    rows, cols = upper_triangle(n)
+    z = np.empty(x.shape[:-1] + (n, n), dtype=np.complex128)
+    z[..., rows, cols] = x
+    z[..., cols, rows] = x
+    return z
+
+
+def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """k x l matrix of N(x_a, ybar_b) for point stacks xs (k, d) and ys (l, d).
+
+    Types I and III stack every I - Z_a Z_b* (for symmetric Z_b that is
+    I - Z_a Zbar_b) and take one stacked determinant; IV and CH are closed
+    forms in the inner products <x_a, ybar_b>.  The contractions use einsum:
+    on stacks this small a threaded BLAS matmul is far slower.
+    """
+    if dom.kind in ("I", "III"):
+        zx = _as_matrix(dom, xs)
+        zy = _as_matrix(dom, ys).conj()
+        eye = np.eye(zx.shape[-2])
+        return np.linalg.det(eye - np.einsum("aij,bkj->abik", zx, zy))
+    x = _coordinates(dom, xs)
+    yb = _coordinates(dom, ys).conj()
+    inner = np.einsum("ai,bi->ab", x, yb)
+    if dom.kind == "IV":
+        xx = np.einsum("ai,ai->a", x, x)
+        yy = np.einsum("bi,bi->b", yb, yb)
+        return 1.0 - 2.0 * inner + xx[:, None] * yy[None, :]
+    return 1.0 - inner  # CH
 
 
 def generic_norm_eval(dom: DomainModel, x: np.ndarray, y: np.ndarray) -> complex:
     """N(x, ybar): polynomial in x and conjugate-polynomial in y."""
-    if dom.kind == "I":
-        zx = _as_matrix(dom, x)
-        zy = _as_matrix(dom, y)
-        p = dom.params[0]
-        return complex(np.linalg.det(np.eye(p) - zx @ zy.conj().T))
-    if dom.kind == "III":
-        zx = _as_matrix(dom, x)
-        zy = _as_matrix(dom, y)
-        n = dom.params[0]
-        return complex(np.linalg.det(np.eye(n) - zx @ zy.conj()))
-    if dom.kind == "IV":
-        zx = np.asarray(x, dtype=np.complex128).reshape(-1)
-        zy = np.asarray(y, dtype=np.complex128).reshape(-1)
-        wbar = np.conj(zy)
-        return complex(1.0 - 2.0 * np.dot(zx, wbar) + np.dot(zx, zx) * np.dot(wbar, wbar))
-    # CH
-    zx = np.asarray(x, dtype=np.complex128).reshape(-1)
-    zy = np.asarray(y, dtype=np.complex128).reshape(-1)
-    return complex(1.0 - np.dot(zx, np.conj(zy)))
+    xs, ys = np.asarray(x).reshape(1, -1), np.asarray(y).reshape(1, -1)
+    return complex(norm_matrix(dom, xs, ys)[0, 0])
 
 
-def spectral_radius(dom: DomainModel, x: np.ndarray) -> float:
-    """Homogeneous degree-1 gauge whose unit ball is the domain."""
+def spectral_radius(dom: DomainModel, x: np.ndarray) -> float | np.ndarray:
+    """Homogeneous degree-1 gauge whose unit ball is the domain.
+
+    Points lie along the last axis of x: one point gives a float, a (k, d)
+    stack an array of k gauges.  I and III take the largest singular value
+    from one stacked SVD; IV and CH are closed forms.
+    """
     if dom.kind in ("I", "III"):
-        z = _as_matrix(dom, x)
-        return float(np.linalg.norm(z, ord=2))
-    z = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if dom.kind == "IV":
-        t = float(np.vdot(z, z).real)          # ||z||^2
-        s = abs(np.dot(z, z))                  # |z.z|
-        inner = max(t * t - s * s, 0.0)
-        return math.sqrt(t + math.sqrt(inner))
-    return float(np.linalg.norm(z))
+        gauge = np.linalg.svd(_as_matrix(dom, x), compute_uv=False)[..., 0]
+    else:
+        z = _coordinates(dom, x)
+        t = np.einsum("...i,...i->...", z.conj(), z).real  # ||z||^2
+        if dom.kind == "IV":
+            s = np.abs(np.einsum("...i,...i->...", z, z))  # |z.z|
+            t = t + np.sqrt(np.maximum(t * t - s * s, 0.0))
+        gauge = np.sqrt(t)
+    return gauge if gauge.ndim else float(gauge)
 
 
-def contains(dom: DomainModel, x: np.ndarray) -> bool:
+def contains(dom: DomainModel, x: np.ndarray) -> bool | np.ndarray:
+    """Interior membership, per point for a (k, d) stack."""
     return spectral_radius(dom, x) < 1.0
 
 

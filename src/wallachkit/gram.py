@@ -22,18 +22,22 @@ the constant-term and degree-1 moments while keeping the targeted degree-2
 moment, so the configuration starts inside or near the negative cone and a
 short local descent does the rest.  Pure random restarts stay in the mix
 so the search remains honest on domains where no guidance is available.
+
+Each evaluation is batched: a configuration is one (k, d) array, its norm
+matrix comes from a single stacked evaluation (domains.norm_matrix) and its
+membership from a single stacked gauge.  Restarts run one after another in
+the calling thread; the objective is a few small numpy calls, so a thread
+pool would only add contention for the interpreter lock.
 """
 
 from __future__ import annotations
 
-import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .domains import DomainModel, contains, generic_norm_eval, parse_domain, sample
+from .domains import DomainModel, contains, norm_matrix, parse_domain, sample, upper_triangle
 
 DEFAULT_WITNESS_TOL = 1e-6
 DEFAULT_RADIUS_CAP = 0.7
@@ -73,41 +77,40 @@ class SearchResult:
 def gram_matrix(
     dom: DomainModel,
     lam: float,
-    points: Sequence[np.ndarray],
+    points: Sequence[np.ndarray] | np.ndarray,
     require_branch: bool = True,
 ) -> tuple[np.ndarray, bool]:
     """Hermitian matrix of N(x_a, x_b)^(-lambda) values and the branch flag.
 
-    Entries come from a single principal-log evaluation of the upper triangle
-    mirrored by conjugation, so Hermitian symmetry is exact.  With
-    require_branch a branch violation raises BranchError naming the pair.
+    points is a (k, d) array or a sequence of k points.  Entries come from a
+    single principal-log evaluation of the upper triangle of the stacked norm
+    matrix, mirrored by conjugation, so Hermitian symmetry is exact and the
+    diagonal is real.  With require_branch a branch violation raises
+    BranchError naming the first offending pair in row-major order.
     """
-    n = len(points)
-    h = np.zeros((n, n), dtype=np.complex128)
-    branch_ok = True
-    for alpha in range(n):
-        for beta in range(alpha, n):
-            nv = generic_norm_eval(dom, points[alpha], points[beta])
-            if nv.real <= 0.0:
-                branch_ok = False
-                if require_branch:
-                    raise BranchError(
-                        f"Re N <= 0 at point pair ({alpha}, {beta}): N = {nv}"
-                    )
-            value = cmath.exp(-lam * cmath.log(nv))
-            if alpha == beta:
-                # mathematically real; drop evaluation noise in the imaginary part
-                h[alpha, alpha] = value.real
-            else:
-                h[alpha, beta] = value
-                h[beta, alpha] = value.conjugate()
+    pts = np.asarray(points, dtype=np.complex128)
+    rows, cols = upper_triangle(len(pts))
+    nv = norm_matrix(dom, pts, pts)[rows, cols]
+    bad = nv.real <= 0.0
+    branch_ok = not bad.any()
+    if require_branch and not branch_ok:
+        i = int(np.argmax(bad))
+        raise BranchError(
+            f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}): N = {complex(nv[i])}"
+        )
+    values = np.exp(-lam * np.log(nv))
+    h = np.empty((len(pts), len(pts)), dtype=np.complex128)
+    h[cols, rows] = values.conj()
+    h[rows, cols] = values
+    # mathematically real; drop evaluation noise in the imaginary part
+    np.fill_diagonal(h, values[rows == cols].real)
     return h, branch_ok
 
 
 def min_gram_eigenvalue(
     dom: DomainModel,
     lam: float,
-    points: Sequence[np.ndarray],
+    points: Sequence[np.ndarray] | np.ndarray,
     require_branch: bool = True,
 ) -> tuple[float, bool]:
     h, branch_ok = gram_matrix(dom, lam, points, require_branch)
@@ -117,7 +120,7 @@ def min_gram_eigenvalue(
 def gram_report(
     dom: DomainModel,
     lam: float,
-    points: Sequence[np.ndarray],
+    points: Sequence[np.ndarray] | np.ndarray,
     witness_tol: float = DEFAULT_WITNESS_TOL,
 ) -> GramReport:
     min_eig, branch_ok = min_gram_eigenvalue(dom, lam, points, require_branch=False)
@@ -175,8 +178,8 @@ def _structured_points(
     rng: np.random.Generator,
     scale: float,
     signs: Sequence[float],
-) -> list[np.ndarray]:
-    """Moment-cancelling configuration aimed at the negative eigendirection.
+) -> np.ndarray:
+    """Moment-cancelling (n_points, d) configuration aimed at the negative eigendirection.
 
     Atoms are packed greedily: antipodal pairs for diagonal atoms, cube-root
     triples for off-diagonal ones.  Leftover slots get one origin point and
@@ -203,7 +206,7 @@ def _structured_points(
         points.append(np.zeros(dom.d, dtype=np.complex128))
     while len(points) < n_points:
         points.append(sample(dom, rng, 0.25 * scale))
-    return points
+    return np.array(points)
 
 
 def _restart(
@@ -215,15 +218,16 @@ def _restart(
     witness_tol: float,
     radius_cap: float,
     atoms: Sequence[tuple[int, int, float]] | None,
-) -> tuple[list[np.ndarray] | None, float, int]:
+) -> tuple[np.ndarray | None, float, int]:
     """One seeded restart: propose, then descend on the minimum eigenvalue.
 
-    Returns (winning points or None, best min eigenvalue, evals used).
+    Configurations are (n_points, d) arrays.  Returns (winning points or
+    None, best min eigenvalue, evals used).
     """
     rng = np.random.default_rng(seed_seq)
     evals = 0
 
-    def objective(pts: list[np.ndarray]) -> float | None:
+    def objective(pts: np.ndarray) -> float | None:
         nonlocal evals
         if evals >= eval_budget:
             return None
@@ -231,7 +235,7 @@ def _restart(
         val, branch_ok = min_gram_eigenvalue(dom, lam, pts, require_branch=False)
         return val if branch_ok else None
 
-    points: list[np.ndarray] | None = None
+    points: np.ndarray | None = None
     best: float | None = None
     if atoms is not None:
         scale = radius_cap * rng.uniform(0.25, 0.72)
@@ -239,13 +243,13 @@ def _restart(
         flipped = tuple(float(rng.choice((-1.0, 1.0))) for _ in atoms)
         for signs in (plus, flipped):
             pts = _structured_points(dom, atoms, n_points, rng, scale, signs)
-            if any(not contains(dom, p) for p in pts):
+            if not contains(dom, pts).all():
                 continue
             val = objective(pts)
             if val is not None and (best is None or val < best):
                 points, best = pts, val
     if points is None or best is None:
-        points = [sample(dom, rng, radius_cap) for _ in range(n_points)]
+        points = np.array([sample(dom, rng, radius_cap) for _ in range(n_points)])
         best = objective(points)
         if best is None:
             return None, 0.0, evals
@@ -253,18 +257,17 @@ def _restart(
     for _ in range(4 * _DESCENT_STEPS):
         if evals >= eval_budget or best < -witness_tol:
             break
-        arr = np.array(points)
         if rng.random() < 0.7:
-            arr = arr + sigma * (
-                rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+            candidate = points + sigma * (
+                rng.standard_normal(points.shape) + 1j * rng.standard_normal(points.shape)
             )
         else:
+            candidate = points.copy()
             pi = int(rng.integers(n_points))
-            arr[pi] = arr[pi] + sigma * (
+            candidate[pi] += sigma * (
                 rng.standard_normal(dom.d) + 1j * rng.standard_normal(dom.d)
             )
-        candidate = list(arr)
-        if any(not contains(dom, p) for p in candidate):
+        if not contains(dom, candidate).all():
             continue
         val = objective(candidate)
         if val is None:
@@ -282,22 +285,28 @@ def _restart(
 def _minimize_witness(
     dom: DomainModel,
     lam: float,
-    points: list[np.ndarray],
+    points: np.ndarray,
     witness_tol: float,
-) -> list[np.ndarray]:
-    """Greedily drop points while the configuration stays a witness."""
-    current = list(points)
+) -> np.ndarray:
+    """Greedily drop points while the configuration stays a witness.
+
+    The Gram matrix is evaluated once; each trial drop reads its principal
+    submatrix, whose entries are exactly those a fresh evaluation would give.
+    The search keeps only branch-valid configurations, and every subset of
+    one is branch-valid too.
+    """
+    h, _ = gram_matrix(dom, lam, points)
+    keep = list(range(len(points)))
     changed = True
-    while changed and len(current) > 2:
+    while changed and len(keep) > 2:
         changed = False
-        for i in range(len(current)):
-            trial = current[:i] + current[i + 1 :]
-            val, branch_ok = min_gram_eigenvalue(dom, lam, trial, require_branch=False)
-            if branch_ok and val < -witness_tol:
-                current = trial
+        for i in range(len(keep)):
+            trial = keep[:i] + keep[i + 1 :]
+            if np.linalg.eigvalsh(h[np.ix_(trial, trial)])[0] < -witness_tol:
+                keep = trial
                 changed = True
                 break
-    return current
+    return points[keep]
 
 
 def search_violation(
@@ -308,17 +317,16 @@ def search_violation(
     seed: int = 0,
     witness_tol: float = DEFAULT_WITNESS_TOL,
     radius_cap: float = DEFAULT_RADIUS_CAP,
-    threads: int = 1,
 ) -> SearchResult:
     """Guided random-restart search for a non-PSD Gram configuration.
 
     budget counts Gram evaluations across all restarts; each restart spends
     at most 2 + 50 of them.  Two out of three restarts start from a
     configuration aimed at a negative degree-2 eigendirection when one
-    exists; the rest start from random samples.  Restarts carry independent
-    spawned seeds, and the returned witness is the first by restart index,
-    so results do not depend on thread count.  Absence of a witness is a
-    valid outcome.
+    exists; the rest start from random samples.  Restarts run in order, each
+    from its own spawned seed, and the search stops at the first restart
+    that finds a witness, so a (seed, budget) pair always gives the same
+    result.  Absence of a witness is a valid outcome.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -329,34 +337,18 @@ def search_violation(
     seeds = np.random.SeedSequence(seed).spawn(n_restarts)
     atoms = _quadratic_atoms(dom, lam)
 
-    def run(i: int) -> tuple[list[np.ndarray] | None, float, int]:
+    evals_total = 0
+    winner: np.ndarray | None = None
+    restarts_used = 0
+    for i in range(n_restarts):
         guided = atoms if i % 3 != 2 else None
-        return _restart(
+        winner, _, evals = _restart(
             dom, lam, n_points, seeds[i], per_restart, witness_tol, radius_cap, guided
         )
-
-    evals_total = 0
-    winner: list[np.ndarray] | None = None
-    restarts_used = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(n_restarts)))
-        for i, (pts, _, evals) in enumerate(outcomes):
-            evals_total += evals
-            restarts_used = i + 1
-            if pts is not None:
-                winner = pts
-                break
-    else:
-        for i in range(n_restarts):
-            pts, _, evals = run(i)
-            evals_total += evals
-            restarts_used = i + 1
-            if pts is not None:
-                winner = pts
-                break
-            if evals_total >= budget:
-                break
+        evals_total += evals
+        restarts_used = i + 1
+        if winner is not None or evals_total >= budget:
+            break
     if winner is None:
         return SearchResult(False, None, seed, restarts_used, evals_total)
     winner = _minimize_witness(dom, lam, winner, witness_tol)

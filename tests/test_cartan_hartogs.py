@@ -234,6 +234,17 @@ def test_reduction_float_plateau_uses_exact_monotonicity():
     assert v.first_failure == (1, 0.5)
 
 
+def test_reduction_sub_tolerance_mu_fails_at_first_repeated_point():
+    # mu below the snap tolerance: lambda_0 = 0.5 is the discrete point of
+    # III:3, and lambda_1 = 0.5 + 1e-13 snaps to it too but exactly lies in
+    # the gap above it, so the failure is at m = 1, not where the float
+    # sequence leaves the tolerance (m = 11).
+    v = wk.ch_projectively_induced(wk.parse_ch_spec("CHD(III:3;mu=1e-13)"), 5e12)
+    assert not v.induced
+    assert [(m, member) for m, _, member in v.checked] == [(0, True), (1, False)]
+    assert v.first_failure[0] == 1
+
+
 def test_block_assembly_refuses_over_budget():
     # 10 variables at cutoff 9: the top block is 48620 wide, about 19 GB.
     ch = wk.parse_ch_spec("CHD(I:3,3;mu=einstein)")

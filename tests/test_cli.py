@@ -284,6 +284,7 @@ def test_usage_errors_exit_one(capsys):
         ("calabi", "I:2,2", "--cutoff", "3"),
         ("calabi", "I:2,2", "--lambda", "1", "--c", "1", "--cutoff", "3"),
         ("ch-check", "CHD(I:2,2)", "--c", "1"),
+        ("gram", "I:2,2", "--lambda", "0.5", "--threads", "2"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

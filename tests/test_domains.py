@@ -8,6 +8,7 @@ import pytest
 import wallachkit as wk
 from wallachkit.domains import (
     CatalogInconsistencyError,
+    norm_matrix,
     norm_series,
     one_minus_norm,
     spectral_radius,
@@ -148,6 +149,51 @@ def test_circular_symmetry():
             assert rotated == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
+def _gauge_one_point(dom):
+    """A point of gauge 1: the identity for I and III, e_1 for IV and CH."""
+    if dom.kind == "I":
+        p, q = dom.params
+        return np.eye(p, q).reshape(-1).astype(complex)
+    if dom.kind == "III":
+        rows, cols = np.triu_indices(dom.params[0])
+        return (rows == cols).astype(complex)
+    return np.eye(dom.d, dtype=complex)[0]
+
+
+STACK_SPECS = ("I:2,3", "I:3,3", "III:3", "IV:5", "CH:2")
+
+
+def test_norm_matrix_matches_pairwise():
+    # Sampled points plus points on one complex line at radius 0.975 with
+    # phases pi/3 apart: for I, III and IV some of those pairs have Re N < 0.
+    rng = np.random.default_rng(19)
+    violations = {}
+    for spec in STACK_SPECS:
+        dom = wk.parse_domain(spec)
+        line = [0.975 * np.exp(1j * t) * _gauge_one_point(dom) for t in (0.0, 1.1, 2.2)]
+        xs = np.array([wk.sample(dom, rng, 0.9) for _ in range(4)] + line)
+        ys = xs[::-1][:5]
+        n = norm_matrix(dom, xs, ys)
+        assert n.shape == (len(xs), len(ys))
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                pair = wk.generic_norm_eval(dom, x, y)
+                assert abs(n[a, b] - pair) <= 1e-14 * abs(pair)
+        flags = n.real <= 0.0
+        assert np.array_equal(
+            flags, [[wk.generic_norm_eval(dom, x, y).real <= 0.0 for y in ys] for x in xs]
+        )
+        _, branch_ok = wk.gram_matrix(dom, 0.7, xs, require_branch=False)
+        pairs = [(a, b) for a in range(len(xs)) for b in range(a, len(xs))]
+        assert branch_ok == all(
+            wk.generic_norm_eval(dom, xs[a], xs[b]).real > 0.0 for a, b in pairs
+        )
+        violations[spec] = not branch_ok
+    assert violations == {
+        "I:2,3": True, "I:3,3": True, "III:3": True, "IV:5": True, "CH:2": False
+    }
+
+
 def test_norm_series_agrees_with_evaluator():
     rng = np.random.default_rng(10)
     for spec in ("I:2,2", "III:2", "IV:3", "IV:5", "CH:2"):
@@ -223,6 +269,42 @@ def test_spectral_radius_gauges():
     for _ in range(200):
         z = wk.sample(dom, rng, 0.6)
         assert spectral_radius(dom, z) <= 0.6 + 1e-12
+
+
+def _reference_gauge(dom, x):
+    """Per-point gauge from its definition: the operator norm, or the Lie ball formula."""
+    if dom.kind == "I":
+        return np.linalg.norm(x.reshape(dom.params), 2)
+    if dom.kind == "III":
+        (n,) = dom.params
+        z = np.zeros((n, n), dtype=complex)
+        z[np.triu_indices(n)] = x
+        return np.linalg.norm(z + np.triu(z, 1).T, 2)
+    if dom.kind == "IV":
+        t = np.vdot(x, x).real
+        s = abs(np.dot(x, x))
+        return np.sqrt(t + np.sqrt(max(t * t - s * s, 0.0)))
+    return np.linalg.norm(x)
+
+
+def test_batched_contains_matches_pointwise():
+    rng = np.random.default_rng(23)
+    for spec in STACK_SPECS:
+        dom = wk.parse_domain(spec)
+        raw = rng.standard_normal((12, dom.d)) + 1j * rng.standard_normal((12, dom.d))
+        # gauges 1 - 1e-12 and 1 + 1e-12 alternate, then two clear cases
+        factors = np.array([1.0 - 1e-12, 1.0 + 1e-12] * 5 + [0.3, 3.0])
+        xs = np.array(
+            [f * x / _reference_gauge(dom, x) for f, x in zip(factors, raw)]
+        )
+        inside = wk.contains(dom, xs)
+        assert inside.shape == (12,)
+        assert list(inside) == [bool(f < 1.0) for f in factors]
+        assert list(inside) == [bool(wk.contains(dom, x)) for x in xs]
+        gauges = spectral_radius(dom, xs)
+        for g, x in zip(gauges, xs):
+            assert g == pytest.approx(_reference_gauge(dom, x), rel=1e-14)
+            assert spectral_radius(dom, x) == g
 
 
 def test_sample_points_count():

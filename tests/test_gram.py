@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.gram import BranchError, min_gram_eigenvalue
+from wallachkit.gram import BranchError, _minimize_witness, min_gram_eigenvalue
 
 
 def test_single_point_positive():
@@ -71,6 +71,22 @@ def test_branch_flag_on_wild_pair():
     assert not ok
 
 
+def test_branch_error_names_first_pair_row_major():
+    dom = wk.catalog("I", 2, 2)
+    a = 0.975 * np.exp(1j * np.pi / 6)
+    b = 0.975 * np.exp(-1j * np.pi / 6)
+    pts = [np.array([v, 0, 0, v]) for v in (0.1, a, 0.2j, b, a, b)]
+    bad = [
+        (i, j)
+        for i in range(len(pts))
+        for j in range(i, len(pts))
+        if wk.generic_norm_eval(dom, pts[i], pts[j]).real <= 0.0
+    ]
+    assert len(bad) > 1
+    with pytest.raises(BranchError, match=rf"pair \({bad[0][0]}, {bad[0][1]}\)"):
+        wk.gram_matrix(dom, 0.5, pts)
+
+
 def test_search_finds_witness_in_gap():
     dom = wk.catalog("I", 2, 2)
     res = wk.search_violation(dom, 0.5, budget=2000, seed=1)
@@ -112,12 +128,47 @@ def test_search_deterministic():
         assert np.array_equal(p, q)
 
 
-def test_search_thread_count_does_not_change_result():
-    dom = wk.catalog("I", 2, 2)
-    seq = wk.search_violation(dom, 0.5, budget=1000, seed=9, threads=1)
-    par = wk.search_violation(dom, 0.5, budget=1000, seed=9, threads=4)
-    assert seq.found == par.found
-    assert seq.report.min_eigenvalue == par.report.min_eigenvalue
+@pytest.mark.parametrize(
+    "spec, lam, seed, expected",
+    [
+        ("IV:3", 0.3, 4, (True, 27, 1)),  # a gap, found after a short descent
+        ("I:2,2", 1.0, 5, (False, 468, 9)),  # Wallach members spend the budget
+        ("III:3", 1.0, 5, (False, 468, 9)),
+        ("IV:5", 3.0, 5, (False, 468, 9)),
+    ],
+)
+def test_search_decisions_pinned(spec, lam, seed, expected):
+    res = wk.search_violation(wk.parse_domain(spec), lam, budget=500, seed=seed)
+    assert (res.found, res.evals_used, res.restarts_used) == expected
+    if res.found:
+        assert res.report.min_eigenvalue == pytest.approx(-6.520963610356445e-05, abs=1e-12)
+
+
+def test_minimize_witness_matches_reevaluation():
+    # reference: re-evaluate every trial configuration from scratch
+    def reference(dom, lam, points, tol):
+        current = list(points)
+        changed = True
+        while changed and len(current) > 2:
+            changed = False
+            for i in range(len(current)):
+                trial = current[:i] + current[i + 1 :]
+                val, ok = min_gram_eigenvalue(dom, lam, trial, require_branch=False)
+                if ok and val < -tol:
+                    current, changed = trial, True
+                    break
+        return np.array(current)
+
+    for spec, lam, seed in (("I:2,2", 0.5, 2), ("III:2", 0.25, 1), ("IV:3", 0.3, 4)):
+        dom = wk.parse_domain(spec)
+        res = wk.search_violation(dom, lam, budget=2000, seed=seed)
+        assert res.found
+        # interleave extra points: the configuration stays a witness by interlacing
+        extra = wk.sample_points(dom, 3, seed, 0.5)
+        pts = np.array(list(res.report.points[:2]) + extra + list(res.report.points[2:]))
+        for tol in (1e-6, 1e-5, 1e-4):
+            got = _minimize_witness(dom, lam, pts, tol)
+            assert np.array_equal(got, reference(dom, lam, list(pts), tol))
 
 
 def test_search_argument_validation():
