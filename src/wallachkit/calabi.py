@@ -88,20 +88,14 @@ def bergman_diastasis_series(dom: DomainModel, lam: float, cutoff: int) -> Hermi
     powers = _norm_powers(dom, cutoff)
     if not powers:
         return hs.zero(dom.d, cutoff)
-    weights = []
-    c = 1.0
-    for k in range(1, len(powers) + 1):
-        c *= (lam + k - 1) / k
-        weights.append(c)
+    weights = [hs.generalized_binomial(lam, k) for k in range(1, len(powers) + 1)]
     return hs.linear_combination(powers, weights)
 
 
 def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> bool:
     """True iff every pure term (one side the zero index, not both) vanishes."""
-    for (j, k), v in s.coeffs.items():
-        if (j == 0) != (k == 0) and abs(v) > tol:
-            return False
-    return True
+    pure = (s.rows == 0) & (s.cols != 0)  # canonical entries have j <= k
+    return not (np.abs(s.values[pure]) > tol).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,38 +131,26 @@ def graded_blocks(
     if not normalization_check(s):
         raise ValueError("series has non-vanishing pure terms")
     b = s.basis
-    degrees = [mi.degree for mi in b]
-    mats: dict[int, np.ndarray] = {}
-    starts: dict[int, int] = {}
-    for degree in range(1, s.cutoff + 1):
-        sl = b.degree_slice(degree)
-        dim = sl.stop - sl.start
-        mats[degree] = np.zeros((dim, dim))
-        starts[degree] = sl.start
-    off_grade = 0.0
-    max_abs = 0.0
-    for (j, k), v in s.coeffs.items():
-        max_abs = max(max_abs, abs(v))
-        dj, dk = degrees[j], degrees[k]
-        if dj != dk:
-            off_grade = max(off_grade, abs(v))
-            continue
-        if dj == 0:
-            continue  # constant term is outside the block structure
-        m = mats[dj]
-        o = starts[dj]
-        m[j - o, k - o] = v
-        m[k - o, j - o] = v
+    degrees = np.asarray(b.degrees)
+    on_grade = degrees[s.rows] == degrees[s.cols]
+    max_abs = s.max_abs()
+    off_grade = float(np.abs(s.values[~on_grade]).max(initial=0.0))
     if off_grade > GRADING_REL_TOL * max(max_abs, 1e-300):
         raise GradingError(
             f"off-grade coefficient {off_grade:.3e} exceeds "
             f"{GRADING_REL_TOL:.0e} x max |b| = {GRADING_REL_TOL * max_abs:.3e}"
         )
-    blocks = tuple(
-        GradedBlock(degree, mats[degree].shape[0], mats[degree])
-        for degree in range(1, s.cutoff + 1)
-    )
-    return CalabiMatrix(domain_spec, lam, s.n_vars, s.cutoff, blocks, off_grade, max_abs)
+    blocks = []
+    for degree in range(1, s.cutoff + 1):
+        sl = b.degree_slice(degree)
+        matrix = np.zeros((sl.stop - sl.start, sl.stop - sl.start))
+        # Rows are sorted and the order is graded, so this degree's rows are one run.
+        lo, hi = np.searchsorted(s.rows, (sl.start, sl.stop))
+        keep = on_grade[lo:hi]
+        j, k = s.rows[lo:hi][keep] - sl.start, s.cols[lo:hi][keep] - sl.start
+        matrix[j, k] = matrix[k, j] = s.values[lo:hi][keep]
+        blocks.append(GradedBlock(degree, len(matrix), matrix))
+    return CalabiMatrix(domain_spec, lam, s.n_vars, s.cutoff, tuple(blocks), off_grade, max_abs)
 
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
@@ -324,17 +306,17 @@ def immersion_reconstruction_error(
 ) -> float:
     """Max |sum_j f_j(z) conj(f_j(w)) - (1 + series)| over retained coefficients."""
     b = s.basis
-    accum: dict[tuple[int, int], float] = {}
+    rows, cols, vals = [], [], []
     for comp in components:
-        positions = [(b.position(e), c) for e, c in comp.coeffs.items()]
-        for j, cj in positions:
-            for k, ck in positions:
-                if j <= k:
-                    accum[(j, k)] = accum.get((j, k), 0.0) + cj * ck
-    target = dict(s.coeffs)
-    target[(0, 0)] = target.get((0, 0), 0.0) + 1.0
-    keys = set(accum) | set(target)
-    return max(abs(accum.get(k, 0.0) - target.get(k, 0.0)) for k in keys)
+        pos = b.rank(np.array(list(comp.coeffs), dtype=np.int64).reshape(-1, s.n_vars))
+        c = np.fromiter(comp.coeffs.values(), dtype=np.float64, count=len(pos))
+        j, k = np.meshgrid(pos, pos, indexing="ij")
+        upper = j <= k
+        rows.append(j[upper])
+        cols.append(k[upper])
+        vals.append(np.outer(c, c)[upper])
+    accum = hs.from_entries(s.n_vars, s.cutoff, *(np.concatenate(a) for a in (rows, cols, vals)))
+    return hs.max_abs_diff(accum, hs.add(s, hs.from_entries(s.n_vars, s.cutoff, [0], [0], [1.0])))
 
 
 @dataclass(frozen=True, eq=False)

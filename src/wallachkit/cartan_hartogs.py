@@ -151,12 +151,8 @@ def ch_direct_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
     # N^mu - 1 in the base variables, then embedded with w as the last variable.
     nmu_minus_1 = hs.inverse_power(one_minus_norm(base, cutoff), -ch.mu)
     q = hs.scale(hs.embed(nmu_minus_1, ch.n_vars, cutoff), -1.0)
-    w_sq = hs.from_terms(
-        ch.n_vars,
-        cutoff,
-        {(((0,) * base.d + (1,)), ((0,) * base.d + (1,))): 1.0},
-    )
-    q = hs.add(q, w_sq)  # Q' with N^mu - |w|^2 = 1 - Q'
+    w = (0,) * base.d + (1,)
+    q = hs.add(q, hs.from_terms(ch.n_vars, cutoff, {(w, w): 1.0}))  # N^mu - |w|^2 = 1 - Q'
     return hs.inverse_power(q, c)
 
 
@@ -166,23 +162,25 @@ def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
         raise ValueError("c must be positive")
-    base = ch.base
-    d = base.d
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+    full = basis(ch.n_vars, cutoff)
+    rows, cols, vals = [], [], []
     for m in range(cutoff + 1):
         prefactor = hs.generalized_binomial(c, m)
+        # Positions of the base monomials times w^m; position 0 is w^m itself.
+        exps = basis(ch.base.d, cutoff - m).exponents
+        pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))
         if m >= 1:
-            terms[((0,) * d + (m,), (0,) * d + (m,))] = prefactor
-        base_cutoff = cutoff - m
-        if base_cutoff < 1:
-            continue
-        base_series = bergman_diastasis_series(base, ch.mu * (c + m), base_cutoff)
-        b = base_series.basis
-        for (j, k), v in base_series.coeffs.items():
-            hol = b[j].exponents + (m,)
-            anti = b[k].exponents + (m,)
-            terms[(hol, anti)] = prefactor * v
-    return hs.from_terms(ch.n_vars, cutoff, terms)
+            rows.append(pos[:1])
+            cols.append(pos[:1])
+            vals.append([prefactor])
+        if cutoff - m >= 1:
+            s = bergman_diastasis_series(ch.base, ch.mu * (c + m), cutoff - m)
+            rows.append(pos[s.rows])
+            cols.append(pos[s.cols])
+            vals.append(prefactor * s.values)
+    return hs.from_entries(
+        ch.n_vars, cutoff, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
 
 
 def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
@@ -327,7 +325,7 @@ def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
     transfer = np.prod(pascal[exps[:, None, :], jet_exps[None, :, :]], axis=-1) * np.prod(
         point ** np.maximum(rest, 0), axis=-1
     )
-    rows, cols, vals = (np.array(v) for v in zip(*poly.items_full()))
+    rows, cols, vals = poly.mirrored()
     return np.einsum("rg,rd->gd", vals[:, None] * transfer[rows], transfer[cols].conj())
 
 

@@ -59,6 +59,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 def _ch_domain(text: str) -> CHDomain:
     try:
         return parse_ch_spec(text)
@@ -93,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     _add_lambda_or_c(p)
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--tol-abs", type=float, default=calabi.DEFAULT_TOL_ABS)
-    p.add_argument("--tol-rel", type=float, default=calabi.DEFAULT_TOL_REL)
+    p.add_argument("--tol-abs", type=_tolerance, default=calabi.DEFAULT_TOL_ABS)
+    p.add_argument("--tol-rel", type=_tolerance, default=calabi.DEFAULT_TOL_REL)
     _add_common(p)
     p.set_defaults(func=_cmd_calabi)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -65,7 +65,8 @@ class DomainModel:
     r: int                    # rank
     a: float
     gamma: int                # genus
-    norm_poly: HermitianSeries  # exact polynomial N, cutoff = its degree
+    # exact polynomial N, cutoff = its degree; a function of kind and params
+    norm_poly: HermitianSeries = field(compare=False)
 
     @property
     def spec_string(self) -> str:
@@ -408,8 +409,8 @@ def norm_series(dom: DomainModel, cutoff: int) -> HermitianSeries:
 def one_minus_norm(dom: DomainModel, cutoff: int) -> HermitianSeries:
     """Q = 1 - N, the zero-constant-term series driving all expansions."""
     n = norm_series(dom, cutoff)
-    coeffs = {key: -v for key, v in n.coeffs.items() if key != (0, 0)}
-    return HermitianSeries(dom.d, cutoff, coeffs)
+    keep = n.cols != 0  # every entry but the constant term (0, 0)
+    return hs.from_entries(dom.d, cutoff, n.rows[keep], n.cols[keep], -n.values[keep])
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ pool would only add contention for the interpreter lock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,18 +118,27 @@ def min_gram_eigenvalue(
     return float(np.linalg.eigvalsh(h)[0]), branch_ok
 
 
+def _witness_threshold(h: np.ndarray, witness_tol: float) -> float:
+    """A configuration is a witness when its min eigenvalue is below
+    -witness_tol * max(1, max |H_ab|): the eigensolver's rounding grows with
+    the entries, which N^(-lambda) can push far past 1.  Non-finite entries
+    give a non-finite threshold (max(nan, 1.0) is nan)."""
+    return -witness_tol * max(float(np.abs(h).max()), 1.0)
+
+
 def gram_report(
     dom: DomainModel,
     lam: float,
     points: Sequence[np.ndarray] | np.ndarray,
     witness_tol: float = DEFAULT_WITNESS_TOL,
 ) -> GramReport:
-    min_eig, branch_ok = min_gram_eigenvalue(dom, lam, points, require_branch=False)
+    h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+    min_eig = float(np.linalg.eigvalsh(h)[0])
     return GramReport(
         tuple(np.asarray(p, dtype=np.complex128) for p in points),
         float(lam),
         min_eig,
-        min_eig >= -witness_tol,
+        min_eig >= _witness_threshold(h, witness_tol),
         branch_ok,
     )
 
@@ -227,13 +237,17 @@ def _restart(
     rng = np.random.default_rng(seed_seq)
     evals = 0
 
-    def objective(pts: np.ndarray) -> float | None:
+    def objective(pts: np.ndarray) -> tuple[float, float] | None:
         nonlocal evals
         if evals >= eval_budget:
             return None
         evals += 1
-        val, branch_ok = min_gram_eigenvalue(dom, lam, pts, require_branch=False)
-        return val if branch_ok else None
+        h, branch_ok = gram_matrix(dom, lam, pts, require_branch=False)
+        threshold = _witness_threshold(h, witness_tol)
+        # A branch violation or an overflow makes the configuration invalid.
+        if not branch_ok or not math.isfinite(threshold):
+            return None
+        return float(np.linalg.eigvalsh(h)[0]), threshold
 
     points: np.ndarray | None = None
     best: float | None = None
@@ -245,17 +259,18 @@ def _restart(
             pts = _structured_points(dom, atoms, n_points, rng, scale, signs)
             if not contains(dom, pts).all():
                 continue
-            val = objective(pts)
-            if val is not None and (best is None or val < best):
-                points, best = pts, val
+            spectrum = objective(pts)
+            if spectrum is not None and (best is None or spectrum[0] < best):
+                points, (best, threshold) = pts, spectrum
     if points is None or best is None:
         points = np.array([sample(dom, rng, radius_cap) for _ in range(n_points)])
-        best = objective(points)
-        if best is None:
+        spectrum = objective(points)
+        if spectrum is None:
             return None, 0.0, evals
+        best, threshold = spectrum
     sigma = _SIGMA_INITIAL
     for _ in range(4 * _DESCENT_STEPS):
-        if evals >= eval_budget or best < -witness_tol:
+        if evals >= eval_budget or best < threshold:
             break
         if rng.random() < 0.7:
             candidate = points + sigma * (
@@ -269,15 +284,15 @@ def _restart(
             )
         if not contains(dom, candidate).all():
             continue
-        val = objective(candidate)
-        if val is None:
+        spectrum = objective(candidate)
+        if spectrum is None:
             break
-        if val < best:
-            points, best = candidate, val
+        if spectrum[0] < best:
+            points, (best, threshold) = candidate, spectrum
             sigma = min(sigma * _SIGMA_GROW, _SIGMA_MAX)
         else:
             sigma = max(sigma * _SIGMA_SHRINK, _SIGMA_MIN)
-    if best < -witness_tol:
+    if best < threshold:
         return points, best, evals
     return None, best, evals
 
@@ -302,7 +317,8 @@ def _minimize_witness(
         changed = False
         for i in range(len(keep)):
             trial = keep[:i] + keep[i + 1 :]
-            if np.linalg.eigvalsh(h[np.ix_(trial, trial)])[0] < -witness_tol:
+            sub = h[np.ix_(trial, trial)]
+            if np.linalg.eigvalsh(sub)[0] < _witness_threshold(sub, witness_tol):
                 keep = trial
                 changed = True
                 break
@@ -342,9 +358,11 @@ def search_violation(
     restarts_used = 0
     for i in range(n_restarts):
         guided = atoms if i % 3 != 2 else None
-        winner, _, evals = _restart(
-            dom, lam, n_points, seeds[i], per_restart, witness_tol, radius_cap, guided
-        )
+        # Gram entries that overflow make a configuration invalid, not a warning.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            winner, _, evals = _restart(
+                dom, lam, n_points, seeds[i], per_restart, witness_tol, radius_cap, guided
+            )
         evals_total += evals
         restarts_used = i + 1
         if winner is not None or evals_total >= budget:

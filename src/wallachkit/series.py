@@ -7,18 +7,23 @@ A :class:`HermitianSeries` models a real-analytic kernel
 truncated so that both the holomorphic degree |m_j| and the antiholomorphic
 degree |m_k| stay <= cutoff.  Positions j, k refer to the shared graded
 enumeration from :mod:`wallachkit.multiindex`.  All kernels handled here are
-real on the diagonal, so coefficients are real with b_{jk} = b_{kj}; the
-class stores only the lower-triangle pairs (j <= k), which makes Hermitian
-symmetry structural rather than a property to maintain.
+real on the diagonal, so coefficients are real with b_{jk} = b_{kj}.
+
+The storage is sorted COO: three read-only arrays rows, cols (int64) and
+values (float64) hold the nonzero canonical entries (j <= k) sorted by
+(j, k); the (k, j) mirror is implied, which makes Hermitian symmetry
+structural.  Every series comes out of :func:`from_entries`, which mirrors
+j > k, drops positions past the basis, sums duplicates (np.unique and
+bincount) and drops zeros; sums, rebasing and products all feed it arrays.
 
 :func:`product` never builds a table of index sums.  It groups the entries
 of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
 bidegrees survive the truncation, ranks their exponent sums in closed form
-(:meth:`Basis.rank`) and sums equal targets with np.unique and bincount, so
-its memory follows the number of surviving pairs rather than the basis size
-squared.  Products of torus-invariant kernels, such as the catalog's
-1 - N, stay torus-invariant, which is what splits their graded blocks into
-the weight components :mod:`wallachkit.calabi` solves one at a time.
+(:meth:`Basis.rank`) and hands them to :func:`from_entries`, so its memory
+follows the number of surviving pairs rather than the basis size squared.
+Products of torus-invariant kernels, such as the catalog's 1 - N, stay
+torus-invariant, which is what splits their graded blocks into the weight
+components :mod:`wallachkit.calabi` solves one at a time.
 
 The transcendental operations expand in powers of a series Q with zero
 constant term:
@@ -39,38 +44,29 @@ import numpy as np
 
 from .multiindex import Basis, basis
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class HermitianSeries:
     """Truncated Hermitian coefficient array; immutable value object.
 
-    coeffs maps canonical position pairs (j, k) with j <= k to real
-    coefficients; absent pairs are zero and the (k, j) mirror is implied.
+    rows, cols and values are the nonzero canonical entries (j <= k), sorted
+    by (j, k); build instances with from_entries, which keeps that form.
     """
 
     n_vars: int
     cutoff: int
-    coeffs: Mapping[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        if self.n_vars < 1:
-            raise ValueError("n_vars must be >= 1")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        canonical: dict[tuple[int, int], float] = {}
-        for (j, k), v in self.coeffs.items():
-            v = float(v)
-            if v == 0.0:
-                continue
-            key = (j, k) if j <= k else (k, j)
-            prev = canonical.get(key)
-            if prev is not None and prev != v:
-                raise ValueError(f"conflicting Hermitian pair at {key}: {prev} vs {v}")
-            canonical[key] = v
-        object.__setattr__(self, "coeffs", canonical)
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @property
     def basis(self) -> Basis:
         return basis(self.n_vars, self.cutoff)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], float]:
+        """{(j, k): value} over the canonical entries (a derived copy)."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.values.tolist()))
 
     def coefficient(self, hol: tuple[int, ...], anti: tuple[int, ...]) -> float:
         """Coefficient of z^hol zbar^anti (0.0 if absent or out of range)."""
@@ -79,43 +75,70 @@ class HermitianSeries:
         k = b.position_or_none(tuple(anti))
         if j is None or k is None:
             return 0.0
-        return self.coeffs.get((j, k) if j <= k else (k, j), 0.0)
+        j, k = min(j, k), max(j, k)
+        lo, hi = np.searchsorted(self.rows, (j, j + 1))
+        i = lo + int(np.searchsorted(self.cols[lo:hi], k))
+        return float(self.values[i]) if i < hi and self.cols[i] == k else 0.0
+
+    def mirrored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of every entry: the canonical ones, then the
+        (k, j) mirrors of the off-diagonal ones."""
+        off = self.rows != self.cols
+        return (
+            np.concatenate((self.rows, self.cols[off])),
+            np.concatenate((self.cols, self.rows[off])),
+            np.concatenate((self.values, self.values[off])),
+        )
 
     def items_full(self) -> Iterable[tuple[int, int, float]]:
         """All (j, k, value) entries with mirrors expanded."""
-        for (j, k), v in self.coeffs.items():
-            yield j, k, v
-            if j != k:
-                yield k, j, v
+        return zip(*(a.tolist() for a in self.mirrored()))
 
     def constant_term(self) -> float:
-        return self.coeffs.get((0, 0), 0.0)
+        if self.is_zero() or self.rows[0] != 0 or self.cols[0] != 0:
+            return 0.0
+        return float(self.values[0])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.values) == 0
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of items_full, in the same order."""
-        pairs = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2)
-        vals = np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(pairs))
-        # Each entry followed by its mirror; a diagonal entry has none.
-        keep = np.ones((len(pairs), 2), dtype=bool)
-        keep[:, 1] = pairs[:, 0] != pairs[:, 1]
-        keep = keep.ravel()
-        return pairs.ravel()[keep], pairs[:, ::-1].ravel()[keep], np.repeat(vals, 2)[keep]
+        return float(np.abs(self.values).max(initial=0.0))
 
     def __repr__(self) -> str:
         return (
             f"HermitianSeries(n_vars={self.n_vars}, cutoff={self.cutoff}, "
-            f"nnz={len(self.coeffs)})"
+            f"nnz={len(self.values)})"
         )
 
 
+def from_entries(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSeries:
+    """The series with entries b_{rows[i], cols[i]} += values[i].
+
+    Entries with j > k count for their mirror (k, j), positions at or past
+    the basis size are dropped (the truncation rule), duplicates are summed
+    in input order and zero sums are dropped.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    m = len(basis(n_vars, cutoff))  # basis() refuses n_vars < 1
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    keep = hi < m
+    targets, slot = np.unique(lo[keep] * m + hi[keep], return_inverse=True)
+    sums = np.bincount(slot, weights=values[keep], minlength=len(targets))
+    nonzero = sums != 0.0
+    rows, cols = np.divmod(targets[nonzero], m)
+    values = np.asarray(sums[nonzero], dtype=np.float64)  # bincount of nothing is int64
+    for a in (rows, cols, values):
+        a.flags.writeable = False
+    return HermitianSeries(n_vars, cutoff, rows, cols, values)
+
+
 def zero(n_vars: int, cutoff: int) -> HermitianSeries:
-    return HermitianSeries(n_vars, cutoff, {})
+    return from_entries(n_vars, cutoff, [], [], [])
 
 
 def from_terms(
@@ -129,18 +152,19 @@ def from_terms(
     must agree.
     """
     b = basis(n_vars, cutoff)
-    coeffs: dict[tuple[int, int], float] = {}
-    for (hol, anti), v in terms.items():
-        j = b.position_or_none(tuple(hol))
-        k = b.position_or_none(tuple(anti))
-        if j is None or k is None:
-            continue
-        key = (j, k) if j <= k else (k, j)
-        prev = coeffs.get(key)
-        if prev is not None and prev != float(v):
-            raise ValueError(f"conflicting Hermitian pair for {(hol, anti)}")
-        coeffs[key] = float(v)
-    return HermitianSeries(n_vars, cutoff, coeffs)
+    m = len(b)
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), 2, n_vars)
+    if (exps < 0).any():
+        raise ValueError("exponents must be nonnegative")
+    j, k = b.rank(exps).T
+    values = np.fromiter(terms.values(), dtype=np.float64, count=len(terms))
+    keys = np.minimum(j, k) * m + np.maximum(j, k)
+    _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    clash = (values != values[first][slot]) & (np.maximum(j, k) < m)
+    if clash.any():
+        hol, anti = list(terms)[int(np.argmax(clash))]
+        raise ValueError(f"conflicting Hermitian pair for {(hol, anti)}")
+    return from_entries(n_vars, cutoff, j[first], k[first], values[first])
 
 
 def _check_shapes(a: HermitianSeries, b: HermitianSeries) -> None:
@@ -152,34 +176,33 @@ def _check_shapes(a: HermitianSeries, b: HermitianSeries) -> None:
 
 
 def add(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
-    _check_shapes(a, b)
-    out = dict(a.coeffs)
-    for key, v in b.coeffs.items():
-        out[key] = out.get(key, 0.0) + v
-    return HermitianSeries(a.n_vars, a.cutoff, out)
+    return linear_combination((a, b), (1.0, 1.0))
 
 
 def scale(a: HermitianSeries, s: float) -> HermitianSeries:
-    return HermitianSeries(a.n_vars, a.cutoff, {k: v * s for k, v in a.coeffs.items()})
+    return linear_combination((a,), (s,))
 
 
 def linear_combination(
     series_list: Iterable[HermitianSeries], weights: Iterable[float]
 ) -> HermitianSeries:
-    out: dict[tuple[int, int], float] = {}
-    shape: tuple[int, int] | None = None
-    for s, w in zip(series_list, weights):
-        if shape is None:
-            shape = (s.n_vars, s.cutoff)
-        elif shape != (s.n_vars, s.cutoff):
-            raise ValueError("shape mismatch in linear combination")
-        if w == 0.0:
-            continue
-        for key, v in s.coeffs.items():
-            out[key] = out.get(key, 0.0) + w * v
-    if shape is None:
+    """sum_i weights[i] * series_list[i]; each coefficient is summed in list order."""
+    pairs = list(zip(series_list, weights))
+    if not pairs:
         raise ValueError("empty linear combination")
-    return HermitianSeries(shape[0], shape[1], out)
+    first = pairs[0][0]
+    for s, _ in pairs:
+        _check_shapes(first, s)
+    pairs = [(s, w) for s, w in pairs if w != 0.0]
+    if not pairs:
+        return zero(first.n_vars, first.cutoff)
+    return from_entries(
+        first.n_vars,
+        first.cutoff,
+        np.concatenate([s.rows for s, _ in pairs]),
+        np.concatenate([s.cols for s, _ in pairs]),
+        np.concatenate([w * s.values for s, w in pairs]),
+    )
 
 
 def _bidegree_groups(
@@ -187,7 +210,7 @@ def _bidegree_groups(
 ) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """All (j, k, value) entries, mirrors expanded, grouped by the degrees
     (|m_j|, |m_k|) of their two sides: [(hol_deg, anti_deg, j, k, values)]."""
-    j, k, v = s._arrays()
+    j, k, v = s.mirrored()
     degrees = s.basis.exponents.sum(axis=1)
     hol, anti = degrees[j], degrees[k]
     order = np.lexsort((anti, hol))
@@ -202,15 +225,14 @@ def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
 
     Only the entry pairs whose degrees survive the truncation are formed, one
     bidegree group pair at a time; the positions of their exponent sums come
-    from Basis.rank, and equal targets are summed with np.unique and bincount.
+    from Basis.rank, and from_entries sums equal targets.
     """
     _check_shapes(a, b)
     if a.is_zero() or b.is_zero():
         return zero(a.n_vars, a.cutoff)
     bas = a.basis
     exps = bas.exponents
-    m = len(bas)
-    keys, vals = [], []
+    rows, cols, vals = [], [], []
     groups_b = _bidegree_groups(b)
     for hol_a, anti_a, ja, ka, va in _bidegree_groups(a):
         for hol_b, anti_b, jb, kb, vb in groups_b:
@@ -227,15 +249,14 @@ def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
             if hol == anti:
                 keep = p <= q
                 p, q, w = p[keep], q[keep], w[keep]
-            keys.append(p * m + q)
+            rows.append(p)
+            cols.append(q)
             vals.append(w)
-    if not keys:
+    if not rows:
         return zero(a.n_vars, a.cutoff)
-    targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.bincount(slot, weights=np.concatenate(vals))
-    rows, cols = np.divmod(targets, m)
-    coeffs = dict(zip(zip(rows.tolist(), cols.tolist()), sums.tolist()))
-    return HermitianSeries(a.n_vars, a.cutoff, coeffs)
+    return from_entries(
+        a.n_vars, a.cutoff, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
 
 
 def power_sequence(q: HermitianSeries, max_power: int | None = None) -> list[HermitianSeries]:
@@ -264,13 +285,9 @@ def _expand_in_powers(
     if q.constant_term() != 0.0:
         raise ValueError("series must have zero constant term")
     powers = power_sequence(q)
-    weights = []
-    for k in range(1, len(powers) + 1):
-        w = coefficient_of_power(k)
-        weights.append(w)
     if not powers:
         return zero(q.n_vars, q.cutoff)
-    return linear_combination(powers, weights)
+    return linear_combination(powers, [coefficient_of_power(k) for k in range(1, len(powers) + 1)])
 
 
 def generalized_binomial(lam: float, k: int) -> float:
@@ -283,17 +300,7 @@ def generalized_binomial(lam: float, k: int) -> float:
 
 def inverse_power(q: HermitianSeries, lam: float) -> HermitianSeries:
     """(1 - Q)^(-lam) - 1 truncated; lam may be any real."""
-    if q.constant_term() != 0.0:
-        raise ValueError("inverse_power requires Q(0) = 0")
-    powers = power_sequence(q)
-    weights = []
-    c = 1.0
-    for k in range(1, len(powers) + 1):
-        c *= (lam + k - 1) / k
-        weights.append(c)
-    if not powers:
-        return zero(q.n_vars, q.cutoff)
-    return linear_combination(powers, weights)
+    return _expand_in_powers(q, lambda k: generalized_binomial(lam, k))
 
 
 def log_one_minus(q: HermitianSeries) -> HermitianSeries:
@@ -301,57 +308,39 @@ def log_one_minus(q: HermitianSeries) -> HermitianSeries:
     return _expand_in_powers(q, lambda k: 1.0 / k)
 
 
+def _reindex(series: HermitianSeries, n_vars: int, cutoff: int) -> HermitianSeries:
+    """The same kernel over basis(n_vars, cutoff), new trailing variables unused."""
+    exps = series.basis.exponents
+    pad = np.zeros((len(exps), n_vars - series.n_vars), dtype=np.int64)
+    pos = basis(n_vars, cutoff).rank(np.hstack((exps, pad)))
+    return from_entries(n_vars, cutoff, pos[series.rows], pos[series.cols], series.values)
+
+
 def rebase(series: HermitianSeries, cutoff: int) -> HermitianSeries:
     """Same kernel at a different cutoff; extra terms drop, none appear."""
     if cutoff == series.cutoff:
         return series
-    old = series.basis
-    return from_terms(
-        series.n_vars,
-        cutoff,
-        {
-            (old[j].exponents, old[k].exponents): v
-            for (j, k), v in series.coeffs.items()
-        },
-    )
+    return _reindex(series, series.n_vars, cutoff)
 
 
 def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> HermitianSeries:
     """Reinterpret in a larger variable set (new trailing variables unused)."""
     if n_vars < series.n_vars:
         raise ValueError("cannot embed into fewer variables")
-    if cutoff is None:
-        cutoff = series.cutoff
-    pad = (0,) * (n_vars - series.n_vars)
-    old = series.basis
-    return from_terms(
-        n_vars,
-        cutoff,
-        {
-            (old[j].exponents + pad, old[k].exponents + pad): v
-            for (j, k), v in series.coeffs.items()
-        },
-    )
+    return _reindex(series, n_vars, series.cutoff if cutoff is None else cutoff)
 
 
 def max_abs_diff(a: HermitianSeries, b: HermitianSeries) -> float:
-    _check_shapes(a, b)
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max(
-        (abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys),
-        default=0.0,
-    )
+    return linear_combination((a, b), (1.0, -1.0)).max_abs()
 
 
 def evaluate(series: HermitianSeries, z: np.ndarray, w: np.ndarray) -> complex:
     """Evaluate sum b_{jk} z^{m_j} conj(w)^{m_k} at concrete points."""
-    b = series.basis
+    exps = series.basis.exponents
     z = np.asarray(z, dtype=np.complex128)
     wbar = np.conj(np.asarray(w, dtype=np.complex128))
     # Monomial values per basis position, computed once per call.
-    mono_z = np.array([np.prod(z ** np.array(mi.exponents)) for mi in b])
-    mono_w = np.array([np.prod(wbar ** np.array(mi.exponents)) for mi in b])
-    total = 0.0 + 0.0j
-    for j, k, v in series.items_full():
-        total += v * mono_z[j] * mono_w[k]
-    return complex(total)
+    mono_z = np.prod(z**exps, axis=1)
+    mono_w = np.prod(wbar**exps, axis=1)
+    rows, cols, values = series.mirrored()
+    return complex(np.sum(values * mono_z[rows] * mono_w[cols]))

@@ -102,6 +102,13 @@ def test_gram_no_witness_in_wallach_set(capsys):
     assert d["verdicts"]["witness_found"] is False
 
 
+def test_gram_overflowing_lambda_answers_without_witness(capsys):
+    code, d, _ = run_json(capsys, "gram", "I:2,2", "--lambda", "1e300", "--budget", "10")
+    assert code == 0
+    assert d["verdicts"]["witness_found"] is False
+    assert d["agreement"] is True
+
+
 def test_scan_csv_output(capsys):
     code, out, _ = run(
         capsys,
@@ -170,6 +177,11 @@ def test_einstein_probe(capsys):
         (("ch-check", "CHD(I:2,2;mu=einstein)", "--c", "inf"), "--c"),
         (("wallach", "I:2,2", "--lambda", "nan"), "--lambda"),
         (("calabi", "I:2,2", "--lambda", "nan", "--cutoff", "3"), "--lambda"),
+        (("calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "3", "--tol-abs", "nan"), "--tol-abs"),
+        (("calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "3", "--tol-abs", "inf"), "--tol-abs"),
+        (("calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "3", "--tol-rel=-inf"), "--tol-rel"),
+        (("calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "3", "--tol-abs", "-1"), "--tol-abs"),
+        (("calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "3", "--tol-rel", "-1"), "--tol-rel"),
     ],
 )
 def test_non_finite_inputs_exit_one(capsys, argv, named):

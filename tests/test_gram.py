@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.gram import BranchError, _minimize_witness, min_gram_eigenvalue
+from wallachkit.gram import BranchError, _minimize_witness, _witness_threshold, min_gram_eigenvalue
 
 
 def test_single_point_positive():
@@ -110,6 +110,41 @@ def test_search_empty_handed_in_continuous_part():
     res = wk.search_violation(dom, 1.5, budget=1000, seed=1)
     assert not res.found
     assert res.report is None
+
+
+@pytest.mark.parametrize(
+    "spec, lam",
+    [
+        ("I:2,2", 5.0),
+        ("I:2,2", 20.0),
+        ("I:2,2", 50.0),
+        ("III:2", 20.0),
+        ("IV:3", 30.0),
+        ("CH:2", 40.0),
+    ],
+)
+def test_no_witness_for_wallach_members_with_large_entries(spec, lam):
+    # Gram entries N^(-lambda) reach 1e17 and beyond here; eigenvalues at
+    # rounding level relative to them are not witnesses.
+    dom = wk.parse_domain(spec)
+    assert wk.wallach_contains(dom, lam)
+    res = wk.search_violation(dom, lam, 6, 2000, seed=0)
+    assert not res.found
+    assert res.evals_used > 1900
+
+
+def test_witness_rule_is_relative_to_largest_entry():
+    dom = wk.catalog("I", 2, 2)
+    pts = wk.sample_points(dom, 6, 0, 0.7)
+    h, _ = wk.gram_matrix(dom, 5.0, pts)
+    scale = np.abs(h).max()
+    assert scale > 10.0
+    assert _witness_threshold(h, 1e-6) == -1e-6 * scale
+    # below unit scale the threshold stays absolute
+    assert _witness_threshold(np.eye(2) * 0.1, 1e-6) == -1e-6
+    # an overflowing Gram matrix has no finite threshold
+    assert not np.isfinite(_witness_threshold(np.array([[np.inf, 1.0], [1.0, 1.0]]), 1e-6))
+    assert not np.isfinite(_witness_threshold(np.array([[np.nan, 1.0], [1.0, 1.0]]), 1e-6))
 
 
 def test_search_empty_handed_rank_one():

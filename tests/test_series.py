@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
+from wallachkit.calabi import GRADING_REL_TOL, GradingError, graded_blocks
+from wallachkit.cartan_hartogs import ch_assembled_series, parse_ch_spec
 from wallachkit.domains import one_minus_norm
 from wallachkit.multiindex import basis
 from wallachkit.series import (
@@ -22,6 +24,7 @@ from wallachkit.series import (
     from_terms,
     generalized_binomial,
     inverse_power,
+    linear_combination,
     log_one_minus,
     max_abs_diff,
     power_sequence,
@@ -85,6 +88,7 @@ def test_from_terms_canonicalizes_hermitian_pair():
     s = from_terms(2, 2, {((1, 0), (0, 1)): 2.0})
     assert s.coefficient((1, 0), (0, 1)) == 2.0
     assert s.coefficient((0, 1), (1, 0)) == 2.0
+    assert s.coefficient((1, 0), (1, 0)) == 0.0  # absent, in a row that has an entry
 
 
 def test_from_terms_conflicting_pair_rejected():
@@ -309,3 +313,154 @@ def test_evaluate_polarized():
     w = np.array([0.2 - 0.4j])
     expected = 1.0 - z[0] * np.conj(w[0])
     assert evaluate(s, z, w) == pytest.approx(expected, rel=1e-15)
+
+
+# --- the sorted-COO storage ------------------------------------------------------
+
+
+def assert_canonical(s: HermitianSeries) -> None:
+    """int64/float64 read-only arrays of nonzero entries, j <= k, keys increasing."""
+    assert s.rows.dtype == np.int64 and s.cols.dtype == np.int64
+    assert s.values.dtype == np.float64
+    assert len(s.rows) == len(s.cols) == len(s.values)
+    for a in (s.rows, s.cols, s.values):
+        assert not a.flags.writeable
+    m = len(s.basis)
+    assert ((s.rows <= s.cols) & (s.cols < m) & (s.rows >= 0)).all()
+    assert (np.diff(s.rows * m + s.cols) > 0).all()
+    assert (s.values != 0.0).all()
+
+
+def test_every_operation_keeps_the_canonical_form():
+    rng = np.random.default_rng(5)
+    a = _random_series(rng, 3, 3, 30)
+    b = _random_series(rng, 3, 3, 20)
+    ch = parse_ch_spec("CHD(I:2,2;mu=einstein)")
+    results = [
+        a,
+        zero(3, 3),
+        add(a, b),
+        add(a, scale(a, -1.0)),
+        scale(b, 0.3),
+        linear_combination([a, b, a], [0.5, -2.0, 0.0]),
+        product(a, b),
+        rebase(a, 2),
+        rebase(a, 5),
+        embed(a, 5),
+        embed(a, 4, 2),
+        one_minus_norm(wk.catalog("I", 2, 3), 4),
+        inverse_power(one_minus_norm(wk.catalog("III", 2), 3), 0.7),
+        ch_assembled_series(ch, 1.2, 4),
+    ]
+    for s in results:
+        assert_canonical(s)
+    assert results[3].is_zero()
+
+
+def _dict_combination(series, weights):
+    """Reference: accumulate w * v per canonical key in list order, drop zeros."""
+    acc = {}
+    for s, w in zip(series, weights):
+        if w == 0.0:
+            continue
+        for key, v in s.coeffs.items():
+            acc[key] = acc.get(key, 0.0) + w * v
+    return {key: v for key, v in acc.items() if v != 0.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linear_combination_add_and_diff_match_dict_reference(seed):
+    rng = np.random.default_rng(seed)
+    series = [_random_series(rng, 2, 4, 40) for _ in range(4)]
+    series.append(scale(series[0], -1.0))  # cancels series[0] exactly
+    weights = [float(w) for w in rng.normal(size=4)] + [0.0]
+    weights[2] = 0.0
+    got = linear_combination(series, weights)
+    assert got.coeffs == _dict_combination(series, weights)
+    a, b = series[0], series[1]
+    assert add(a, b).coeffs == _dict_combination([a, b], [1.0, 1.0])
+    assert add(a, series[4]).is_zero()
+    keys = set(a.coeffs) | set(b.coeffs)
+    expected = max(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys)
+    assert max_abs_diff(a, b) == expected
+
+
+def _random_graded(rng, n_vars, cutoff, n_terms):
+    """Random entries with equal degrees on both sides, the constant term included."""
+    b = basis(n_vars, cutoff)
+    degrees = np.array(b.degrees)
+    terms = {((0,) * n_vars, (0,) * n_vars): 0.5}
+    for _ in range(n_terms):
+        j = int(rng.integers(1, len(b)))
+        k = int(rng.choice(np.flatnonzero(degrees == degrees[j])))
+        if (b[k].exponents, b[j].exponents) not in terms:
+            terms[(b[j].exponents, b[k].exponents)] = float(rng.normal())
+    return from_terms(n_vars, cutoff, terms)
+
+
+def _off_grade(n_vars, cutoff, values):
+    """Entry i of the given values between the last indices of degrees i + 1 and i + 2."""
+    b = basis(n_vars, cutoff)
+    last = [b[b.degree_slice(d).stop - 1].exponents for d in range(cutoff + 1)]
+    return from_terms(n_vars, cutoff, {(last[i + 1], last[i + 2]): v for i, v in enumerate(values)})
+
+
+def _dense_blocks(s):
+    b = s.basis
+    mats = {}
+    for d in range(1, s.cutoff + 1):
+        sl = b.degree_slice(d)
+        mats[d] = np.zeros((sl.stop - sl.start, sl.stop - sl.start))
+    for j, k, v in s.items_full():
+        dj, dk = b[j].degree, b[k].degree
+        if dj == dk and dj >= 1:
+            o = b.degree_slice(dj).start
+            mats[dj][j - o, k - o] = v
+    return mats
+
+
+@pytest.mark.parametrize("n_vars, cutoff, seed", [(1, 6, 0), (2, 4, 1), (3, 4, 2), (4, 3, 3)])
+def test_graded_blocks_match_dense_reference(n_vars, cutoff, seed):
+    graded = _random_graded(np.random.default_rng(seed), n_vars, cutoff, 60)
+    limit = GRADING_REL_TOL * graded.max_abs()
+    under = limit * (1 - 1e-6)
+    s = add(graded, _off_grade(n_vars, cutoff, [under, -under / 3]))
+    cm = graded_blocks(s)
+    dense = _dense_blocks(s)
+    assert [blk.degree for blk in cm.blocks] == list(range(1, cutoff + 1))
+    for blk in cm.blocks:
+        assert blk.dim == len(dense[blk.degree])
+        assert np.array_equal(blk.matrix, dense[blk.degree])
+    assert cm.off_grade_max == under
+    assert cm.max_abs_coeff == graded.max_abs()
+    with pytest.raises(GradingError):
+        graded_blocks(add(graded, _off_grade(n_vars, cutoff, [-under / 3, limit * (1 + 1e-6)])))
+
+
+def _reindex_reference(s, n_vars, cutoff):
+    """{(hol, anti): v} of the canonical entries, padded and truncated as tuples."""
+    pad = (0,) * (n_vars - s.n_vars)
+    b = s.basis
+    ref = {}
+    for (j, k), v in s.coeffs.items():
+        hol, anti = b[j].exponents + pad, b[k].exponents + pad
+        if sum(hol) <= cutoff and sum(anti) <= cutoff:
+            ref[(hol, anti)] = v
+    return ref
+
+
+@pytest.mark.parametrize(
+    "n_vars, cutoff, new_vars, new_cutoff",
+    [(2, 4, 2, 2), (2, 4, 2, 6), (3, 3, 3, 1), (1, 5, 3, 5), (2, 3, 4, 2), (2, 3, 3, 4)],
+)
+def test_rebase_and_embed_match_tuple_reference(n_vars, cutoff, new_vars, new_cutoff):
+    s = _random_series(np.random.default_rng(cutoff + new_vars), n_vars, cutoff, 40)
+    if new_vars == n_vars:
+        got = rebase(s, new_cutoff)
+    else:
+        got = embed(s, new_vars, new_cutoff)
+    assert (got.n_vars, got.cutoff) == (new_vars, new_cutoff)
+    ref = _reindex_reference(s, new_vars, new_cutoff)
+    assert len(got.values) == len(ref)
+    for (hol, anti), v in ref.items():
+        assert got.coefficient(hol, anti) == v
