@@ -24,7 +24,7 @@ finite cutoff is only "consistent-to-cutoff".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +44,14 @@ GRADING_REL_TOL = 1e-13
 
 # The dense graded blocks of one Calabi matrix may take at most this much memory.
 DENSE_BLOCK_LIMIT_BYTES = 2 * 1024**3
+
+
+def check_tolerance(value: float) -> float:
+    """The tolerance itself if it is a finite number >= 0, else a ValueError:
+    a NaN tolerance would pass every eigenvalue as nonnegative."""
+    if not (isfinite(value) and value >= 0):
+        raise ValueError(f"tolerance {value!r} is not a finite number >= 0")
+    return value
 
 
 class GradingError(Exception):
@@ -131,7 +139,7 @@ def graded_blocks(
     if not normalization_check(s):
         raise ValueError("series has non-vanishing pure terms")
     b = s.basis
-    degrees = np.asarray(b.degrees)
+    degrees = b.degrees
     on_grade = degrees[s.rows] == degrees[s.cols]
     max_abs = s.max_abs()
     off_grade = float(np.abs(s.values[~on_grade]).max(initial=0.0))
@@ -210,6 +218,8 @@ def _block_analysis(
 ) -> tuple[BlockVerdict, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The block's verdict and its spectrum as (indices, values, vectors) per
     component size, from one stacked eigensolve per size."""
+    check_tolerance(tol_abs)
+    check_tolerance(tol_rel)
     matrix = block.matrix
     scale = max(float(matrix.max()), -float(matrix.min()))
     if not np.isfinite(scale):

@@ -46,6 +46,7 @@ from .domains import (
     DomainModel,
     contains,
     generic_norm_eval,
+    norm_series,
     one_minus_norm,
     parse_domain,
     sample,
@@ -286,9 +287,8 @@ def _jet_layout(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     truncation, sorted by the position of that sum, and where each position's
     run of pairs starts."""
     b = basis(n_vars, 2)
-    degrees = b.exponents.sum(axis=1)
-    left, right = np.nonzero(degrees[:, None] + degrees[None, :] <= 2)
-    target = b.rank(b.exponents[left] + b.exponents[right])
+    left, right = np.nonzero(b.degrees[:, None] + b.degrees[None, :] <= 2)
+    target = b.rank(b.exponents[left], b.exponents[right])
     order = np.argsort(target, kind="stable")
     starts = np.searchsorted(target[order], np.arange(len(b)))
     return left[order], right[order], starts
@@ -315,11 +315,11 @@ def _jet_series(x: np.ndarray, coeffs: list[float], layout: tuple[np.ndarray, ..
 
 def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
     """Jet of N(z + u, z + v) at point = (z, w), by binomial expansion of
-    base.norm_poly: z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
-    poly = base.norm_poly
-    pad = (0,) * (len(point) - base.d)
-    exps = np.array([mi.exponents + pad for mi in poly.basis])
-    jet_exps = np.array([mi.exponents for mi in basis(len(point), 2)])
+    the norm polynomial: z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
+    poly = norm_series(base, base.r)
+    exps = poly.basis.exponents
+    exps = np.hstack((exps, np.zeros((len(exps), len(point) - base.d), dtype=np.int64)))
+    jet_exps = basis(len(point), 2).exponents
     pascal = np.array([[math.comb(a, k) for k in range(3)] for a in range(poly.cutoff + 1)])
     rest = exps[:, None, :] - jet_exps[None, :, :]
     transfer = np.prod(pascal[exps[:, None, :], jet_exps[None, :, :]], axis=-1) * np.prod(
@@ -372,7 +372,7 @@ def einstein_residual(
     first = np.arange(1, n + 1)
     b = basis(n, 2)
     unit = np.eye(n, dtype=np.int64)
-    second = np.array([b.position(tuple(unit[a] + unit[c])) for a in range(n) for c in range(n)])
+    second = b.rank(unit[:, None], unit[None, :]).ravel()
     fact = (1.0 + np.eye(n)).ravel()
     g = pot[np.ix_(first, first)]
     try:

@@ -60,10 +60,10 @@ def _finite_float(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
-    return value
+    try:
+        return calabi.check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _ch_domain(text: str) -> CHDomain:

@@ -19,6 +19,11 @@ Supported kinds and their conventions:
   CH(d)                 the complex hyperbolic ball, alias of TypeI(1, d);
                         N(z, w) = 1 - sum z_i wbar_i.
 
+norm_series builds the polynomial per cutoff, as a signed sum of Hermitian
+squares N(z, w) = sum_t s_t f_t(z) conj(f_t(w)): on I, III and CH the f_t
+are the k-minors of Z for k <= cutoff, with s_t = (-1)^k; on IV they are 1,
+the z_i and z.z.  Constructing a domain builds no series.
+
 The invariants are stored as catalog constants (standard Jordan-triple data);
 validate_catalog() guards them by cross-checking the closed-form Wallach
 membership against the truncated positivity verdict on a lambda grid.
@@ -28,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import series as hs
+from .multiindex import basis
 from .series import HermitianSeries
 
 _SAMPLE_RETRIES = 64
@@ -65,8 +71,6 @@ class DomainModel:
     r: int                    # rank
     a: float
     gamma: int                # genus
-    # exact polynomial N, cutoff = its degree; a function of kind and params
-    norm_poly: HermitianSeries = field(compare=False)
 
     @property
     def spec_string(self) -> str:
@@ -77,137 +81,6 @@ class DomainModel:
             f"DomainModel({self.spec_string}, d={self.d}, r={self.r}, "
             f"a={self.a}, gamma={self.gamma})"
         )
-
-
-# --- internal polynomial helpers for determinant expansion ------------------
-
-# A "term map" is {(hol_exponents, anti_exponents): coefficient} over d
-# variables; unlike HermitianSeries it carries no symmetry requirement, so it
-# can represent individual determinant entries.
-_TermMap = dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-
-
-def _unit(d: int, i: int) -> tuple[int, ...]:
-    e = [0] * d
-    e[i] = 1
-    return tuple(e)
-
-
-def _zero_exp(d: int) -> tuple[int, ...]:
-    return (0,) * d
-
-
-def _term_mul(p1: _TermMap, p2: _TermMap) -> _TermMap:
-    out: _TermMap = {}
-    for (h1, a1), v1 in p1.items():
-        for (h2, a2), v2 in p2.items():
-            key = (
-                tuple(x + y for x, y in zip(h1, h2)),
-                tuple(x + y for x, y in zip(a1, a2)),
-            )
-            out[key] = out.get(key, 0.0) + v1 * v2
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _term_det(entries: list[list[_TermMap]]) -> _TermMap:
-    """Determinant of a matrix of term maps by permutation expansion."""
-    n = len(entries)
-    out: _TermMap = {}
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod: _TermMap | None = None
-        for i in range(n):
-            factor = entries[i][perm[i]]
-            if not factor:
-                prod = {}
-                break
-            prod = dict(factor) if prod is None else _term_mul(prod, factor)
-        if not prod:
-            continue
-        for key, v in prod.items():
-            out[key] = out.get(key, 0.0) + sign * v
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _sym_index(n: int, i: int, j: int) -> int:
-    """Row-major position of upper-triangle entry (i, j), i <= j."""
-    return i * n - i * (i - 1) // 2 + (j - i)
-
-
-def _norm_terms(kind: str, params: tuple[int, ...]) -> tuple[_TermMap, int, int]:
-    """Exact generic-norm polynomial: (terms, dimension d, degree)."""
-    if kind == "I":
-        p, q = params
-        d = p * q
-        zero = _zero_exp(d)
-        entries: list[list[_TermMap]] = []
-        for i in range(p):
-            row = []
-            for j in range(p):
-                entry: _TermMap = {}
-                if i == j:
-                    entry[(zero, zero)] = 1.0
-                for k in range(q):
-                    key = (_unit(d, i * q + k), _unit(d, j * q + k))
-                    entry[key] = entry.get(key, 0.0) - 1.0
-                row.append(entry)
-            entries.append(row)
-        return _term_det(entries), d, p
-    if kind == "III":
-        (n,) = params
-        d = n * (n + 1) // 2
-        zero = _zero_exp(d)
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = {}
-                if i == j:
-                    entry[(zero, zero)] = 1.0
-                for k in range(n):
-                    zi = _sym_index(n, min(i, k), max(i, k))
-                    wj = _sym_index(n, min(j, k), max(j, k))
-                    key = (_unit(d, zi), _unit(d, wj))
-                    entry[key] = entry.get(key, 0.0) - 1.0
-                row.append(entry)
-            entries.append(row)
-        return _term_det(entries), d, n
-    if kind == "IV":
-        (n,) = params
-        d = n
-        terms: _TermMap = {(_zero_exp(d), _zero_exp(d)): 1.0}
-        for i in range(n):
-            terms[(_unit(d, i), _unit(d, i))] = -2.0
-        for i in range(n):
-            for k in range(n):
-                ei = tuple(2 if t == i else 0 for t in range(d))
-                ek = tuple(2 if t == k else 0 for t in range(d))
-                terms[(ei, ek)] = terms.get((ei, ek), 0.0) + 1.0
-        return terms, d, 2
-    if kind == "CH":
-        (dd,) = params
-        terms = {(_zero_exp(dd), _zero_exp(dd)): 1.0}
-        for i in range(dd):
-            terms[(_unit(dd, i), _unit(dd, i))] = -1.0
-        return terms, dd, 1
-    raise ValueError(f"unknown domain kind {kind!r}")
 
 
 def catalog(kind: str, *params: int) -> DomainModel:
@@ -243,12 +116,7 @@ def catalog(kind: str, *params: int) -> DomainModel:
         d, r, a, gamma = dd, 1, 2.0, dd + 1
     else:
         raise ValueError(f"unknown domain kind {kind!r}")
-    terms, dim, degree = _norm_terms(kind, tuple(params))
-    assert dim == d
-    norm_poly = hs.from_terms(d, degree, terms)
-    if norm_poly.coefficient(_zero_exp(d), _zero_exp(d)) != 1.0:
-        raise AssertionError("generic norm must have unit constant term")
-    return DomainModel(kind, tuple(int(p) for p in params), d, r, a, gamma, norm_poly)
+    return DomainModel(kind, tuple(int(p) for p in params), d, r, a, gamma)
 
 
 _SPEC_RE = re.compile(r"^\s*(I|III|IV|CH)\s*:\s*(\d+(?:\s*,\s*\d+)*)\s*$", re.IGNORECASE)
@@ -401,9 +269,77 @@ def wallach_contains(dom: DomainModel, lam: float, tol: float = WALLACH_SNAP_TOL
 # --- series access and catalog validation ------------------------------------
 
 
+def _minors(entry: np.ndarray, max_order: int) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """((-1)^k, exponents (count, k!, d), coefficients (count, k!)) of the
+    k-minors det Z_{S,T}, k = 1..max_order, where Z_ij is coordinate entry[i, j].
+
+    Laplace expansion along the first row builds each k-minor from the
+    (k-1)-minors as its k! terms; from_entries sums repeated monomials.
+    """
+    p, q = entry.shape
+    level = {((), ()): (np.zeros((1, entry.max() + 1), dtype=np.int64), np.ones(1))}
+    for k in range(1, max_order + 1):
+        nxt = {}
+        for rows in itertools.combinations(range(p), k):
+            for cols in itertools.combinations(range(q), k):
+                exps, coeffs = [], []
+                for j, col in enumerate(cols):
+                    sub_exps, sub_coeffs = level[(rows[1:], cols[:j] + cols[j + 1 :])]
+                    sub_exps = sub_exps.copy()
+                    sub_exps[:, entry[rows[0], col]] += 1
+                    exps.append(sub_exps)
+                    coeffs.append((-1.0) ** j * sub_coeffs)
+                nxt[(rows, cols)] = (np.concatenate(exps), np.concatenate(coeffs))
+        level = nxt
+        exps, coeffs = zip(*level.values())
+        yield (-1.0) ** k, np.stack(exps), np.stack(coeffs)
+
+
+def _hermitian_squares(
+    dom: DomainModel, max_degree: int
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """N(z, w) = sum_t s_t f_t(z) conj(f_t(w)) as (s, exponents, coefficients)
+    stacks of f_t that share the sign s, minors up to order max_degree.
+
+    Cauchy-Binet: det(I - Z W*) = sum_k (-1)^k sum_{S,T} det Z_{S,T}
+    conj(det W_{S,T}); on III, W symmetric makes det(I - Z Wbar) the same sum.
+    """
+    d = dom.d
+    yield 1.0, np.zeros((1, 1, d), dtype=np.int64), np.ones((1, 1))
+    if dom.kind == "IV":
+        unit = np.eye(d, dtype=np.int64)
+        yield -2.0, unit[:, None, :], np.ones((d, 1))
+        yield 1.0, 2 * unit[None], np.ones((1, d))
+        return
+    if dom.kind == "III":
+        rows, cols = upper_triangle(dom.params[0])
+        entry = np.empty((dom.params[0],) * 2, dtype=np.int64)
+        entry[rows, cols] = entry[cols, rows] = np.arange(d)
+    else:
+        entry = np.arange(d).reshape(dom.params if dom.kind == "I" else (1, d))
+    yield from _minors(entry, min(dom.r, max_degree))
+
+
+@lru_cache(maxsize=None)
 def norm_series(dom: DomainModel, cutoff: int) -> HermitianSeries:
-    """The generic norm as a series at the requested cutoff (exact polynomial)."""
-    return hs.rebase(dom.norm_poly, cutoff)
+    """The generic norm as a series at the requested cutoff (exact polynomial).
+
+    Only squares of degree <= cutoff are formed.  N has degree r on every
+    kind, so norm_series(dom, dom.r) is the whole polynomial.
+    """
+    b = basis(dom.d, cutoff)
+    rows, cols, vals = [], [], []
+    for sign, exps, coeffs in _hermitian_squares(dom, cutoff):
+        pos = b.rank(exps)
+        j, k = np.broadcast_arrays(pos[:, :, None], pos[:, None, :])
+        upper = j <= k  # canonical entries; from_entries implies the mirrors
+        rows.append(j[upper])
+        cols.append(k[upper])
+        vals.append(sign * (coeffs[:, :, None] * coeffs[:, None, :])[upper])
+    s = hs.from_entries(dom.d, cutoff, *(np.concatenate(a) for a in (rows, cols, vals)))
+    if s.constant_term() != 1.0:
+        raise AssertionError("generic norm must have unit constant term")
+    return s
 
 
 def one_minus_norm(dom: DomainModel, cutoff: int) -> HermitianSeries:
@@ -463,7 +399,7 @@ def validate_catalog(
         x = sample(dom, gen, radius_cap=0.5)
         y = sample(dom, gen, radius_cap=0.5)
         direct = generic_norm_eval(dom, x, y)
-        via_series = hs.evaluate(dom.norm_poly, x, y)
+        via_series = hs.evaluate(norm_series(dom, dom.r), x, y)
         max_err = max(max_err, abs(direct - via_series) / max(abs(direct), 1.0))
     report = CatalogValidation(dom.spec_string, cutoff, lams, closed, truncated, max_err)
 

@@ -132,7 +132,15 @@ def gram_report(
     points: Sequence[np.ndarray] | np.ndarray,
     witness_tol: float = DEFAULT_WITNESS_TOL,
 ) -> GramReport:
-    h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+    """Min eigenvalue and verdict of one configuration; a ValueError if the
+    Gram matrix has non-finite entries (N^(-lambda) overflowed)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+    if not np.isfinite(h).all():
+        raise ValueError(
+            f"Gram matrix of N^(-lambda) at lambda = {float(lam)!r} has non-finite entries "
+            f"on {dom.spec_string}; it has no eigenvalues to report"
+        )
     min_eig = float(np.linalg.eigvalsh(h)[0])
     return GramReport(
         tuple(np.asarray(p, dtype=np.complex128) for p in points),
@@ -172,8 +180,8 @@ def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float
         coef = float(direction[pos - sl.start])
         if abs(coef) < _ATOM_CUT:
             continue
-        nonzero = [i for i, e in enumerate(bas[pos].exponents) if e]
-        atoms.append((nonzero[0], nonzero[-1], coef))
+        nonzero = np.flatnonzero(bas.exponents[pos])
+        atoms.append((int(nonzero[0]), int(nonzero[-1]), coef))
     atoms.sort(key=lambda a: -abs(a[2]))
     return atoms or None
 

@@ -9,18 +9,20 @@ matrices and golden files stable.
 
 Positions follow in closed form from the combinatorial number system, so
 :meth:`Basis.rank` ranks whole arrays of exponent vectors (for instance the
-exponent sums of index pairs) without any lookup table.
+exponent sums of index pairs) without any lookup table.  A :class:`Basis`
+is numpy arrays; a :class:`MultiIndex` is a view of one of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
 import numpy as np
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,6 @@ def index_sum(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return MultiIndex(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
-def _indices_of_degree(n_vars: int, degree: int) -> list[tuple[int, ...]]:
-    # Stars and bars: choose positions of the bars among degree + n_vars - 1 slots.
-    if degree == 0:
-        return [(0,) * n_vars]
-    out = []
-    for bars in combinations_with_replacement(range(n_vars), degree):
-        exps = [0] * n_vars
-        for v in bars:
-            exps[v] += 1
-        out.append(tuple(exps))
-    # Descending lex = first variable most significant, largest first.
-    out.sort(key=lambda t: tuple(-e for e in t))
-    return out
-
-
 def enumerate_indices(n_vars: int, max_degree: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of degree <= max_degree in graded order.
 
@@ -78,65 +65,89 @@ def enumerate_indices(n_vars: int, max_degree: int) -> tuple[MultiIndex, ...]:
     a degree the order is lexicographic with the first variable most
     significant.  max_degree < 0 is clamped to the singleton zero index.
     """
-    if n_vars < 1:
-        raise ValueError("n_vars must be >= 1")
-    max_degree = max(0, int(max_degree))
-    flat: list[tuple[int, ...]] = []
-    for deg in range(max_degree + 1):
-        flat.extend(_indices_of_degree(n_vars, deg))
-    return tuple(MultiIndex(t) for t in flat)
+    return tuple(basis(n_vars, max_degree))
 
 
 class Basis:
-    """An enumeration of multi-indices with O(1) position lookup.
+    """The multi-indices of degree <= max_degree in graded order, as arrays.
 
-    Built once and shared; immutable, so safe across parallel workers.
+    exponents is the read-only (len, n_vars) int64 matrix of exponent
+    vectors and degrees the read-only array of their total degrees.
+    Positions come from rank; indexing and iteration yield MultiIndex views.
     """
 
     def __init__(self, n_vars: int, max_degree: int):
+        if n_vars < 1:
+            raise ValueError("n_vars must be >= 1")
         self.n_vars = n_vars
         self.max_degree = max(0, int(max_degree))
-        self.indices = enumerate_indices(n_vars, max_degree)
-        self._pos = {mi.exponents: i for i, mi in enumerate(self.indices)}
-        self.degrees = tuple(mi.degree for mi in self.indices)
-        self.exponents = np.array([mi.exponents for mi in self.indices], dtype=np.int64)
+        # Recursion on the first variable, from the last one forward: the
+        # degree-k run is e prepended to the degree-(k - e) run, e = k..0.
+        runs = [np.full((1, 1), k, dtype=np.int64) for k in range(self.max_degree + 1)]
+        for _ in range(n_vars - 1):
+            runs = [
+                np.concatenate([np.insert(runs[k - e], 0, e, axis=1) for e in range(k, -1, -1)])
+                for k in range(self.max_degree + 1)
+            ]
+        self.exponents = np.concatenate(runs)
+        self.degrees = np.repeat(np.arange(self.max_degree + 1), [len(run) for run in runs])
         self.exponents.flags.writeable = False
+        self.degrees.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.exponents)
 
     def __getitem__(self, i: int) -> MultiIndex:
-        return self.indices[i]
+        return MultiIndex(tuple(self.exponents[i].tolist()))
 
     def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self.indices)
+        return (MultiIndex(tuple(row)) for row in self.exponents.tolist())
 
     def position(self, mi: MultiIndex | tuple[int, ...]) -> int:
         """Position of a multi-index in the enumeration; KeyError if absent."""
-        key = mi.exponents if isinstance(mi, MultiIndex) else tuple(mi)
-        return self._pos[key]
+        pos = self.position_or_none(mi)
+        if pos is None:
+            raise KeyError(mi)
+        return pos
 
-    def position_or_none(self, exponents: tuple[int, ...]) -> int | None:
-        return self._pos.get(exponents)
+    def position_or_none(self, exponents: MultiIndex | tuple[int, ...]) -> int | None:
+        """Position of an exponent vector, or None if it is not in the basis."""
+        exps = np.asarray(tuple(exponents), dtype=np.int64)
+        if exps.shape != (self.n_vars,) or exps.min() < 0 or exps.sum() > self.max_degree:
+            return None
+        return int(self.rank(exps))
 
-    def rank(self, exponents: np.ndarray) -> np.ndarray:
+    def rank(self, *terms: np.ndarray) -> np.ndarray:
         """Graded-order positions of the exponent vectors along the last axis.
 
+        The vectors are the sum of the terms, which broadcast against each
+        other; the sum itself is never formed, so ranking all the sums
+        a[:, None] + b[None, :] takes arrays of the pair count, not n times it.
         Vectorised: with t_k the sum of the exponents from variable k on, the
         position is C(t_0 - 1 + n, n) (the indices of lower degree) plus
         sum_{k >= 1} C(t_k + n - k - 1, n - k) (the indices of the same degree
         that come first).  A vector of degree above max_degree gets its
-        position in the untruncated enumeration, which is >= len(self).
+        position in the untruncated enumeration, which is >= len(self); a
+        ValueError says when such a position does not fit in int64.
         """
-        exps = np.asarray(exponents, dtype=np.int64)
+        terms = [np.asarray(t, dtype=np.int64) for t in terms]
         n = self.n_vars
-        if exps.shape[-1:] != (n,):
-            raise ValueError(f"expected exponent vectors of length {n}, got shape {exps.shape}")
-        tails = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
-        pascal = _pascal(int(tails[..., 0].max(initial=0)) + n)
-        pos = pascal[tails[..., 0] + n - 1, n]
-        for k in range(1, n):
-            pos = pos + pascal[tails[..., k] + n - k - 1, n - k]
+        for t in terms:
+            if t.shape[-1:] != (n,):
+                raise ValueError(f"expected exponent vectors of length {n}, got shape {t.shape}")
+        tail = sum(t.sum(axis=-1) for t in terms)  # t_0, then t_1, ... in place
+        top = int(np.max(tail, initial=0))
+        # Every position is below C(top + n, n), the count of degree <= top.
+        if comb(top + n, n) > _INT64_MAX:
+            raise ValueError(
+                f"{self!r}: positions of degree {top} in {n} variables do not fit in int64"
+            )
+        table = _rank_table(n, top)
+        pos = np.zeros_like(tail)
+        for k in range(n):
+            pos += table[tail, n - k]
+            for t in terms:
+                tail -= t[..., k]
         return pos
 
     def degree_slice(self, degree: int) -> slice:
@@ -152,11 +163,13 @@ class Basis:
 
 
 @lru_cache(maxsize=None)
-def _pascal(size: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b <= size."""
-    table = np.zeros((size + 1, size + 1), dtype=np.int64)
-    for a in range(size + 1):
-        table[a, : a + 1] = [comb(a, b) for b in range(a + 1)]
+def _rank_table(n_vars: int, max_tail: int) -> np.ndarray:
+    """C(t + m - 1, m), the count of degree < t in m variables, at [t, m]
+    (column 0 unused); rank checks beforehand that every entry fits."""
+    table = np.zeros((max_tail + 1, n_vars + 1), dtype=np.int64)
+    for t in range(1, max_tail + 1):
+        table[t, 1:] = [comb(t + m - 1, m) for m in range(1, n_vars + 1)]
+    table.flags.writeable = False
     return table
 
 

@@ -19,8 +19,9 @@ bincount) and drops zeros; sums, rebasing and products all feed it arrays.
 :func:`product` never builds a table of index sums.  It groups the entries
 of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
 bidegrees survive the truncation, ranks their exponent sums in closed form
-(:meth:`Basis.rank`) and hands them to :func:`from_entries`, so its memory
-follows the number of surviving pairs rather than the basis size squared.
+without forming them (:meth:`Basis.rank`) and hands them to
+:func:`from_entries`, so its memory follows the number of surviving pairs
+rather than the basis size squared.
 Products of torus-invariant kernels, such as the catalog's 1 - N, stay
 torus-invariant, which is what splits their graded blocks into the weight
 components :mod:`wallachkit.calabi` solves one at a time.
@@ -211,7 +212,7 @@ def _bidegree_groups(
     """All (j, k, value) entries, mirrors expanded, grouped by the degrees
     (|m_j|, |m_k|) of their two sides: [(hol_deg, anti_deg, j, k, values)]."""
     j, k, v = s.mirrored()
-    degrees = s.basis.exponents.sum(axis=1)
+    degrees = s.basis.degrees
     hol, anti = degrees[j], degrees[k]
     order = np.lexsort((anti, hol))
     j, k, v, hol, anti = j[order], k[order], v[order], hol[order], anti[order]
@@ -243,8 +244,8 @@ def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
             # target below the diagonal.
             if anti > a.cutoff or hol > anti:
                 continue
-            p = bas.rank(exps[ja][:, None] + exps[jb][None, :]).ravel()
-            q = bas.rank(exps[ka][:, None] + exps[kb][None, :]).ravel()
+            p = bas.rank(exps[ja][:, None], exps[jb][None, :]).ravel()
+            q = bas.rank(exps[ka][:, None], exps[kb][None, :]).ravel()
             w = (va[:, None] * vb[None, :]).ravel()
             if hol == anti:
                 keep = p <= q

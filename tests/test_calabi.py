@@ -288,6 +288,23 @@ def test_immersion_rejects_non_psd():
         wk.extract_immersion(wk.calabi_matrix(dom, 0.5, 2))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("name", ["tol_abs", "tol_rel"])
+def test_library_calls_reject_bad_tolerances(name, tol):
+    # lambda = 0.5 lies in the Wallach gap of I:2,2; a NaN tolerance used to
+    # pass every block there as PSD.
+    dom = wk.catalog("I", 2, 2)
+    m = wk.calabi_matrix(dom, 0.5, 3)
+    calls = (
+        lambda: wk.psd_verdict(m, **{name: tol}),
+        lambda: wk.extract_immersion(m, **{name: tol}),
+        lambda: scan_lambdas(dom, [0.5], 3, **{name: tol}),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not a finite number >= 0"):
+            call()
+
+
 # --- scans -----------------------------------------------------------------------
 
 

@@ -94,6 +94,20 @@ def test_gram_witness_file_and_replay(capsys, tmp_path):
     assert d["verdicts"]["branch_ok"] is True
 
 
+def test_replay_of_an_overflowing_witness_names_the_gram_matrix(capsys, tmp_path):
+    wpath = tmp_path / "witness.json"
+    points = [[[0.3, 0.1], [0.0, 0.0], [0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0]] * 4]
+    wpath.write_text(
+        json.dumps(
+            {"domain": "I:2,2", "lambda": 1e300, "points": points, "min_eig": -1.0, "seed": 0}
+        )
+    )
+    code, out, err = run(capsys, "replay", str(wpath))
+    assert code == 1
+    assert out == ""
+    assert "Gram matrix" in err and "lambda = 1e+300" in err and "non-finite" in err
+
+
 def test_gram_no_witness_in_wallach_set(capsys):
     code, d, _ = run_json(
         capsys, "gram", "I:2,2", "--lambda", "1.5", "--budget", "300", "--seed", "0"
@@ -189,6 +203,15 @@ def test_non_finite_inputs_exit_one(capsys, argv, named):
     assert code == 1
     assert out == ""
     assert named in err and ("finite" in err)
+
+
+@pytest.mark.parametrize(
+    "argv", [("info", "I:2,40"), ("calabi", "I:2,40", "--lambda", "1", "--cutoff", "2")]
+)
+def test_eighty_variables_exit_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "I:2,40" in out
 
 
 def test_einstein_zero_points_exit_one(capsys):

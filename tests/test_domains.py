@@ -13,7 +13,9 @@ from wallachkit.domains import (
     one_minus_norm,
     spectral_radius,
 )
-from wallachkit.series import evaluate
+from wallachkit.cli import main
+from wallachkit.multiindex import basis
+from wallachkit.series import evaluate, rebase
 
 
 # --- catalog constants ----------------------------------------------------------
@@ -205,6 +207,40 @@ def test_norm_series_agrees_with_evaluator():
             direct = wk.generic_norm_eval(dom, x, y)
             via_series = evaluate(s, x, y)
             assert via_series == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["I:4,5", "III:5", "I:5,5"])
+def test_full_norm_polynomial_matches_norm_matrix(spec):
+    dom = wk.parse_domain(spec)
+    s = norm_series(dom, dom.r)
+    xs = np.array(wk.sample_points(dom, 2, 20, 0.6))
+    ys = np.array(wk.sample_points(dom, 2, 21, 0.6))
+    direct = norm_matrix(dom, xs, ys)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            assert evaluate(s, x, y) == pytest.approx(direct[a, b], rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["I:2,3", "I:3,3", "III:3", "III:4", "IV:5"])
+def test_norm_series_below_rank_is_the_truncated_polynomial(spec):
+    dom = wk.parse_domain(spec)
+    full = norm_series(dom, dom.r)
+    for cutoff in range(dom.r):
+        s, ref = norm_series(dom, cutoff), rebase(full, cutoff)
+        for got, want in zip((s.rows, s.cols, s.values), (ref.rows, ref.cols, ref.values)):
+            assert np.array_equal(got, want)
+
+
+def test_domains_and_info_build_no_basis_or_series(capsys):
+    # A deterministic stand-in for a wall-clock bound: the full norm of
+    # I:6,6 would need basis(36, 6), 9.3 million rows.
+    before = (basis.cache_info(), norm_series.cache_info())
+    for spec in ("I:6,6", "III:6"):
+        assert wk.parse_domain(spec).r == 6
+        assert main(["info", spec]) == 0
+        assert main(["wallach", spec, "--lambda", "2.5"]) == 0
+    assert (basis.cache_info(), norm_series.cache_info()) == before
+    assert "d=36 r=6" in capsys.readouterr().out
 
 
 def test_norm_series_has_no_pure_terms():

@@ -77,9 +77,46 @@ def test_position_is_left_inverse():
         assert b.position(b[i]) == i
 
 
+@pytest.mark.parametrize("n_vars, max_degree", [(1, 5), (2, 4), (3, 4), (4, 3), (6, 2)])
+def test_basis_matches_brute_force_order(n_vars, max_degree):
+    # Reference: every exponent vector of degree <= max_degree, sorted by the
+    # graded key (degree first, then descending lex, first variable first).
+    ref = sorted(
+        (e for e in itertools.product(range(max_degree + 1), repeat=n_vars) if sum(e) <= max_degree),
+        key=lambda e: (sum(e), tuple(-x for x in e)),
+    )
+    b = basis(n_vars, max_degree)
+    assert b.exponents.tolist() == [list(e) for e in ref]
+    assert b.degrees.tolist() == [sum(e) for e in ref]
+    assert [mi.exponents for mi in b] == ref
+
+
 def test_position_or_none_missing():
     b = basis(2, 2)
     assert b.position_or_none(MultiIndex((3, 0))) is None
+
+
+@pytest.mark.parametrize("exponents", [(3, 0), (2, 1), (0, -1), (1,), (0, 0, 0), ()])
+def test_position_rejects_vectors_outside_the_basis(exponents):
+    b = basis(2, 2)
+    assert b.position_or_none(exponents) is None
+    with pytest.raises(KeyError):
+        b.position(exponents)
+
+
+def test_position_accepts_multi_index_and_tuple():
+    b = basis(2, 2)
+    assert b.position(MultiIndex((1, 1))) == b.position((1, 1)) == 4
+    assert b.position_or_none((0, 2)) == 5
+
+
+def test_rank_refuses_positions_beyond_int64():
+    # C(n + 120, n) positions precede degree 120 in 40 variables: about 1e36.
+    with pytest.raises(ValueError, match=r"Basis\(n_vars=40.*int64"):
+        basis(40, 2).rank(np.full(40, 3))
+    # In 80 variables rank reads only C(t + m - 1, m) with t <= the degree
+    # ranked, none near C(82, 41), which is beyond int64.
+    assert basis(80, 2).rank(np.eye(80, dtype=np.int64)[:2].sum(axis=0)) == 82
 
 
 def test_degree_slice_partitions():
@@ -113,6 +150,7 @@ def test_rank_matches_position(n_vars, cutoff):
     expected = [[wide.position(tuple(e)) for e in row] for row in sums]
     ranks = b.rank(sums)
     assert ranks.tolist() == expected
+    assert np.array_equal(b.rank(b.exponents[:, None], b.exponents[None, :]), ranks)
     assert np.array_equal(ranks >= len(b), sums.sum(axis=-1) > cutoff)
 
 
