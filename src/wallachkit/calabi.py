@@ -8,13 +8,15 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
-The kernel is invariant under the maximal torus of K (z -> D1 z D2 on type
-I), so each graded block is a direct sum of small weight spaces: permuted,
+Each graded block keeps the series' sorted COO entries, never a dense
+array.  The kernel is invariant under the maximal torus of K (z -> D1 z D2
+on type I), so each block is a direct sum of small weight spaces: permuted,
 it is block diagonal, with blocks given by the connected components of its
-nonzero pattern.  The verdict finds those components and solves one small
-eigenproblem per component (stacked by size) instead of one dense
-eigenproblem per block; the spectrum is the same, the witness is the
-minimising component's eigenvector, zero-padded to the block.
+nonzero pattern.  The verdict labels those components on the entries and
+solves one small eigenproblem per component (scattered into one stack per
+size) instead of one dense eigenproblem per block; the spectrum is the same,
+the witness is the minimising component's eigenvector, zero-padded to the
+block.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -24,7 +26,7 @@ finite cutoff is only "consistent-to-cutoff".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,10 +44,6 @@ NORMALIZATION_TOL = 1e-13
 GRADING_REL_TOL = 1e-13
 
 
-# The dense graded blocks of one Calabi matrix may take at most this much memory.
-DENSE_BLOCK_LIMIT_BYTES = 2 * 1024**3
-
-
 def check_tolerance(value: float) -> float:
     """The tolerance itself if it is a finite number >= 0, else a ValueError:
     a NaN tolerance would pass every eigenvalue as nonnegative."""
@@ -56,24 +54,6 @@ def check_tolerance(value: float) -> float:
 
 class GradingError(Exception):
     """Off-grade coefficients exceeded tolerance; input is not circular."""
-
-
-class BlockBudgetError(ValueError):
-    """The dense graded blocks would exceed DENSE_BLOCK_LIMIT_BYTES."""
-
-
-def check_block_budget(n_vars: int, cutoff: int) -> None:
-    """Refuse, before any allocation, a cutoff whose dense degree blocks
-    (sum over k of dim_k^2 float64 entries, dim_k = C(k + n - 1, k)) exceed
-    DENSE_BLOCK_LIMIT_BYTES."""
-    dims = [comb(k + n_vars - 1, k) for k in range(1, cutoff + 1)]
-    need = 8 * sum(d * d for d in dims)
-    if need > DENSE_BLOCK_LIMIT_BYTES:
-        raise BlockBudgetError(
-            f"cutoff {cutoff} in {n_vars} variables needs about {need / 1e9:.1f} GB of dense "
-            f"blocks (largest {dims[-1]} wide), over the "
-            f"{DENSE_BLOCK_LIMIT_BYTES / 1e9:.1f} GB limit"
-        )
 
 
 # Powers of Q = 1 - N are reused across lambda values of the same domain.
@@ -108,9 +88,21 @@ def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> b
 
 @dataclass(frozen=True, eq=False)
 class GradedBlock:
+    """The real symmetric dim x dim block of one degree as its nonzero
+    canonical entries (rows <= cols), in block coordinates and sorted by
+    (row, col) like the series they come from; the mirrors are implied."""
+
     degree: int
     dim: int
-    matrix: np.ndarray  # real symmetric, dim x dim
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The block as a dense dim x dim array."""
+        matrix = np.zeros((self.dim, self.dim))
+        matrix[self.rows, self.cols] = matrix[self.cols, self.rows] = self.values
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +143,16 @@ def graded_blocks(
     blocks = []
     for degree in range(1, s.cutoff + 1):
         sl = b.degree_slice(degree)
-        matrix = np.zeros((sl.stop - sl.start, sl.stop - sl.start))
         # Rows are sorted and the order is graded, so this degree's rows are one run.
         lo, hi = np.searchsorted(s.rows, (sl.start, sl.stop))
-        keep = on_grade[lo:hi]
-        j, k = s.rows[lo:hi][keep] - sl.start, s.cols[lo:hi][keep] - sl.start
-        matrix[j, k] = matrix[k, j] = s.values[lo:hi][keep]
-        blocks.append(GradedBlock(degree, len(matrix), matrix))
+        keep = np.arange(lo, hi)[on_grade[lo:hi]]
+        rows, cols = s.rows[keep] - sl.start, s.cols[keep] - sl.start
+        blocks.append(GradedBlock(degree, sl.stop - sl.start, rows, cols, s.values[keep]))
     return CalabiMatrix(domain_spec, lam, s.n_vars, s.cutoff, tuple(blocks), off_grade, max_abs)
 
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
     """bergman_diastasis_series + graded_blocks with metadata attached."""
-    check_block_budget(dom.d, cutoff)
     s = bergman_diastasis_series(dom, lam, cutoff)
     return graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
 
@@ -194,11 +183,12 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _components(matrix: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern of a symmetric matrix,
-    grouped by size: one (count, size) array of indices per size."""
-    rows, cols = np.nonzero(matrix)
-    label = np.arange(matrix.shape[0])
+def _components(block: GradedBlock) -> list[np.ndarray]:
+    """Connected components of the block's nonzero pattern, grouped by size:
+    one (count, size) array of indices per size, sizes ascending."""
+    rows = np.concatenate((block.rows, block.cols))
+    cols = np.concatenate((block.cols, block.rows))
+    label = np.arange(block.dim)
     # Label propagation with pointer jumping; label[i] <= i stays a node of
     # i's component, and at the fixpoint it is constant on each component.
     while True:
@@ -220,17 +210,26 @@ def _block_analysis(
     component size, from one stacked eigensolve per size."""
     check_tolerance(tol_abs)
     check_tolerance(tol_rel)
-    matrix = block.matrix
-    scale = max(float(matrix.max()), -float(matrix.min()))
+    scale = float(np.abs(block.values).max(initial=0.0))
     if not np.isfinite(scale):
         raise RuntimeError(
             f"degree-{block.degree} block has non-finite coefficients (max |b| = {scale})"
         )
     tol = max(tol_abs, tol_rel * scale)
+    # Per index: the size of its component (0 until its size comes up) and
+    # its row in the stack of that size, flattened to (count * size, size).
+    width = np.zeros(block.dim, dtype=np.int64)
+    place = np.empty(block.dim, dtype=np.int64)
     parts = []
-    for idx in _components(matrix):
+    for idx in _components(block):
+        size = idx.shape[1]
+        width[idx], place[idx.ravel()] = size, np.arange(idx.size)
+        sel = width[block.rows] == size
+        j, k = place[block.rows[sel]], place[block.cols[sel]]
+        stacked = np.zeros((idx.size, size))
+        stacked[j, k % size] = stacked[k, j % size] = block.values[sel]
         try:
-            vals, vecs = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+            vals, vecs = np.linalg.eigh(stacked.reshape(idx.shape + (size,)))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed on degree-{block.degree} block") from exc
         parts.append((idx, vals, vecs))

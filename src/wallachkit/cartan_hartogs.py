@@ -34,10 +34,11 @@ import numpy as np
 
 from . import series as hs
 from .calabi import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     CalabiMatrix,
     Verdict,
     bergman_diastasis_series,
-    check_block_budget,
     graded_blocks,
     psd_verdict,
 )
@@ -52,7 +53,7 @@ from .domains import (
     sample,
     wallach_set,
 )
-from .multiindex import basis
+from .multiindex import basis, check_memory
 from .series import HermitianSeries
 
 CONDITION_LIMIT = 1e8
@@ -186,7 +187,6 @@ def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
 
 def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     """Graded Calabi matrix of e^{cD} - 1 from the assembled series."""
-    check_block_budget(ch.n_vars, cutoff)
     s = ch_assembled_series(ch, c, cutoff)
     return graded_blocks(s, domain_spec=ch.spec_string, lam=c)
 
@@ -195,8 +195,8 @@ def ch_truncated_verdict(
     ch: CHDomain,
     c: float,
     cutoff: int,
-    tol_abs: float = 1e-10,
-    tol_rel: float = 1e-9,
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     return psd_verdict(ch_block_assembly(ch, c, cutoff), tol_abs, tol_rel)
 
@@ -316,6 +316,10 @@ def _jet_series(x: np.ndarray, coeffs: list[float], layout: tuple[np.ndarray, ..
 def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
     """Jet of N(z + u, z + v) at point = (z, w), by binomial expansion of
     the norm polynomial: z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
+    # One entry per (monomial of N, jet monomial, variable) in three arrays at
+    # once: int64 offsets, their clipped copy, complex powers (CHD(I:4,4): 32 B).
+    entries = math.comb(base.d + base.r, base.r) * math.comb(len(point) + 2, 2) * len(point)
+    check_memory(32 * entries, f"the Einstein probe's norm jet ({entries} transfer entries)")
     poly = norm_series(base, base.r)
     exps = poly.basis.exponents
     exps = np.hstack((exps, np.zeros((len(exps), len(point) - base.d), dtype=np.int64)))

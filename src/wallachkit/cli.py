@@ -30,6 +30,7 @@ from .cartan_hartogs import (
     thm1_threshold,
 )
 from .domains import DomainModel, parse_domain, wallach_contains, wallach_set
+from .multiindex import MemoryLimitError
 from .reports import RunReport, format_float, report_to_dict, scan_csv, to_json
 
 REPLAY_TOL = 1e-12
@@ -458,8 +459,8 @@ def _cmd_scan(args):
 def _cmd_immersion(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
-    matrix = calabi.calabi_matrix(dom, lam, args.cutoff)
     series = calabi.bergman_diastasis_series(dom, lam, args.cutoff)
+    matrix = calabi.graded_blocks(series, domain_spec=dom.spec_string, lam=lam)
     components = calabi.extract_immersion(matrix)
     recon = calabi.immersion_reconstruction_error(components, series)
     comp_dicts = [
@@ -548,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report, lines, payload = args.func(args)
-    except (UsageError, calabi.BlockBudgetError) as exc:
+    except (UsageError, MemoryLimitError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except Exception as exc:

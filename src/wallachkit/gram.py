@@ -156,20 +156,21 @@ def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float
 
     Returns [(i, j, coef), ...] sorted by |coef| descending, where the
     eigenvector reads sum coef * z_i z_j, or None when the degree-2 block is
-    positive semidefinite (no guidance to offer).
+    positive semidefinite, not finite or too large to build (no guidance to
+    offer).
     """
     from .calabi import calabi_matrix
-    from .multiindex import basis
+    from .multiindex import MemoryLimitError, basis
 
     try:
         cm = calabi_matrix(dom, lam, 2)
-    except Exception:
+    except MemoryLimitError:
         return None
-    block = next((blk for blk in cm.blocks if blk.degree == 2), None)
-    if block is None:
+    matrix = cm.blocks[1].dense()  # degree 2
+    if not np.isfinite(matrix).all():
         return None
-    vals, vecs = np.linalg.eigh(block.matrix)
-    scale = max(1.0, float(np.abs(block.matrix).max()))
+    vals, vecs = np.linalg.eigh(matrix)
+    scale = max(1.0, float(np.abs(matrix).max()))
     if vals[0] >= -_BLOCK_NEG_TOL * scale:
         return None
     direction = vecs[:, 0]

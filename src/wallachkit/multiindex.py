@@ -24,6 +24,23 @@ import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Arrays sized from a call's inputs (a basis, the entry pairs of a series
+# product, the Einstein probe's norm jet) may take at most this much memory.
+MEMORY_LIMIT_BYTES = 2 * 1024**3
+
+
+class MemoryLimitError(ValueError):
+    """An array sized from the inputs would exceed MEMORY_LIMIT_BYTES."""
+
+
+def check_memory(need_bytes: int, what: str) -> None:
+    """Refuse, before it is allocated, work estimated at need_bytes."""
+    if need_bytes > MEMORY_LIMIT_BYTES:
+        raise MemoryLimitError(
+            f"{what} needs about {need_bytes / 1e9:.1f} GB, over the "
+            f"{MEMORY_LIMIT_BYTES / 1e9:.1f} GB limit"
+        )
+
 
 @dataclass(frozen=True)
 class MultiIndex:
@@ -81,6 +98,10 @@ class Basis:
             raise ValueError("n_vars must be >= 1")
         self.n_vars = n_vars
         self.max_degree = max(0, int(max_degree))
+        # The recursion below peaks at 2.5-2.7 copies of the int64 exponent table.
+        size = comb(self.max_degree + n_vars, n_vars)
+        what = f"the degree-{self.max_degree} basis in {n_vars} variables"
+        check_memory(3 * 8 * n_vars * size, what)
         # Recursion on the first variable, from the last one forward: the
         # degree-k run is e prepended to the degree-(k - e) run, e = k..0.
         runs = [np.full((1, 1), k, dtype=np.int64) for k in range(self.max_degree + 1)]

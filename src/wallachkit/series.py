@@ -21,7 +21,8 @@ of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
 bidegrees survive the truncation, ranks their exponent sums in closed form
 without forming them (:meth:`Basis.rank`) and hands them to
 :func:`from_entries`, so its memory follows the number of surviving pairs
-rather than the basis size squared.
+rather than the basis size squared; it counts those pairs first and refuses
+a product whose estimate exceeds the memory limit (:func:`check_memory`).
 Products of torus-invariant kernels, such as the catalog's 1 - N, stay
 torus-invariant, which is what splits their graded blocks into the weight
 components :mod:`wallachkit.calabi` solves one at a time.
@@ -43,7 +44,11 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .multiindex import Basis, basis
+from .multiindex import Basis, basis, check_memory
+
+# Memory per entry pair a product forms (ranks, values, their concatenation
+# and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
+PAIR_BYTES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,26 +238,29 @@ def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
         return zero(a.n_vars, a.cutoff)
     bas = a.basis
     exps = bas.exponents
-    rows, cols, vals = [], [], []
+    # Keep canonical targets (p <= q) only; the mirrored combinations land on
+    # the transposed entry, which Hermitian symmetry makes redundant.  The
+    # order is graded, so hol > anti puts every target below the diagonal.
     groups_b = _bidegree_groups(b)
-    for hol_a, anti_a, ja, ka, va in _bidegree_groups(a):
-        for hol_b, anti_b, jb, kb, vb in groups_b:
-            hol, anti = hol_a + hol_b, anti_a + anti_b
-            # Keep canonical targets (p <= q) only; the mirrored combinations
-            # land on the transposed entry, which Hermitian symmetry makes
-            # redundant.  The order is graded, so hol > anti puts every
-            # target below the diagonal.
-            if anti > a.cutoff or hol > anti:
-                continue
-            p = bas.rank(exps[ja][:, None], exps[jb][None, :]).ravel()
-            q = bas.rank(exps[ka][:, None], exps[kb][None, :]).ravel()
-            w = (va[:, None] * vb[None, :]).ravel()
-            if hol == anti:
-                keep = p <= q
-                p, q, w = p[keep], q[keep], w[keep]
-            rows.append(p)
-            cols.append(q)
-            vals.append(w)
+    work = [
+        (hol_a + hol_b == anti_a + anti_b, ga, gb)
+        for hol_a, anti_a, *ga in _bidegree_groups(a)
+        for hol_b, anti_b, *gb in groups_b
+        if anti_a + anti_b <= a.cutoff and hol_a + hol_b <= anti_a + anti_b
+    ]
+    pairs = sum(len(ga[0]) * len(gb[0]) for _, ga, gb in work)
+    check_memory(PAIR_BYTES * pairs, f"a series product of {pairs} entry pairs")
+    rows, cols, vals = [], [], []
+    for diagonal, (ja, ka, va), (jb, kb, vb) in work:
+        p = bas.rank(exps[ja][:, None], exps[jb][None, :]).ravel()
+        q = bas.rank(exps[ka][:, None], exps[kb][None, :]).ravel()
+        w = (va[:, None] * vb[None, :]).ravel()
+        if diagonal:
+            keep = p <= q
+            p, q, w = p[keep], q[keep], w[keep]
+        rows.append(p)
+        cols.append(q)
+        vals.append(w)
     if not rows:
         return zero(a.n_vars, a.cutoff)
     return from_entries(

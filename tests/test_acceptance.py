@@ -111,7 +111,7 @@ def test_criterion_4_cross_path_equality():
                 scale = max(assembled.max_abs_coeff, 1.0)
                 for x, y in zip(direct.blocks, assembled.blocks):
                     assert x.degree == y.degree
-                    diff = float(np.max(np.abs(x.matrix - y.matrix)))
+                    diff = float(np.max(np.abs(x.dense() - y.dense())))
                     assert diff <= 1e-10 * scale, (base_spec, mu, c, x.degree)
     _announce(4, "cross-path equality", started, 120.0)
 

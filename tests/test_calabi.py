@@ -8,6 +8,7 @@ oracle below builds that block with Fraction arithmetic, independently of
 the series code.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 
 import wallachkit as wk
 from wallachkit.calabi import GradingError, scan_lambdas
+from wallachkit.domains import one_minus_norm
 from wallachkit.multiindex import basis
-from wallachkit.series import from_terms
+from wallachkit.series import from_terms, inverse_power
 
 
 # --- exact degree-2 oracle for TypeI(2,2) -------------------------------------
@@ -139,7 +141,7 @@ def test_rank_one_blocks_are_unit_scalars():
     cm = wk.calabi_matrix(dom, 1.0, 4)
     assert [b.dim for b in cm.blocks] == [1, 1, 1, 1]
     for b in cm.blocks:
-        assert b.matrix[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert b.dense()[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_block_one_is_lambda_identity():
@@ -147,7 +149,7 @@ def test_block_one_is_lambda_identity():
     cm = wk.calabi_matrix(dom, 0.8, 2)
     b1 = cm.blocks[0]
     assert b1.degree == 1 and b1.dim == 4
-    assert np.allclose(b1.matrix, 0.8 * np.eye(4), atol=1e-14)
+    assert np.allclose(b1.dense(), 0.8 * np.eye(4), atol=1e-14)
 
 
 def test_degree2_block_matches_exact_oracle():
@@ -156,8 +158,8 @@ def test_degree2_block_matches_exact_oracle():
         cm = wk.calabi_matrix(dom, float(lam), 2)
         b2 = cm.blocks[1]
         assert b2.degree == 2 and b2.dim == 10
-        assert np.max(np.abs(b2.matrix - oracle_matrix(lam))) <= 1e-13
-        got = np.linalg.eigvalsh(b2.matrix)
+        assert np.max(np.abs(b2.dense() - oracle_matrix(lam))) <= 1e-13
+        got = np.linalg.eigvalsh(b2.dense())
         assert got == pytest.approx(oracle_eigenvalues(lam), abs=1e-12)
 
 
@@ -328,8 +330,9 @@ def _dense_block_verdicts(cm, tol_abs=1e-10, tol_rel=1e-9):
     """Reference: one dense eigh per graded block, the pre-component verdict."""
     out = []
     for block in cm.blocks:
-        vals = np.linalg.eigvalsh(block.matrix)
-        scale = float(np.max(np.abs(block.matrix)))
+        matrix = block.dense()
+        vals = np.linalg.eigvalsh(matrix)
+        scale = float(np.max(np.abs(matrix)))
         tol = max(tol_abs, tol_rel * scale)
         out.append((vals[0], int(np.count_nonzero(vals > tol)), scale))
     return out
@@ -365,5 +368,20 @@ def test_component_verdict_matches_dense_eigh(spec, lams, cutoff):
             if bv.witness is not None:
                 w = bv.witness
                 assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-                residual = block.matrix @ w - bv.min_eigenvalue * w
+                residual = block.dense() @ w - bv.min_eigenvalue * w
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
+
+
+def test_i33_cutoff7_blocks_and_verdict_stay_sparse():
+    # The 6435-wide top block would alone take 331 MB as a dense array; the
+    # COO blocks and the stacked components need a few MB.
+    s = inverse_power(one_minus_norm(wk.parse_domain("I:3,3"), 7), 1.5)
+    tracemalloc.start()
+    try:
+        verdict = wk.psd_verdict(wk.graded_blocks(s))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.psd
+    assert verdict.per_block[-1].dim == 6435
+    assert peak < 32 * 2**20

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.calabi import BlockBudgetError
+from wallachkit.multiindex import MemoryLimitError
 from wallachkit.cartan_hartogs import (
     CHDomain,
     StencilError,
@@ -246,11 +246,11 @@ def test_reduction_sub_tolerance_mu_fails_at_first_repeated_point():
 
 
 def test_block_assembly_refuses_over_budget():
-    # 10 variables at cutoff 9: the top block is 48620 wide, about 19 GB.
-    ch = wk.parse_ch_spec("CHD(I:3,3;mu=einstein)")
+    # 37 variables at cutoff 8: the basis alone is about 64 GB of exponents.
+    ch = wk.parse_ch_spec("CHD(I:6,6;mu=einstein)")
     started = time.monotonic()
-    with pytest.raises(BlockBudgetError, match="48620 wide"):
-        wk.ch_block_assembly(ch, 1.0, 9)
+    with pytest.raises(MemoryLimitError, match=r"degree-8 basis in 37 variables.* GB"):
+        wk.ch_block_assembly(ch, 1.0, 8)
     assert time.monotonic() - started < 1.0
 
 

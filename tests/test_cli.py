@@ -1,6 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,11 +243,20 @@ def test_scan_grid_too_large_exits_one(capsys, step, size):
 
 def test_calabi_block_budget_exits_one(capsys):
     started = time.monotonic()
-    code, out, err = run(capsys, "calabi", "I:3,3", "--lambda", "1.5", "--cutoff", "9")
+    code, out, err = run(capsys, "calabi", "I:6,6", "--lambda", "1.5", "--cutoff", "8")
     assert time.monotonic() - started < 1.0
     assert code == 1
     assert out == ""
-    assert "usage error" in err and "GB" in err and "24310 wide" in err
+    assert "usage error" in err and "GB" in err and "basis in 36 variables" in err
+
+
+def test_einstein_over_memory_limit_exits_one(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "einstein", "CHD(I:5,5;mu=einstein)", "--points", "1")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "GB" in err and "norm jet" in err
 
 
 def test_calabi_non_finite_coefficients_exit_one(capsys):
@@ -264,13 +274,16 @@ def test_calabi_reports_weight_components(capsys):
     assert blocks == [(4, 4, 1), (10, 9, 2)]
 
 
-def test_calabi_i33_cutoff7_peak_rss_under_1gb():
-    # A dense m x m position table would alone need about 1 GB here (m = 11440).
+@pytest.mark.parametrize("cutoff", [7, 9])
+def test_calabi_i33_peak_rss_under_1gb(cutoff):
+    # At cutoff 7 a dense m x m position table would alone need about 1 GB
+    # (m = 11440); at cutoff 9 the dense top block alone would need 4.7 GB.
     src = Path(__file__).resolve().parents[1] / "src"
     child = (
         "import resource, sys\n"
         "from wallachkit.cli import main\n"
-        "code = main(['calabi', 'I:3,3', '--cutoff', '7', '--lambda', '1.5', '--format', 'json'])\n"
+        f"code = main(['calabi', 'I:3,3', '--cutoff', '{cutoff}', '--lambda', '1.5',"
+        " '--format', 'json'])\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
@@ -281,7 +294,7 @@ def test_calabi_i33_cutoff7_peak_rss_under_1gb():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["verdicts"]["truncated_psd"] is False
-    assert max(b["dim"] for b in report["per_block"]) == 6435
+    assert max(b["dim"] for b in report["per_block"]) == math.comb(cutoff + 8, 8)
     peak_kb = int(proc.stderr.strip().splitlines()[-1])  # ru_maxrss is in KiB on Linux
     assert peak_kb < 1024 * 1024
 

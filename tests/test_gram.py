@@ -256,6 +256,14 @@ def test_structured_proposals_skip_psd_blocks():
     assert pairs == {(0, 3), (1, 2)}  # the determinant direction
 
 
+def test_structured_proposals_skip_non_finite_blocks():
+    # lambda = 1e300 overflows the degree-2 block to inf: no guidance, and no
+    # atom read off an inf eigendecomposition
+    from wallachkit.gram import _quadratic_atoms
+
+    assert _quadratic_atoms(wk.catalog("I", 2, 2), 1e300) is None
+
+
 def test_min_gram_eigenvalue_consistent_with_report():
     dom = wk.catalog("IV", 3)
     pts = wk.sample_points(dom, 5, 11, 0.6)

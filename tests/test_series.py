@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.calabi import GRADING_REL_TOL, GradingError, graded_blocks
+from wallachkit.calabi import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
+    GRADING_REL_TOL,
+    GradingError,
+    graded_blocks,
+    psd_verdict,
+)
 from wallachkit.cartan_hartogs import ch_assembled_series, parse_ch_spec
 from wallachkit.domains import one_minus_norm
 from wallachkit.multiindex import basis
@@ -430,7 +437,15 @@ def test_graded_blocks_match_dense_reference(n_vars, cutoff, seed):
     assert [blk.degree for blk in cm.blocks] == list(range(1, cutoff + 1))
     for blk in cm.blocks:
         assert blk.dim == len(dense[blk.degree])
-        assert np.array_equal(blk.matrix, dense[blk.degree])
+        assert np.array_equal(blk.dense(), dense[blk.degree])
+    # The random patterns give weight components of arbitrary shape; the
+    # component eigensolve must match one dense eigh per block.
+    for blk, bv in zip(cm.blocks, psd_verdict(cm).per_block):
+        vals = np.linalg.eigvalsh(dense[blk.degree])
+        scale = float(np.max(np.abs(dense[blk.degree])))
+        assert bv.tol == max(DEFAULT_TOL_ABS, DEFAULT_TOL_REL * scale)
+        assert abs(bv.min_eigenvalue - vals[0]) <= 1e-13 * scale
+        assert bv.rank == np.count_nonzero(vals > bv.tol)
     assert cm.off_grade_max == under
     assert cm.max_abs_coeff == graded.max_abs()
     with pytest.raises(GradingError):
