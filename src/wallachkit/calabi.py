@@ -8,6 +8,13 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
+The expansion has two paths, chosen by the caller's shape.  One lambda
+(bergman_diastasis_series, and through it calabi_matrix, the Cartan-Hartogs
+assembly and the Gram guidance) runs the Euler-operator recurrence on N's
+terms and caches nothing.  A grid of lambdas (scan_lambdas) builds the
+powers of Q = 1 - N once per (domain, cutoff), caches them, and takes one
+linear combination per lambda.
+
 Each graded block keeps the series' sorted COO entries, never a dense
 array.  The kernel is invariant under the maximal torus of K (z -> D1 z D2
 on type I), so each block is a direct sum of small weight spaces: permuted,
@@ -34,7 +41,7 @@ import numpy as np
 from . import series as hs
 from .multiindex import basis
 from .series import HermitianSeries
-from .domains import DomainModel, one_minus_norm
+from .domains import DomainModel, norm_series, one_minus_norm
 
 DEFAULT_TOL_ABS = 1e-10
 DEFAULT_TOL_REL = 1e-9
@@ -56,7 +63,7 @@ class GradingError(Exception):
     """Off-grade coefficients exceeded tolerance; input is not circular."""
 
 
-# Powers of Q = 1 - N are reused across lambda values of the same domain.
+# Powers of Q = 1 - N, reused by scan_lambdas across the scales of a domain.
 _POWER_CACHE: dict[tuple[str, int], list[HermitianSeries]] = {}
 
 
@@ -70,14 +77,11 @@ def _norm_powers(dom: DomainModel, cutoff: int) -> list[HermitianSeries]:
 
 
 def bergman_diastasis_series(dom: DomainModel, lam: float, cutoff: int) -> HermitianSeries:
-    """Truncated expansion of N(z, zbar)^(-lambda) - 1."""
+    """Truncated expansion of N(z, zbar)^(-lambda) - 1, by the Euler-operator
+    recurrence on N's terms (series.inverse_norm_power)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    powers = _norm_powers(dom, cutoff)
-    if not powers:
-        return hs.zero(dom.d, cutoff)
-    weights = [hs.generalized_binomial(lam, k) for k in range(1, len(powers) + 1)]
-    return hs.linear_combination(powers, weights)
+    return hs.inverse_norm_power(norm_series(dom, cutoff), lam)
 
 
 def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> bool:
@@ -346,13 +350,21 @@ def scan_lambdas(
 ) -> list[ScanRow]:
     """Per-(lambda, degree) block eigen-data; one row per block, in grid order.
 
-    The Q-power cache makes each lambda a cheap linear combination followed
-    by the component eigensolves.
+    A grid reads the powers of Q = 1 - N, built once per (domain, cutoff) and
+    cached, so each lambda is one linear combination sum_k C(lambda+k-1, k) Q^k
+    followed by the component eigensolves; a single lambda is cheaper by the
+    recurrence of bergman_diastasis_series.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    powers = _norm_powers(dom, cutoff)
     rows = []
     for lam in lams:
         lam = float(lam)
-        verdict = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel)
+        weights = [hs.generalized_binomial(lam, k) for k in range(1, len(powers) + 1)]
+        s = hs.linear_combination(powers, weights) if powers else hs.zero(dom.d, cutoff)
+        m = graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
+        verdict = psd_verdict(m, tol_abs, tol_rel)
         rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
             for bv in verdict.per_block

@@ -343,7 +343,7 @@ def norm_series(dom: DomainModel, cutoff: int) -> HermitianSeries:
 
 
 def one_minus_norm(dom: DomainModel, cutoff: int) -> HermitianSeries:
-    """Q = 1 - N, the zero-constant-term series driving all expansions."""
+    """Q = 1 - N, the zero-constant-term series of the power expansions."""
     n = norm_series(dom, cutoff)
     keep = n.cols != 0  # every entry but the constant term (0, 0)
     return hs.from_entries(dom.d, cutoff, n.rows[keep], n.cols[keep], -n.values[keep])
@@ -386,12 +386,10 @@ def validate_catalog(
         raise ValueError(f"cutoff must be >= rank ({dom.r}) to expose every Wallach gap")
     lams = tuple(float(x) for x in (grid if grid is not None else _default_grid()))
     closed = tuple(wallach_contains(dom, lam) for lam in lams)
-    truncated = []
-    for lam in lams:
-        s = calabi.bergman_diastasis_series(dom, lam, cutoff)
-        verdict = calabi.psd_verdict(calabi.graded_blocks(s))
-        truncated.append(verdict.psd)
-    truncated = tuple(truncated)
+    psd = dict.fromkeys(lams, True)
+    for row in calabi.scan_lambdas(dom, lams, cutoff):
+        psd[row.lam] = psd[row.lam] and row.psd
+    truncated = tuple(psd[lam] for lam in lams)
 
     gen = np.random.default_rng(seed)
     max_err = 0.0

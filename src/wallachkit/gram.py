@@ -264,7 +264,8 @@ def _restart(
         scale = radius_cap * rng.uniform(0.25, 0.72)
         plus = tuple(1.0 for _ in atoms)
         flipped = tuple(float(rng.choice((-1.0, 1.0))) for _ in atoms)
-        for signs in (plus, flipped):
+        # Draws that all agree give plus again, up to a symmetry of the domain.
+        for signs in (plus,) if len(set(flipped)) == 1 else (plus, flipped):
             pts = _structured_points(dom, atoms, n_points, rng, scale, signs)
             if not contains(dom, pts).all():
                 continue

@@ -98,20 +98,28 @@ class Basis:
             raise ValueError("n_vars must be >= 1")
         self.n_vars = n_vars
         self.max_degree = max(0, int(max_degree))
-        # The recursion below peaks at 2.5-2.7 copies of the int64 exponent table.
+        # The int64 exponent table and its degrees are filled in place.
         size = comb(self.max_degree + n_vars, n_vars)
         what = f"the degree-{self.max_degree} basis in {n_vars} variables"
-        check_memory(3 * 8 * n_vars * size, what)
-        # Recursion on the first variable, from the last one forward: the
-        # degree-k run is e prepended to the degree-(k - e) run, e = k..0.
-        runs = [np.full((1, 1), k, dtype=np.int64) for k in range(self.max_degree + 1)]
-        for _ in range(n_vars - 1):
-            runs = [
-                np.concatenate([np.insert(runs[k - e], 0, e, axis=1) for e in range(k, -1, -1)])
-                for k in range(self.max_degree + 1)
-            ]
-        self.exponents = np.concatenate(runs)
-        self.degrees = np.repeat(np.arange(self.max_degree + 1), [len(run) for run in runs])
+        check_memory(8 * (n_vars + 1) * size, what)
+        table = np.zeros((size, n_vars), dtype=np.int64)
+        ends = [comb(k + n_vars, n_vars) for k in range(self.max_degree + 1)]
+        # Recursion on the first variable, from the last one forward.  The
+        # degree-k run in the last m variables, R(m, k), ends degree k's rows
+        # (the first n_vars - m variables are 0 there), and R(m + 1, k) is e
+        # prepended to R(m, k - e) for e = k..0; the e = 0 part is R(m, k) itself.
+        table[np.array(ends) - 1, -1] = range(self.max_degree + 1)
+        for m in range(1, n_vars):
+            for k in range(self.max_degree + 1):
+                row = ends[k] - comb(k + m, m)  # first row of R(m + 1, k)
+                for e in range(k, 0, -1):
+                    count = comb(k - e + m - 1, m - 1)
+                    src = ends[k - e] - count
+                    table[row : row + count, -m:] = table[src : src + count, -m:]
+                    table[row : row + count, -m - 1] = e
+                    row += count
+        self.exponents = table
+        self.degrees = np.repeat(np.arange(self.max_degree + 1), np.diff([0] + ends))
         self.exponents.flags.writeable = False
         self.degrees.flags.writeable = False
 

@@ -15,6 +15,8 @@ values (float64) hold the nonzero canonical entries (j <= k) sorted by
 structural.  Every series comes out of :func:`from_entries`, which mirrors
 j > k, drops positions past the basis, sums duplicates (np.unique and
 bincount) and drops zeros; sums, rebasing and products all feed it arrays.
+The one exception is :func:`inverse_norm_power`, which sums each level the
+same way and emits the levels in order, already in that form.
 
 :func:`product` never builds a table of index sums.  It groups the entries
 of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
@@ -34,7 +36,13 @@ constant term:
     log_one_minus(Q)      = -log(1 - Q)       = sum_{k>=1} Q^k / k
 
 with C(.,.) the generalized binomial coefficient, computed by a running
-product to avoid gamma-function cancellation.
+product to avoid gamma-function cancellation.  The powers of Q cost far more
+than one expansion needs: :func:`inverse_norm_power` computes N^(-lam) - 1
+for a norm-like N (constant term 1, bidegrees (g, g) only) in one pass from
+N's few terms, by the Euler-operator recurrence (J. C. P. Miller's power
+recurrence; Knuth, TAOCP vol. 2, sec. 4.7).  The powers pay off only when
+many lam share them, as in :func:`wallachkit.calabi.scan_lambdas`;
+inverse_power stays as the independent reference for the recurrence.
 """
 
 from __future__ import annotations
@@ -49,6 +57,11 @@ from .multiindex import Basis, basis, check_memory
 # Memory per entry pair a product forms (ranks, values, their concatenation
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
+# The same for inverse_norm_power, per pair a level forms before it keeps the
+# canonical ones: runs peaked at 40-54 B per pair of their largest level.
+RECURRENCE_PAIR_BYTES = 64
+# Entry pairs inverse_norm_power forms at once before it drops the non-canonical ones.
+_BATCH_PAIRS = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +102,7 @@ class HermitianSeries:
     def mirrored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of every entry: the canonical ones, then the
         (k, j) mirrors of the off-diagonal ones."""
-        off = self.rows != self.cols
-        return (
-            np.concatenate((self.rows, self.cols[off])),
-            np.concatenate((self.cols, self.rows[off])),
-            np.concatenate((self.values, self.values[off])),
-        )
+        return _mirror(self.rows, self.cols, self.values)
 
     def items_full(self) -> Iterable[tuple[int, int, float]]:
         """All (j, k, value) entries with mirrors expanded."""
@@ -118,6 +126,32 @@ class HermitianSeries:
         )
 
 
+def _mirror(rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    off = rows != cols
+    return (
+        np.concatenate((rows, cols[off])),
+        np.concatenate((cols, rows[off])),
+        np.concatenate((values, values[off])),
+    )
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and their value sums (each in input
+    order), without the keys whose sum is zero."""
+    targets, slot = np.unique(keys, return_inverse=True)
+    sums = np.bincount(slot, weights=values, minlength=len(targets))
+    nonzero = sums != 0.0
+    # bincount of nothing is int64
+    return targets[nonzero], np.asarray(sums[nonzero], dtype=np.float64)
+
+
+def _frozen(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSeries:
+    """The series of canonical, sorted, distinct, nonzero entries, read-only."""
+    for x in (rows, cols, values):
+        x.flags.writeable = False
+    return HermitianSeries(n_vars, cutoff, rows, cols, values)
+
+
 def from_entries(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSeries:
     """The series with entries b_{rows[i], cols[i]} += values[i].
 
@@ -133,14 +167,9 @@ def from_entries(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSerie
     values = np.asarray(values, dtype=np.float64)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     keep = hi < m
-    targets, slot = np.unique(lo[keep] * m + hi[keep], return_inverse=True)
-    sums = np.bincount(slot, weights=values[keep], minlength=len(targets))
-    nonzero = sums != 0.0
-    rows, cols = np.divmod(targets[nonzero], m)
-    values = np.asarray(sums[nonzero], dtype=np.float64)  # bincount of nothing is int64
-    for a in (rows, cols, values):
-        a.flags.writeable = False
-    return HermitianSeries(n_vars, cutoff, rows, cols, values)
+    targets, values = _sum_by_key(lo[keep] * m + hi[keep], values[keep])
+    rows, cols = np.divmod(targets, m)
+    return _frozen(n_vars, cutoff, rows, cols, values)
 
 
 def zero(n_vars: int, cutoff: int) -> HermitianSeries:
@@ -310,6 +339,74 @@ def generalized_binomial(lam: float, k: int) -> float:
 def inverse_power(q: HermitianSeries, lam: float) -> HermitianSeries:
     """(1 - Q)^(-lam) - 1 truncated; lam may be any real."""
     return _expand_in_powers(q, lambda k: generalized_binomial(lam, k))
+
+
+def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
+    """N^(-lam) - 1 truncated, for a series N with constant term 1 whose
+    entries all sit on bidegrees (g, g); a ValueError for any other N.
+
+    With E the holomorphic Euler operator, f = N^(-lam) solves
+    N E f = -lam f E N.  Read off level by level (|alpha| = |beta| = a):
+
+        a f_{alpha beta} = -sum n_{gamma delta} (a - g + lam g) f_{alpha-gamma, beta-delta}
+
+    over N's terms (gamma, delta) != 0 with |gamma| = |delta| = g, so each
+    level comes from lower levels and N's few terms in one pass, with no
+    powers of 1 - N.  Graded-lex order is translation invariant, so a term
+    maps the positions of a level to sorted positions of a higher one: one
+    rank table per distinct gamma and source level turns the target
+    positions into gathers.  Pairs are formed a small batch of terms at a
+    time, and only those with canonical targets (p <= q) are kept to be
+    summed.  Overflowing coefficients come out as inf or nan, for the caller
+    to refuse.
+    """
+    bas = n.basis
+    degrees = bas.degrees
+    if n.constant_term() != 1.0 or (degrees[n.rows] != degrees[n.cols]).any():
+        raise ValueError("inverse_norm_power needs constant term 1 and only (g, g) entries")
+    gamma, delta, coef = (x[1:] for x in n.mirrored())  # x[0] is the constant term
+    g = degrees[gamma]
+    # N's terms by degree: the distinct gammas, and each term's gamma and delta
+    # as rows among them (the deltas are the gammas again, as the terms come
+    # with their mirrors), and its coefficient.
+    by_degree = []
+    for level_g in np.unique(g).tolist():
+        at = g == level_g
+        es, gamma_row = np.unique(gamma[at], return_inverse=True)
+        by_degree.append((level_g, es, gamma_row, np.searchsorted(es, delta[at]), coef[at]))
+    exps = bas.exponents
+    # levels[s]: f's level-s entries, mirrors expanded, at positions local to the level.
+    levels = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1))]
+    rows, cols, vals = [], [], []
+    for a in range(1, n.cutoff + 1):
+        active = [terms for terms in by_degree if terms[0] <= a]
+        pairs = sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
+        check_memory(RECURRENCE_PAIR_BYTES * pairs, f"a recurrence level of {pairs} entry pairs")
+        sl = bas.degree_slice(a)
+        dim = sl.stop - sl.start
+        keys, weights = [], []
+        for level_g, es, gamma_row, delta_row, c in active:
+            i, j, v = levels[a - level_g]
+            # [row of gamma, index of level a - g] -> position of their sum in level a
+            shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None]) - sl.start
+            step = max(1, _BATCH_PAIRS // max(len(i), 1))  # terms per batch
+            with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
+                scale = -c * (a - level_g + lam * level_g)
+                for lo in range(0, len(c), step):
+                    b = slice(lo, lo + step)
+                    p, q = shift[gamma_row[b]][:, i], shift[delta_row[b]][:, j]
+                    keep = p <= q
+                    keys.append(p[keep] * dim + q[keep])
+                    weights.append((scale[b, None] * v)[keep])
+        targets, sums = _sum_by_key(np.concatenate(keys), np.concatenate(weights))
+        del keys, weights
+        p, q = np.divmod(targets, dim)
+        f = sums / a  # dividing after the sum keeps exact cancellations exact
+        rows.append(p + sl.start)
+        cols.append(q + sl.start)
+        vals.append(f)
+        levels.append(_mirror(p, q, f))
+    return _frozen(n.n_vars, n.cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
 
 
 def log_one_minus(q: HermitianSeries) -> HermitianSeries:

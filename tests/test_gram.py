@@ -272,3 +272,28 @@ def test_min_gram_eigenvalue_consistent_with_report():
     assert rep.min_eigenvalue == val
     assert rep.psd == (val >= -1e-6)
     assert rep.branch_ok == ok
+
+
+def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
+    # Sign draws that all agree give the plus configuration up to a symmetry,
+    # so only mixed draws earn a second structured proposal.
+    from wallachkit import gram
+
+    proposals = []
+    real = gram._structured_points
+
+    def spy(dom, atoms, n_points, rng, scale, signs):
+        proposals.append(signs)
+        return real(dom, atoms, n_points, rng, scale, signs)
+
+    monkeypatch.setattr(gram, "_structured_points", spy)
+    dom = wk.catalog("I", 2, 2)
+    atoms = [(0, 3, 0.7), (1, 2, -0.7)]
+    seconds = []
+    for seed in range(8):
+        proposals.clear()
+        gram._restart(dom, 0.5, 6, np.random.SeedSequence(seed), 2, 1e-6, 0.7, atoms)
+        assert proposals[0] == (1.0, 1.0)
+        seconds.append(proposals[1:])
+    assert [] in seconds and any(seconds)
+    assert all(len(set(s[0])) == 2 for s in seconds if s)

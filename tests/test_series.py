@@ -30,6 +30,7 @@ from wallachkit.series import (
     evaluate,
     from_terms,
     generalized_binomial,
+    inverse_norm_power,
     inverse_power,
     linear_combination,
     log_one_minus,
@@ -240,6 +241,30 @@ def test_inverse_power_requires_zero_constant():
     bad = from_terms(1, 2, {((0,), (0,)): 0.5})
     with pytest.raises(ValueError):
         inverse_power(bad, 1.0)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(-3, 4)])
+def test_inverse_norm_power_unit_disk(lam):
+    # N = 1 - z zbar: the recurrence gives the binomial series of (1 - x)^(-lam)
+    n = from_terms(1, 8, {((0,), (0,)): 1.0, ((1,), (1,)): -1.0})
+    got = diag_coeffs(inverse_norm_power(n, float(lam)))
+    want = binomial_series_oracle(lam, 9)
+    for k in range(1, 9):
+        assert got[k] == pytest.approx(float(want[k]), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {((0,), (0,)): 1.0, ((1,), (0,)): 0.5},  # off-grade (1, 0) entry
+        {((0,), (0,)): 1.0, ((2,), (1,)): 0.5},  # off-grade (2, 1) entry
+        {((0,), (0,)): 2.0, ((1,), (1,)): -1.0},  # constant term 2
+        {((1,), (1,)): -1.0},  # no constant term
+    ],
+)
+def test_inverse_norm_power_rejects_other_series(terms):
+    with pytest.raises(ValueError, match="constant term 1"):
+        inverse_norm_power(from_terms(1, 3, terms), 0.5)
 
 
 def test_log_one_minus_mercator():
