@@ -15,15 +15,16 @@ terms and caches nothing.  A grid of lambdas (scan_lambdas) builds the
 powers of Q = 1 - N once per (domain, cutoff), caches them, and takes one
 linear combination per lambda.
 
-Each graded block keeps the series' sorted COO entries, never a dense
-array.  The kernel is invariant under the maximal torus of K (z -> D1 z D2
-on type I), so each block is a direct sum of small weight spaces: permuted,
-it is block diagonal, with blocks given by the connected components of its
-nonzero pattern.  The verdict labels those components on the entries and
-solves one small eigenproblem per component (scattered into one stack per
-size) instead of one dense eigenproblem per block; the spectrum is the same,
-the witness is the minimising component's eigenvector, zero-padded to the
-block.
+The matrix keeps the series' sorted COO entries on its graded blocks, never
+a dense array.  The kernel is invariant under the maximal torus of K
+(z -> D1 z D2 on type I), so each block is a direct sum of small weight
+spaces: permuted, the matrix is block diagonal, with blocks given by the
+connected components of its nonzero pattern, none of which crosses degrees.
+One spectral pass labels those components once over the whole matrix and
+solves each component size as one stacked eigenproblem for all degrees;
+each degree's verdict is read off its own components.  The spectrum is that
+of the dense blocks, and a degree's witness is its minimising component's
+eigenvector, zero-padded to the block.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -91,31 +92,18 @@ def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> b
 
 
 @dataclass(frozen=True, eq=False)
-class GradedBlock:
-    """The real symmetric dim x dim block of one degree as its nonzero
-    canonical entries (rows <= cols), in block coordinates and sorted by
-    (row, col) like the series they come from; the mirrors are implied."""
-
-    degree: int
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        """The block as a dense dim x dim array."""
-        matrix = np.zeros((self.dim, self.dim))
-        matrix[self.rows, self.cols] = matrix[self.cols, self.rows] = self.values
-        return matrix
-
-
-@dataclass(frozen=True, eq=False)
 class CalabiMatrix:
+    """The graded coefficient matrix: its on-grade entries of positive degree
+    as canonical COO (rows <= cols, at basis positions), sorted by (row, col)
+    like the series they come from; the mirrors are implied."""
+
     domain_spec: str
     lam: float | None
     n_vars: int
     cutoff: int
-    blocks: tuple[GradedBlock, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     off_grade_max: float
     max_abs_coeff: float
 
@@ -125,7 +113,7 @@ def graded_blocks(
     domain_spec: str = "",
     lam: float | None = None,
 ) -> CalabiMatrix:
-    """Split the coefficient matrix into per-degree blocks.
+    """The coefficient matrix restricted to its graded blocks.
 
     Off-grade entries (unequal degrees on the two sides) are recorded in
     off_grade_max and dropped; they must sit at rounding level relative to
@@ -134,8 +122,7 @@ def graded_blocks(
     """
     if not normalization_check(s):
         raise ValueError("series has non-vanishing pure terms")
-    b = s.basis
-    degrees = b.degrees
+    degrees = s.basis.degrees
     on_grade = degrees[s.rows] == degrees[s.cols]
     max_abs = s.max_abs()
     off_grade = float(np.abs(s.values[~on_grade]).max(initial=0.0))
@@ -144,15 +131,11 @@ def graded_blocks(
             f"off-grade coefficient {off_grade:.3e} exceeds "
             f"{GRADING_REL_TOL:.0e} x max |b| = {GRADING_REL_TOL * max_abs:.3e}"
         )
-    blocks = []
-    for degree in range(1, s.cutoff + 1):
-        sl = b.degree_slice(degree)
-        # Rows are sorted and the order is graded, so this degree's rows are one run.
-        lo, hi = np.searchsorted(s.rows, (sl.start, sl.stop))
-        keep = np.arange(lo, hi)[on_grade[lo:hi]]
-        rows, cols = s.rows[keep] - sl.start, s.cols[keep] - sl.start
-        blocks.append(GradedBlock(degree, sl.stop - sl.start, rows, cols, s.values[keep]))
-    return CalabiMatrix(domain_spec, lam, s.n_vars, s.cutoff, tuple(blocks), off_grade, max_abs)
+    keep = on_grade & (s.rows != 0)  # row 0 on grade is the constant term
+    rows, cols, values = s.rows[keep], s.cols[keep], s.values[keep]
+    return CalabiMatrix(
+        domain_spec, lam, s.n_vars, s.cutoff, rows, cols, values, off_grade, max_abs
+    )
 
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
@@ -187,12 +170,14 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _components(block: GradedBlock) -> list[np.ndarray]:
-    """Connected components of the block's nonzero pattern, grouped by size:
-    one (count, size) array of indices per size, sizes ascending."""
-    rows = np.concatenate((block.rows, block.cols))
-    cols = np.concatenate((block.cols, block.rows))
-    label = np.arange(block.dim)
+def _components(m: CalabiMatrix, n: int) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern on positions 1..n-1,
+    grouped by size: one (count, size) array of positions per size, sizes
+    ascending, each component's positions ascending and the components in
+    order of their least position."""
+    rows = np.concatenate((m.rows, m.cols))
+    cols = np.concatenate((m.cols, m.rows))
+    label = np.arange(n)
     # Label propagation with pointer jumping; label[i] <= i stays a node of
     # i's component, and at the fixpoint it is constant on each component.
     while True:
@@ -202,59 +187,76 @@ def _components(block: GradedBlock) -> list[np.ndarray]:
         if np.array_equal(new, label):
             break
         label = new
-    order = np.argsort(label, kind="stable")
+    order = np.argsort(label[1:], kind="stable") + 1
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
-def _block_analysis(
-    block: GradedBlock, tol_abs: float, tol_rel: float
-) -> tuple[BlockVerdict, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """The block's verdict and its spectrum as (indices, values, vectors) per
-    component size, from one stacked eigensolve per size."""
+def _spectral_pass(
+    m: CalabiMatrix, tol_abs: float, tol_rel: float
+) -> tuple[tuple[BlockVerdict, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per-degree verdicts, and the spectrum as (positions, values, vectors,
+    degree bounds) per component size, from one stacked eigensolve per size.
+
+    A component never crosses degrees, as off-grade entries are dropped; the
+    components of a size are in position order, so each degree's are one run,
+    rows bounds[k]:bounds[k + 1] of the stack.
+    """
     check_tolerance(tol_abs)
     check_tolerance(tol_rel)
-    scale = float(np.abs(block.values).max(initial=0.0))
-    if not np.isfinite(scale):
-        raise RuntimeError(
-            f"degree-{block.degree} block has non-finite coefficients (max |b| = {scale})"
-        )
-    tol = max(tol_abs, tol_rel * scale)
-    # Per index: the size of its component (0 until its size comes up) and
-    # its row in the stack of that size, flattened to (count * size, size).
-    width = np.zeros(block.dim, dtype=np.int64)
-    place = np.empty(block.dim, dtype=np.int64)
+    b = basis(m.n_vars, m.cutoff)
+    degrees = b.degrees
+    # Rows are sorted and the order is graded, so each degree's entries are one run.
+    runs = np.searchsorted(m.rows, np.searchsorted(degrees, np.arange(m.cutoff + 2)))
+    scale = [float(np.abs(m.values[lo:hi]).max(initial=0.0)) for lo, hi in zip(runs, runs[1:])]
+    for degree in range(1, m.cutoff + 1):
+        if not isfinite(scale[degree]):
+            raise RuntimeError(
+                f"degree-{degree} block has non-finite coefficients (max |b| = {scale[degree]})"
+            )
+    # Per position: the size of its component (0 until its size comes up)
+    # and its row in the stack of that size, flattened to (count * size, size).
+    width = np.zeros(len(b), dtype=np.int64)
+    place = np.empty(len(b), dtype=np.int64)
     parts = []
-    for idx in _components(block):
+    for idx in _components(m, len(b)):
         size = idx.shape[1]
         width[idx], place[idx.ravel()] = size, np.arange(idx.size)
-        sel = width[block.rows] == size
-        j, k = place[block.rows[sel]], place[block.cols[sel]]
+        sel = width[m.rows] == size
+        j, k = place[m.rows[sel]], place[m.cols[sel]]
         stacked = np.zeros((idx.size, size))
-        stacked[j, k % size] = stacked[k, j % size] = block.values[sel]
+        stacked[j, k % size] = stacked[k, j % size] = m.values[sel]
         try:
             vals, vecs = np.linalg.eigh(stacked.reshape(idx.shape + (size,)))
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver failed on degree-{block.degree} block") from exc
-        parts.append((idx, vals, vecs))
-    idx, vals, vecs = min(parts, key=lambda part: part[1][:, 0].min())
-    worst = int(np.argmin(vals[:, 0]))
-    min_eig = float(vals[worst, 0])
-    witness = None
-    if min_eig < -tol:
-        witness = np.zeros(block.dim)
-        witness[idx[worst]] = vecs[worst, :, 0]
-    verdict = BlockVerdict(
-        block.degree,
-        block.dim,
-        min_eig,
-        sum(int(np.count_nonzero(part[1] > tol)) for part in parts),
-        tol,
-        witness,
-        sum(len(part[0]) for part in parts),
-        parts[-1][0].shape[1],
-    )
-    return verdict, parts
+            raise RuntimeError(f"eigensolver failed on the {size}-wide components") from exc
+        bounds = np.searchsorted(degrees[idx[:, 0]], np.arange(m.cutoff + 2))
+        parts.append((idx, vals, vecs, bounds))
+    verdicts = []
+    for degree in range(1, m.cutoff + 1):
+        sl = b.degree_slice(degree)
+        tol = max(tol_abs, tol_rel * scale[degree])
+        worst = None  # (min eigenvalue, positions, eigenvector) of the first minimising component
+        rank = count = largest = 0
+        for idx, vals, vecs, bounds in parts:  # sizes ascending
+            lo, hi = bounds[degree], bounds[degree + 1]
+            if lo == hi:
+                continue
+            c = lo + int(np.argmin(vals[lo:hi, 0]))
+            if worst is None or vals[c, 0] < worst[0]:
+                worst = (float(vals[c, 0]), idx[c], vecs[c, :, 0])
+            rank += int(np.count_nonzero(vals[lo:hi] > tol))
+            count += int(hi - lo)
+            largest = idx.shape[1]
+        min_eig, positions, vector = worst
+        witness = None
+        if min_eig < -tol:
+            witness = np.zeros(sl.stop - sl.start)
+            witness[positions - sl.start] = vector
+        verdicts.append(
+            BlockVerdict(degree, sl.stop - sl.start, min_eig, rank, tol, witness, count, largest)
+        )
+    return tuple(verdicts), parts
 
 
 def psd_verdict(
@@ -263,9 +265,7 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    per_block = tuple(
-        _block_analysis(block, tol_abs, tol_rel)[0] for block in m.blocks if block.dim
-    )
+    per_block, _ = _spectral_pass(m, tol_abs, tol_rel)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
     return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
@@ -291,24 +291,24 @@ def extract_immersion(
     eigenvalues at or below the block tolerance are clipped to zero, so the
     component count per degree equals the block's reported rank.
     """
-    analyses = [_block_analysis(block, tol_abs, tol_rel) for block in m.blocks if block.dim]
-    if any(bv.min_eigenvalue < -bv.tol for bv, _ in analyses):
+    per_block, parts = _spectral_pass(m, tol_abs, tol_rel)
+    if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]
-    for bv, parts in analyses:
-        start = b.degree_slice(bv.degree).start
+    for bv in per_block:
         kept = [
             (float(vals[c, e]), idx[c], vecs[c, :, e])
-            for idx, vals, vecs in parts
+            for idx, vals, vecs, bounds in parts
             for c, e in zip(*np.nonzero(vals > bv.tol))
+            if bounds[bv.degree] <= c < bounds[bv.degree + 1]
         ]
         for val, positions, vec in sorted(kept, key=lambda t: -t[0]):
             w = np.sqrt(val) * vec
             components.append(
                 ImmersionComponent(
                     bv.degree,
-                    {b[start + i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0},
+                    {b[i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0},
                 )
             )
     return components

@@ -45,9 +45,9 @@ from .calabi import (
 from .domains import (
     WALLACH_SNAP_TOL,
     DomainModel,
+    _hermitian_squares,
     contains,
     generic_norm_eval,
-    norm_series,
     one_minus_norm,
     parse_domain,
     sample,
@@ -313,24 +313,41 @@ def _jet_series(x: np.ndarray, coeffs: list[float], layout: tuple[np.ndarray, ..
     return out
 
 
+@lru_cache(maxsize=None)
+def _square_terms(base: DomainModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(signs, starts, exponents, coefficients): the terms of N's Hermitian
+    squares N(z, w) = sum_t s_t f_t(z) conj(f_t(w)) as one stack, square t
+    owning the terms from starts[t] to the next start, each exponent padded
+    with a zero for w."""
+    signs, counts, exps, coeffs = [], [], [], []
+    for sign, e, c in _hermitian_squares(base, base.r):
+        signs.append(np.full(len(c), sign))
+        counts.append(np.full(len(c), c.shape[1]))
+        exps.append(e.reshape(-1, base.d))
+        coeffs.append(c.ravel())
+    counts = np.concatenate(counts)
+    exps = np.concatenate(exps)
+    padded = np.hstack((exps, np.zeros((len(exps), 1), dtype=np.int64)))
+    return np.concatenate(signs), np.cumsum(counts) - counts, padded, np.concatenate(coeffs)
+
+
 def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
-    """Jet of N(z + u, z + v) at point = (z, w), by binomial expansion of
-    the norm polynomial: z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
-    # One entry per (monomial of N, jet monomial, variable) in three arrays at
-    # once: int64 offsets, their clipped copy, complex powers (CHD(I:4,4): 32 B).
-    entries = math.comb(base.d + base.r, base.r) * math.comb(len(point) + 2, 2) * len(point)
-    check_memory(32 * entries, f"the Einstein probe's norm jet ({entries} transfer entries)")
-    poly = norm_series(base, base.r)
-    exps = poly.basis.exponents
-    exps = np.hstack((exps, np.zeros((len(exps), len(point) - base.d), dtype=np.int64)))
+    """Jet of N(z + u, z + v) at point = (z, w) from the Hermitian squares:
+    sum_t s_t J_t(u) conj(J_t(v)), with J_t the jet of f_t(z + u) by binomial
+    expansion of its terms, z^alpha -> sum_beta C(alpha, beta) z^{alpha-beta} u^beta."""
+    signs, starts, exps, coeffs = _square_terms(base)
     jet_exps = basis(len(point), 2).exponents
-    pascal = np.array([[math.comb(a, k) for k in range(3)] for a in range(poly.cutoff + 1)])
+    # One entry per (term, jet monomial, variable) in three arrays at once:
+    # int64 offsets, their clipped copy, complex powers (32 B).
+    entries = exps.size * len(jet_exps)
+    check_memory(32 * entries, f"the Einstein probe's norm jet ({entries} transfer entries)")
+    pascal = np.array([[math.comb(a, k) for k in range(3)] for a in range(exps.max() + 1)])
     rest = exps[:, None, :] - jet_exps[None, :, :]
     transfer = np.prod(pascal[exps[:, None, :], jet_exps[None, :, :]], axis=-1) * np.prod(
         point ** np.maximum(rest, 0), axis=-1
     )
-    rows, cols, vals = poly.mirrored()
-    return np.einsum("rg,rd->gd", vals[:, None] * transfer[rows], transfer[cols].conj())
+    jets = np.add.reduceat(coeffs[:, None] * transfer, starts, axis=0)
+    return np.einsum("tg,td->gd", signs[:, None] * jets, jets.conj())
 
 
 def einstein_residual(

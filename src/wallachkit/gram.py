@@ -50,7 +50,6 @@ _SIGMA_SHRINK = 0.93
 _SIGMA_MAX = 0.15
 _SIGMA_MIN = 0.002
 _ATOM_CUT = 1e-6
-_BLOCK_NEG_TOL = 1e-10
 
 
 class BranchError(Exception):
@@ -118,19 +117,18 @@ def min_gram_eigenvalue(
     return float(np.linalg.eigvalsh(h)[0]), branch_ok
 
 
-def _witness_threshold(h: np.ndarray, witness_tol: float) -> float:
+def _witness_threshold(h: np.ndarray) -> float:
     """A configuration is a witness when its min eigenvalue is below
-    -witness_tol * max(1, max |H_ab|): the eigensolver's rounding grows with
+    -DEFAULT_WITNESS_TOL * max(1, max |H_ab|): the eigensolver's rounding grows with
     the entries, which N^(-lambda) can push far past 1.  Non-finite entries
     give a non-finite threshold (max(nan, 1.0) is nan)."""
-    return -witness_tol * max(float(np.abs(h).max()), 1.0)
+    return -DEFAULT_WITNESS_TOL * max(float(np.abs(h).max()), 1.0)
 
 
 def gram_report(
     dom: DomainModel,
     lam: float,
     points: Sequence[np.ndarray] | np.ndarray,
-    witness_tol: float = DEFAULT_WITNESS_TOL,
 ) -> GramReport:
     """Min eigenvalue and verdict of one configuration; a ValueError if the
     Gram matrix has non-finite entries (N^(-lambda) overflowed)."""
@@ -146,7 +144,7 @@ def gram_report(
         tuple(np.asarray(p, dtype=np.complex128) for p in points),
         float(lam),
         min_eig,
-        min_eig >= _witness_threshold(h, witness_tol),
+        min_eig >= _witness_threshold(h),
         branch_ok,
     )
 
@@ -157,23 +155,17 @@ def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float
     Returns [(i, j, coef), ...] sorted by |coef| descending, where the
     eigenvector reads sum coef * z_i z_j, or None when the degree-2 block is
     positive semidefinite, not finite or too large to build (no guidance to
-    offer).
+    offer).  The direction is the Calabi verdict's degree-2 witness.
     """
-    from .calabi import calabi_matrix
+    from .calabi import calabi_matrix, psd_verdict
     from .multiindex import MemoryLimitError, basis
 
     try:
-        cm = calabi_matrix(dom, lam, 2)
-    except MemoryLimitError:
+        direction = psd_verdict(calabi_matrix(dom, lam, 2)).per_block[1].witness
+    except (MemoryLimitError, RuntimeError):  # too large, or not finite
         return None
-    matrix = cm.blocks[1].dense()  # degree 2
-    if not np.isfinite(matrix).all():
+    if direction is None:
         return None
-    vals, vecs = np.linalg.eigh(matrix)
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if vals[0] >= -_BLOCK_NEG_TOL * scale:
-        return None
-    direction = vecs[:, 0]
     bas = basis(dom.d, 2)
     sl = bas.degree_slice(2)
     atoms: list[tuple[int, int, float]] = []
@@ -234,8 +226,6 @@ def _restart(
     n_points: int,
     seed_seq: np.random.SeedSequence,
     eval_budget: int,
-    witness_tol: float,
-    radius_cap: float,
     atoms: Sequence[tuple[int, int, float]] | None,
 ) -> tuple[np.ndarray | None, float, int]:
     """One seeded restart: propose, then descend on the minimum eigenvalue.
@@ -252,7 +242,7 @@ def _restart(
             return None
         evals += 1
         h, branch_ok = gram_matrix(dom, lam, pts, require_branch=False)
-        threshold = _witness_threshold(h, witness_tol)
+        threshold = _witness_threshold(h)
         # A branch violation or an overflow makes the configuration invalid.
         if not branch_ok or not math.isfinite(threshold):
             return None
@@ -261,7 +251,7 @@ def _restart(
     points: np.ndarray | None = None
     best: float | None = None
     if atoms is not None:
-        scale = radius_cap * rng.uniform(0.25, 0.72)
+        scale = DEFAULT_RADIUS_CAP * rng.uniform(0.25, 0.72)
         plus = tuple(1.0 for _ in atoms)
         flipped = tuple(float(rng.choice((-1.0, 1.0))) for _ in atoms)
         # Draws that all agree give plus again, up to a symmetry of the domain.
@@ -273,7 +263,7 @@ def _restart(
             if spectrum is not None and (best is None or spectrum[0] < best):
                 points, (best, threshold) = pts, spectrum
     if points is None or best is None:
-        points = np.array([sample(dom, rng, radius_cap) for _ in range(n_points)])
+        points = np.array([sample(dom, rng, DEFAULT_RADIUS_CAP) for _ in range(n_points)])
         spectrum = objective(points)
         if spectrum is None:
             return None, 0.0, evals
@@ -311,7 +301,6 @@ def _minimize_witness(
     dom: DomainModel,
     lam: float,
     points: np.ndarray,
-    witness_tol: float,
 ) -> np.ndarray:
     """Greedily drop points while the configuration stays a witness.
 
@@ -328,7 +317,7 @@ def _minimize_witness(
         for i in range(len(keep)):
             trial = keep[:i] + keep[i + 1 :]
             sub = h[np.ix_(trial, trial)]
-            if np.linalg.eigvalsh(sub)[0] < _witness_threshold(sub, witness_tol):
+            if np.linalg.eigvalsh(sub)[0] < _witness_threshold(sub):
                 keep = trial
                 changed = True
                 break
@@ -341,8 +330,6 @@ def search_violation(
     n_points: int = 6,
     budget: int = 2000,
     seed: int = 0,
-    witness_tol: float = DEFAULT_WITNESS_TOL,
-    radius_cap: float = DEFAULT_RADIUS_CAP,
 ) -> SearchResult:
     """Guided random-restart search for a non-PSD Gram configuration.
 
@@ -370,17 +357,15 @@ def search_violation(
         guided = atoms if i % 3 != 2 else None
         # Gram entries that overflow make a configuration invalid, not a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            winner, _, evals = _restart(
-                dom, lam, n_points, seeds[i], per_restart, witness_tol, radius_cap, guided
-            )
+            winner, _, evals = _restart(dom, lam, n_points, seeds[i], per_restart, guided)
         evals_total += evals
         restarts_used = i + 1
         if winner is not None or evals_total >= budget:
             break
     if winner is None:
         return SearchResult(False, None, seed, restarts_used, evals_total)
-    winner = _minimize_witness(dom, lam, winner, witness_tol)
-    report = gram_report(dom, lam, winner, witness_tol)
+    winner = _minimize_witness(dom, lam, winner)
+    report = gram_report(dom, lam, winner)
     return SearchResult(True, report, seed, restarts_used, evals_total)
 
 

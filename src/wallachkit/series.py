@@ -29,11 +29,10 @@ Products of torus-invariant kernels, such as the catalog's 1 - N, stay
 torus-invariant, which is what splits their graded blocks into the weight
 components :mod:`wallachkit.calabi` solves one at a time.
 
-The transcendental operations expand in powers of a series Q with zero
+The transcendental operation expands in powers of a series Q with zero
 constant term:
 
     inverse_power(Q, lam) = (1 - Q)^(-lam) - 1 = sum_{k>=1} C(lam+k-1, k) Q^k
-    log_one_minus(Q)      = -log(1 - Q)       = sum_{k>=1} Q^k / k
 
 with C(.,.) the generalized binomial coefficient, computed by a running
 product to avoid gamma-function cancellation.  The powers of Q cost far more
@@ -48,7 +47,7 @@ inverse_power stays as the independent reference for the recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -297,35 +296,22 @@ def product(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
     )
 
 
-def power_sequence(q: HermitianSeries, max_power: int | None = None) -> list[HermitianSeries]:
+def power_sequence(q: HermitianSeries) -> list[HermitianSeries]:
     """[Q, Q^2, ...] until the truncated power vanishes.
 
     Once a truncated power is identically zero all higher powers are too
     (exponents only grow), so the sequence is complete for any series
-    expansion in Q.  max_power caps the length; the default 2*cutoff+1 is
-    always enough for a Q with zero constant term.
+    expansion in Q.  At most 2*cutoff+1 powers are formed, which is always
+    enough for a Q with zero constant term.
     """
-    if max_power is None:
-        max_power = 2 * q.cutoff + 1
     powers: list[HermitianSeries] = []
     current = q
-    for _ in range(max_power):
+    for _ in range(2 * q.cutoff + 1):
         if current.is_zero():
             break
         powers.append(current)
         current = product(current, q)
     return powers
-
-
-def _expand_in_powers(
-    q: HermitianSeries, coefficient_of_power: Callable[[int], float]
-) -> HermitianSeries:
-    if q.constant_term() != 0.0:
-        raise ValueError("series must have zero constant term")
-    powers = power_sequence(q)
-    if not powers:
-        return zero(q.n_vars, q.cutoff)
-    return linear_combination(powers, [coefficient_of_power(k) for k in range(1, len(powers) + 1)])
 
 
 def generalized_binomial(lam: float, k: int) -> float:
@@ -338,7 +324,13 @@ def generalized_binomial(lam: float, k: int) -> float:
 
 def inverse_power(q: HermitianSeries, lam: float) -> HermitianSeries:
     """(1 - Q)^(-lam) - 1 truncated; lam may be any real."""
-    return _expand_in_powers(q, lambda k: generalized_binomial(lam, k))
+    if q.constant_term() != 0.0:
+        raise ValueError("series must have zero constant term")
+    powers = power_sequence(q)
+    if not powers:
+        return zero(q.n_vars, q.cutoff)
+    weights = [generalized_binomial(lam, k) for k in range(1, len(powers) + 1)]
+    return linear_combination(powers, weights)
 
 
 def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
@@ -407,11 +399,6 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
         vals.append(f)
         levels.append(_mirror(p, q, f))
     return _frozen(n.n_vars, n.cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
-
-
-def log_one_minus(q: HermitianSeries) -> HermitianSeries:
-    """-log(1 - Q) truncated."""
-    return _expand_in_powers(q, lambda k: 1.0 / k)
 
 
 def _reindex(series: HermitianSeries, n_vars: int, cutoff: int) -> HermitianSeries:

@@ -186,30 +186,28 @@ def test_normalization_rejects_pure_terms():
 # --- graded blocks ---------------------------------------------------------------
 
 
-def test_rank_one_blocks_are_unit_scalars():
+def test_rank_one_blocks_are_unit_scalars(dense_blocks):
     dom = wk.catalog("CH", 1)
-    cm = wk.calabi_matrix(dom, 1.0, 4)
-    assert [b.dim for b in cm.blocks] == [1, 1, 1, 1]
-    for b in cm.blocks:
-        assert b.dense()[0, 0] == pytest.approx(1.0, rel=1e-14)
+    blocks = dense_blocks(wk.bergman_diastasis_series(dom, 1.0, 4))
+    assert [len(b) for b in blocks.values()] == [1, 1, 1, 1]
+    for b in blocks.values():
+        assert b[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
-def test_block_one_is_lambda_identity():
+def test_block_one_is_lambda_identity(dense_blocks):
     dom = wk.catalog("I", 2, 2)
-    cm = wk.calabi_matrix(dom, 0.8, 2)
-    b1 = cm.blocks[0]
-    assert b1.degree == 1 and b1.dim == 4
-    assert np.allclose(b1.dense(), 0.8 * np.eye(4), atol=1e-14)
+    b1 = dense_blocks(wk.bergman_diastasis_series(dom, 0.8, 2))[1]
+    assert b1.shape == (4, 4)
+    assert np.allclose(b1, 0.8 * np.eye(4), atol=1e-14)
 
 
-def test_degree2_block_matches_exact_oracle():
+def test_degree2_block_matches_exact_oracle(dense_blocks):
     dom = wk.catalog("I", 2, 2)
     for lam in (Fraction(1, 2), Fraction(3, 4), Fraction(2)):
-        cm = wk.calabi_matrix(dom, float(lam), 2)
-        b2 = cm.blocks[1]
-        assert b2.degree == 2 and b2.dim == 10
-        assert np.max(np.abs(b2.dense() - oracle_matrix(lam))) <= 1e-13
-        got = np.linalg.eigvalsh(b2.dense())
+        b2 = dense_blocks(wk.bergman_diastasis_series(dom, float(lam), 2))[2]
+        assert b2.shape == (10, 10)
+        assert np.max(np.abs(b2 - oracle_matrix(lam))) <= 1e-13
+        got = np.linalg.eigvalsh(b2)
         assert got == pytest.approx(oracle_eigenvalues(lam), abs=1e-12)
 
 
@@ -376,11 +374,10 @@ def test_scan_rows_structure():
 # --- weight components against the dense eigensolve ---------------------------------
 
 
-def _dense_block_verdicts(cm, tol_abs=1e-10, tol_rel=1e-9):
+def _dense_block_verdicts(blocks, tol_abs=1e-10, tol_rel=1e-9):
     """Reference: one dense eigh per graded block, the pre-component verdict."""
     out = []
-    for block in cm.blocks:
-        matrix = block.dense()
+    for matrix in blocks.values():
         vals = np.linalg.eigvalsh(matrix)
         scale = float(np.max(np.abs(matrix)))
         tol = max(tol_abs, tol_rel * scale)
@@ -401,24 +398,27 @@ def _dense_block_verdicts(cm, tol_abs=1e-10, tol_rel=1e-9):
         ("CH:2", (0.2, 1.0), 5),
     ],
 )
-def test_component_verdict_matches_dense_eigh(spec, lams, cutoff):
+def test_component_verdict_matches_dense_eigh(spec, lams, cutoff, dense_blocks):
     dom = wk.parse_domain(spec)
     for lam in lams:
-        cm = wk.calabi_matrix(dom, lam, cutoff)
-        v = wk.psd_verdict(cm)
-        dense = _dense_block_verdicts(cm)
+        s = wk.bergman_diastasis_series(dom, lam, cutoff)
+        v = wk.psd_verdict(wk.graded_blocks(s))
+        blocks = dense_blocks(s)
+        dense = _dense_block_verdicts(blocks)
         assert v.psd == all(min_eig >= -bv.tol for (min_eig, _, _), bv in zip(dense, v.per_block))
         assert v.psd == wk.wallach_contains(dom, lam)
-        for bv, block, (min_eig, rank, scale) in zip(v.per_block, cm.blocks, dense):
+        assert [bv.degree for bv in v.per_block] == list(blocks)
+        for bv, block, (min_eig, rank, scale) in zip(v.per_block, blocks.values(), dense):
             assert bv.rank == rank, (spec, lam, bv.degree)
+            assert bv.tol == max(1e-10, 1e-9 * scale)
             assert abs(bv.min_eigenvalue - min_eig) <= 1e-13 * max(scale, 1e-300)
-            assert bv.dim == block.dim
+            assert bv.dim == len(block)
             assert 1 <= bv.largest_component <= bv.dim
             assert bv.components >= bv.dim / bv.largest_component
             if bv.witness is not None:
                 w = bv.witness
                 assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-                residual = block.dense() @ w - bv.min_eigenvalue * w
+                residual = block @ w - bv.min_eigenvalue * w
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
@@ -435,3 +435,18 @@ def test_i33_cutoff7_blocks_and_verdict_stay_sparse():
     assert not verdict.psd
     assert verdict.per_block[-1].dim == 6435
     assert peak < 32 * 2**20
+
+
+def test_verdict_runs_one_eigh_per_component_size(monkeypatch):
+    # III:3 at cutoff 7 has 42 (degree, component size) pairs but 14 sizes.
+    cm = wk.calabi_matrix(wk.parse_domain("III:3"), 0.75, 7)
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    wk.psd_verdict(cm)
+    assert len(sizes) == len(set(sizes)) == 14

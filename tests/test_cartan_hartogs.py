@@ -328,6 +328,16 @@ def test_einstein_jet_exact_at_einstein_mu(base_spec):
         assert residual2 <= 1e-9
 
 
+def test_einstein_jet_on_i44_base():
+    # The jet comes from the 209 terms of N's Hermitian squares on I:4,4, not
+    # from the 4845 monomials of N; one point keeps the test short.
+    ch = wk.parse_ch_spec("CHD(I:4,4;mu=einstein)")
+    zw = wk.ch_sample(ch, np.random.default_rng(7), z_radius_cap=0.6, w_fiber_cap=0.8)
+    k, residual = wk.einstein_residual(ch, zw)
+    assert abs(k + 18.0) <= 1e-9
+    assert residual <= 1e-9
+
+
 def test_einstein_jet_detects_non_einstein_mu():
     ch = wk.parse_ch_spec("CHD(I:2,2;mu=1)")
     zw = wk.ch_sample(ch, np.random.default_rng(12), z_radius_cap=0.3, w_fiber_cap=0.35)

@@ -252,7 +252,7 @@ def test_calabi_block_budget_exits_one(capsys):
 
 def test_einstein_over_memory_limit_exits_one(capsys):
     started = time.monotonic()
-    code, out, err = run(capsys, "einstein", "CHD(I:5,5;mu=einstein)", "--points", "1")
+    code, out, err = run(capsys, "einstein", "CHD(I:6,6;mu=einstein)", "--points", "1")
     assert time.monotonic() - started < 1.0
     assert code == 1
     assert out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
+from wallachkit import gram
 from wallachkit.gram import BranchError, _minimize_witness, _witness_threshold, min_gram_eigenvalue
 
 
@@ -139,12 +140,12 @@ def test_witness_rule_is_relative_to_largest_entry():
     h, _ = wk.gram_matrix(dom, 5.0, pts)
     scale = np.abs(h).max()
     assert scale > 10.0
-    assert _witness_threshold(h, 1e-6) == -1e-6 * scale
+    assert _witness_threshold(h) == -1e-6 * scale
     # below unit scale the threshold stays absolute
-    assert _witness_threshold(np.eye(2) * 0.1, 1e-6) == -1e-6
+    assert _witness_threshold(np.eye(2) * 0.1) == -1e-6
     # an overflowing Gram matrix has no finite threshold
-    assert not np.isfinite(_witness_threshold(np.array([[np.inf, 1.0], [1.0, 1.0]]), 1e-6))
-    assert not np.isfinite(_witness_threshold(np.array([[np.nan, 1.0], [1.0, 1.0]]), 1e-6))
+    assert not np.isfinite(_witness_threshold(np.array([[np.inf, 1.0], [1.0, 1.0]])))
+    assert not np.isfinite(_witness_threshold(np.array([[np.nan, 1.0], [1.0, 1.0]])))
 
 
 def test_search_empty_handed_rank_one():
@@ -179,7 +180,7 @@ def test_search_decisions_pinned(spec, lam, seed, expected):
         assert res.report.min_eigenvalue == pytest.approx(-6.520963610356445e-05, abs=1e-12)
 
 
-def test_minimize_witness_matches_reevaluation():
+def test_minimize_witness_matches_reevaluation(monkeypatch):
     # reference: re-evaluate every trial configuration from scratch
     def reference(dom, lam, points, tol):
         current = list(points)
@@ -202,7 +203,8 @@ def test_minimize_witness_matches_reevaluation():
         extra = wk.sample_points(dom, 3, seed, 0.5)
         pts = np.array(list(res.report.points[:2]) + extra + list(res.report.points[2:]))
         for tol in (1e-6, 1e-5, 1e-4):
-            got = _minimize_witness(dom, lam, pts, tol)
+            monkeypatch.setattr(gram, "DEFAULT_WITNESS_TOL", tol)
+            got = _minimize_witness(dom, lam, pts)
             assert np.array_equal(got, reference(dom, lam, list(pts), tol))
 
 
@@ -277,8 +279,6 @@ def test_min_gram_eigenvalue_consistent_with_report():
 def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
     # Sign draws that all agree give the plus configuration up to a symmetry,
     # so only mixed draws earn a second structured proposal.
-    from wallachkit import gram
-
     proposals = []
     real = gram._structured_points
 
@@ -292,7 +292,7 @@ def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
     seconds = []
     for seed in range(8):
         proposals.clear()
-        gram._restart(dom, 0.5, 6, np.random.SeedSequence(seed), 2, 1e-6, 0.7, atoms)
+        gram._restart(dom, 0.5, 6, np.random.SeedSequence(seed), 2, atoms)
         assert proposals[0] == (1.0, 1.0)
         seconds.append(proposals[1:])
     assert [] in seconds and any(seconds)

@@ -28,12 +28,12 @@ from wallachkit.series import (
     add,
     embed,
     evaluate,
+    from_entries,
     from_terms,
     generalized_binomial,
     inverse_norm_power,
     inverse_power,
     linear_combination,
-    log_one_minus,
     max_abs_diff,
     power_sequence,
     product,
@@ -230,6 +230,7 @@ def test_inverse_power_unit_disk_lambda2():
 
 def test_inverse_power_lambda_zero_is_zero():
     assert inverse_power(unit_disk_q(4), 0.0).is_zero()
+    assert inverse_power(zero(2, 3), 0.6).is_zero()  # no powers at all
 
 
 def test_inverse_power_lambda_one_geometric():
@@ -267,17 +268,6 @@ def test_inverse_norm_power_rejects_other_series(terms):
         inverse_norm_power(from_terms(1, 3, terms), 0.5)
 
 
-def test_log_one_minus_mercator():
-    got = diag_coeffs(log_one_minus(unit_disk_q(4)))
-    oracle = mercator_oracle(5)
-    for k in range(5):
-        assert got[k] == pytest.approx(float(oracle[k]), rel=1e-14, abs=1e-300)
-
-
-def test_log_one_minus_zero_input():
-    assert log_one_minus(zero(2, 3)).is_zero()
-
-
 def test_exp_log_round_trip_against_oracle():
     # inverse_power(Q, 1/2) + 1 must equal exp((1/2) log(1/(1-x))) coefficientwise
     lam = Fraction(1, 2)
@@ -309,7 +299,7 @@ def test_exponent_additivity_on_catalog_norm():
 def test_operations_preserve_hermitian_symmetry():
     dom = wk.catalog("III", 2)
     q = one_minus_norm(dom, 3)
-    for s in (product(q, q), inverse_power(q, 0.6), log_one_minus(q)):
+    for s in (product(q, q), inverse_power(q, 0.6)):
         full = {(j, k): v for j, k, v in s.items_full()}
         for (j, k), v in full.items():
             assert full[(k, j)] == v
@@ -437,40 +427,33 @@ def _off_grade(n_vars, cutoff, values):
     return from_terms(n_vars, cutoff, {(last[i + 1], last[i + 2]): v for i, v in enumerate(values)})
 
 
-def _dense_blocks(s):
-    b = s.basis
-    mats = {}
-    for d in range(1, s.cutoff + 1):
-        sl = b.degree_slice(d)
-        mats[d] = np.zeros((sl.stop - sl.start, sl.stop - sl.start))
-    for j, k, v in s.items_full():
-        dj, dk = b[j].degree, b[k].degree
-        if dj == dk and dj >= 1:
-            o = b.degree_slice(dj).start
-            mats[dj][j - o, k - o] = v
-    return mats
-
-
 @pytest.mark.parametrize("n_vars, cutoff, seed", [(1, 6, 0), (2, 4, 1), (3, 4, 2), (4, 3, 3)])
-def test_graded_blocks_match_dense_reference(n_vars, cutoff, seed):
+def test_graded_blocks_match_dense_reference(n_vars, cutoff, seed, dense_blocks):
     graded = _random_graded(np.random.default_rng(seed), n_vars, cutoff, 60)
     limit = GRADING_REL_TOL * graded.max_abs()
     under = limit * (1 - 1e-6)
     s = add(graded, _off_grade(n_vars, cutoff, [under, -under / 3]))
     cm = graded_blocks(s)
-    dense = _dense_blocks(s)
-    assert [blk.degree for blk in cm.blocks] == list(range(1, cutoff + 1))
-    for blk in cm.blocks:
-        assert blk.dim == len(dense[blk.degree])
-        assert np.array_equal(blk.dense(), dense[blk.degree])
+    dense = dense_blocks(s)
+    kept = dense_blocks(from_entries(cm.n_vars, cm.cutoff, cm.rows, cm.cols, cm.values))
+    assert list(kept) == list(range(1, cutoff + 1))
+    for degree, block in kept.items():
+        assert np.array_equal(block, dense[degree])
     # The random patterns give weight components of arbitrary shape; the
     # component eigensolve must match one dense eigh per block.
-    for blk, bv in zip(cm.blocks, psd_verdict(cm).per_block):
-        vals = np.linalg.eigvalsh(dense[blk.degree])
-        scale = float(np.max(np.abs(dense[blk.degree])))
+    verdict = psd_verdict(cm)
+    assert [bv.degree for bv in verdict.per_block] == list(dense)
+    for block, bv in zip(dense.values(), verdict.per_block):
+        vals = np.linalg.eigvalsh(block)
+        scale = float(np.max(np.abs(block)))
+        assert bv.dim == len(block)
         assert bv.tol == max(DEFAULT_TOL_ABS, DEFAULT_TOL_REL * scale)
         assert abs(bv.min_eigenvalue - vals[0]) <= 1e-13 * scale
         assert bv.rank == np.count_nonzero(vals > bv.tol)
+        if bv.witness is not None:
+            w = bv.witness
+            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+            assert np.max(np.abs(block @ w - bv.min_eigenvalue * w)) <= 1e-12 * scale
     assert cm.off_grade_max == under
     assert cm.max_abs_coeff == graded.max_abs()
     with pytest.raises(GradingError):
