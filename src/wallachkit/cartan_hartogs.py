@@ -350,6 +350,19 @@ def _norm_jet(base: DomainModel, point: np.ndarray) -> np.ndarray:
     return np.einsum("tg,td->gd", signs[:, None] * jets, jets.conj())
 
 
+def _in_frame(t: np.ndarray, frames: tuple[np.ndarray, ...]) -> np.ndarray:
+    """t with axis k transformed by frames[k]: sum t[a, b, ..] f0[a, i] f1[b, j] ...
+
+    One small matrix product per axis, each followed by a rotation of the
+    axes, so the cost is n^(order + 1) rather than that of the Kronecker
+    products of the frames.
+    """
+    rotate = (t.ndim - 1, *range(t.ndim - 1))  # the last axis to the front
+    for f in reversed(frames):
+        t = (t @ f).transpose(rotate)
+    return t
+
+
 def einstein_residual(
     ch: CHDomain,
     point: np.ndarray,
@@ -407,16 +420,20 @@ def einstein_residual(
     # drops out of the formula.  Near the boundary the two traces nearly
     # cancel; in the original coordinates that cost k two to three digits.
     frame = np.linalg.inv(chol).T
-    pair = np.kron(frame, frame)
-    # In the new frame: [(a, c), b] = d_c g_{a bbar};
-    # [a, (b, d)] = dbar_d g_{a bbar};  [(a, c), (b, d)] = d_c dbar_d g_{a bbar}
-    dg = np.einsum("pi,pb,bk->ik", pair, fact[:, None] * pot[np.ix_(second, first)], frame.conj())
-    dbar_g = np.einsum("ai,aq,qj->ij", frame, pot[np.ix_(first, second)] * fact, pair.conj())
-    ddbar_g = np.outer(fact, fact) * pot[np.ix_(second, second)]
-    ddbar_g = np.einsum("pi,pj->ij", pair, np.einsum("pq,qj->pj", ddbar_g, pair.conj()))
-    ric = np.einsum("acb,bad->cd", dg.reshape(n, n, n), dbar_g.reshape(n, n, n)) - np.einsum(
-        "acad->cd", ddbar_g.reshape(n, n, n, n)
+    # In the new frame: dg[a, c, b] = d_c g_{a bbar}; dbar_g[a, b, d] = dbar_d g_{a bbar};
+    # ddbar_g[a, c, b, d] = d_c dbar_d g_{a bbar}.  frame acts on each holomorphic
+    # index, its conjugate on each antiholomorphic one.
+    dg = _in_frame(
+        (fact[:, None] * pot[np.ix_(second, first)]).reshape(n, n, n), (frame, frame, frame.conj())
     )
+    dbar_g = _in_frame(
+        (pot[np.ix_(first, second)] * fact).reshape(n, n, n), (frame, frame.conj(), frame.conj())
+    )
+    ddbar_g = _in_frame(
+        (np.outer(fact, fact) * pot[np.ix_(second, second)]).reshape(n, n, n, n),
+        (frame, frame, frame.conj(), frame.conj()),
+    )
+    ric = np.einsum("acb,bad->cd", dg, dbar_g) - np.einsum("acad->cd", ddbar_g)
     k = float(np.trace(ric).real) / n
     # Ric - k g, back in the original coordinates.
     residual = float(np.max(np.abs(chol @ (ric - k * np.eye(n)) @ chol.conj().T)))

@@ -166,26 +166,35 @@ def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """k x l matrix of N(x_a, ybar_b) for point stacks xs (k, d) and ys (l, d).
+def _batch_last(z: np.ndarray) -> np.ndarray:
+    """A (..., k, n, m) matrix stack as a (k, n, m, ...) C-contiguous copy."""
+    lead = z.ndim - 3
+    return np.ascontiguousarray(np.moveaxis(z, range(lead), range(-lead, 0)))
 
-    Types I and III stack every I - Z_a Z_b* (for symmetric Z_b that is
-    I - Z_a Zbar_b) and take one stacked determinant; IV and CH are closed
-    forms in the inner products <x_a, ybar_b>.  The contractions use einsum:
-    on stacks this small a threaded BLAS matmul is far slower.
+
+def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(..., k, l) matrices of N(x_a, ybar_b) for point stacks xs (..., k, d) and ys (..., l, d).
+
+    Leading axes are batch axes.  Types I and III stack every I - Z_a Z_b*
+    (for symmetric Z_b that is I - Z_a Zbar_b) and take one stacked
+    determinant; IV and CH are closed forms in the inner products
+    <x_a, ybar_b>.  The contractions use einsum: on stacks this small a
+    threaded BLAS matmul is far slower.  The matrix stacks are copied with
+    their batch axes last in memory, so einsum's inner loop runs over the
+    batch instead of the tiny matrix axes; every sum is formed as before.
     """
     if dom.kind in ("I", "III"):
-        zx = _as_matrix(dom, xs)
-        zy = _as_matrix(dom, ys).conj()
-        eye = np.eye(zx.shape[-2])
-        return np.linalg.det(eye - np.einsum("aij,bkj->abik", zx, zy))
+        zx = _batch_last(_as_matrix(dom, xs))
+        zy = _batch_last(_as_matrix(dom, ys).conj())
+        eye = np.eye(zx.shape[1])
+        return np.linalg.det(eye - np.einsum("aij...,bkj...->...abik", zx, zy))
     x = _coordinates(dom, xs)
     yb = _coordinates(dom, ys).conj()
-    inner = np.einsum("ai,bi->ab", x, yb)
+    inner = np.einsum("...ai,...bi->...ab", x, yb)
     if dom.kind == "IV":
-        xx = np.einsum("ai,ai->a", x, x)
-        yy = np.einsum("bi,bi->b", yb, yb)
-        return 1.0 - 2.0 * inner + xx[:, None] * yy[None, :]
+        xx = np.einsum("...ai,...ai->...a", x, x)
+        yy = np.einsum("...bi,...bi->...b", yb, yb)
+        return 1.0 - 2.0 * inner + xx[..., :, None] * yy[..., None, :]
     return 1.0 - inner  # CH
 
 

@@ -23,16 +23,18 @@ moment, so the configuration starts inside or near the negative cone and a
 short local descent does the rest.  Pure random restarts stay in the mix
 so the search remains honest on domains where no guidance is available.
 
-Each evaluation is batched: a configuration is one (k, d) array, its norm
-matrix comes from a single stacked evaluation (domains.norm_matrix) and its
-membership from a single stacked gauge.  Restarts run one after another in
-the calling thread; the objective is a few small numpy calls, so a thread
-pool would only add contention for the interpreter lock.
+Evaluations are batched: a configuration is one (k, d) array, and a stack
+of them gets its norm matrices from one evaluation (domains.norm_matrix),
+its membership from one stacked gauge and its spectra from one eigvalsh.
+Restart 0 runs alone; the remaining restarts then advance in lockstep, each
+step evaluating every restart still running in one stacked objective.  Each
+restart keeps its own generator and makes the same draws as it would alone,
+so the result, the first restart in order that finds a witness, does not
+depend on the grouping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,32 +81,38 @@ def gram_matrix(
     lam: float,
     points: Sequence[np.ndarray] | np.ndarray,
     require_branch: bool = True,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool | np.ndarray]:
     """Hermitian matrix of N(x_a, x_b)^(-lambda) values and the branch flag.
 
-    points is a (k, d) array or a sequence of k points.  Entries come from a
-    single principal-log evaluation of the upper triangle of the stacked norm
-    matrix, mirrored by conjugation, so Hermitian symmetry is exact and the
-    diagonal is real.  With require_branch a branch violation raises
-    BranchError naming the first offending pair in row-major order.
+    points is a (k, d) array or a sequence of k points; a (..., k, d) stack
+    of configurations gives (..., k, k) matrices and one flag per
+    configuration.  Entries come from a single principal-log evaluation of
+    the upper triangle of the stacked norm matrix, mirrored by conjugation,
+    so Hermitian symmetry is exact and the diagonal is real.  With
+    require_branch a branch violation raises BranchError naming the first
+    offending pair in row-major order (of the first offending configuration).
     """
     pts = np.asarray(points, dtype=np.complex128)
-    rows, cols = upper_triangle(len(pts))
-    nv = norm_matrix(dom, pts, pts)[rows, cols]
+    k = pts.shape[-2]
+    rows, cols = upper_triangle(k)
+    nv = norm_matrix(dom, pts, pts)[..., rows, cols]
     bad = nv.real <= 0.0
-    branch_ok = not bad.any()
-    if require_branch and not branch_ok:
-        i = int(np.argmax(bad))
+    branch_ok = ~bad.any(axis=-1)
+    if require_branch and not branch_ok.all():
+        config, i = divmod(int(np.argmax(bad)), len(rows))
+        where = f" of configuration {config}" if pts.ndim > 2 else ""
         raise BranchError(
-            f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}): N = {complex(nv[i])}"
+            f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}){where}: "
+            f"N = {complex(nv.reshape(-1, len(rows))[config, i])}"
         )
     values = np.exp(-lam * np.log(nv))
-    h = np.empty((len(pts), len(pts)), dtype=np.complex128)
-    h[cols, rows] = values.conj()
-    h[rows, cols] = values
+    h = np.empty(pts.shape[:-2] + (k, k), dtype=np.complex128)
+    h[..., cols, rows] = values.conj()
+    h[..., rows, cols] = values
     # mathematically real; drop evaluation noise in the imaginary part
-    np.fill_diagonal(h, values[rows == cols].real)
-    return h, branch_ok
+    diag = np.arange(k)
+    h[..., diag, diag] = values[..., rows == cols].real
+    return h, (bool(branch_ok) if branch_ok.ndim == 0 else branch_ok)
 
 
 def min_gram_eigenvalue(
@@ -117,12 +125,12 @@ def min_gram_eigenvalue(
     return float(np.linalg.eigvalsh(h)[0]), branch_ok
 
 
-def _witness_threshold(h: np.ndarray) -> float:
+def _witness_threshold(h: np.ndarray) -> float | np.ndarray:
     """A configuration is a witness when its min eigenvalue is below
     -DEFAULT_WITNESS_TOL * max(1, max |H_ab|): the eigensolver's rounding grows with
     the entries, which N^(-lambda) can push far past 1.  Non-finite entries
-    give a non-finite threshold (max(nan, 1.0) is nan)."""
-    return -DEFAULT_WITNESS_TOL * max(float(np.abs(h).max()), 1.0)
+    give a non-finite threshold.  A (..., k, k) stack gives one per matrix."""
+    return -DEFAULT_WITNESS_TOL * np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
 
 
 def gram_report(
@@ -144,7 +152,7 @@ def gram_report(
         tuple(np.asarray(p, dtype=np.complex128) for p in points),
         float(lam),
         min_eig,
-        min_eig >= _witness_threshold(h),
+        bool(min_eig >= _witness_threshold(h)),
         branch_ok,
     )
 
@@ -220,81 +228,133 @@ def _structured_points(
     return np.array(points)
 
 
-def _restart(
+def _objective(
+    dom: DomainModel, lam: float, configs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, min eigenvalue, witness threshold) of each configuration in an
+    (m, k, d) stack.  A branch violation or an overflow makes a configuration
+    invalid; the valid ones share one stacked eigvalsh."""
+    h, branch_ok = gram_matrix(dom, lam, configs, require_branch=False)
+    threshold = _witness_threshold(h)
+    valid = branch_ok & np.isfinite(threshold)
+    low = np.full(len(configs), np.nan)
+    if valid.any():
+        low[valid] = np.linalg.eigvalsh(h[valid])[:, 0]
+    return valid, low, threshold
+
+
+def _lockstep(
     dom: DomainModel,
     lam: float,
     n_points: int,
-    seed_seq: np.random.SeedSequence,
-    eval_budget: int,
-    atoms: Sequence[tuple[int, int, float]] | None,
-) -> tuple[np.ndarray | None, float, int]:
-    """One seeded restart: propose, then descend on the minimum eigenvalue.
+    seeds: Sequence[np.random.SeedSequence],
+    guidance: Sequence[Sequence[tuple[int, int, float]] | None],
+    eval_cap: int,
+) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+    """Seeded restarts advanced together: propose, then descend on the minimum eigenvalue.
 
-    Configurations are (n_points, d) arrays.  Returns (winning points or
-    None, best min eigenvalue, evals used).
+    Restart j draws from its own generator on seeds[j], with atoms
+    guidance[j] (None: random start), and spends at most eval_cap
+    evaluations; its draws and decisions do not depend on the others.  Each
+    stage and each descent step evaluates every restart's configuration in
+    one stacked objective.  A restart finishes when its cap is spent, its
+    best value is below its threshold (a witness), an objective is invalid
+    or its steps run out; restarts after the first one holding a witness are
+    dropped, since they can no longer win.  Returns (evals per restart,
+    index of the first restart with a witness or None, its points).
     """
-    rng = np.random.default_rng(seed_seq)
-    evals = 0
+    n = len(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    evals = np.zeros(n, dtype=np.int64)
+    points = np.empty((n, n_points, dom.d), dtype=np.complex128)
+    best = np.full(n, np.nan)  # nan until a restart holds a valid configuration
+    threshold = np.full(n, np.nan)
+    live = np.ones(n, dtype=bool)
 
-    def objective(pts: np.ndarray) -> tuple[float, float] | None:
-        nonlocal evals
-        if evals >= eval_budget:
-            return None
-        evals += 1
-        h, branch_ok = gram_matrix(dom, lam, pts, require_branch=False)
-        threshold = _witness_threshold(h)
-        # A branch violation or an overflow makes the configuration invalid.
-        if not branch_ok or not math.isfinite(threshold):
-            return None
-        return float(np.linalg.eigvalsh(h)[0]), threshold
-
-    points: np.ndarray | None = None
-    best: float | None = None
-    if atoms is not None:
+    # Structured proposals, in order per restart: plus, then flipped signs.
+    owners: list[int] = []
+    proposals: list[np.ndarray] = []
+    for j, (rng, atoms) in enumerate(zip(rngs, guidance)):
+        if atoms is None:
+            continue
         scale = DEFAULT_RADIUS_CAP * rng.uniform(0.25, 0.72)
         plus = tuple(1.0 for _ in atoms)
         flipped = tuple(float(rng.choice((-1.0, 1.0))) for _ in atoms)
         # Draws that all agree give plus again, up to a symmetry of the domain.
         for signs in (plus,) if len(set(flipped)) == 1 else (plus, flipped):
-            pts = _structured_points(dom, atoms, n_points, rng, scale, signs)
-            if not contains(dom, pts).all():
-                continue
-            spectrum = objective(pts)
-            if spectrum is not None and (best is None or spectrum[0] < best):
-                points, (best, threshold) = pts, spectrum
-    if points is None or best is None:
-        points = np.array([sample(dom, rng, DEFAULT_RADIUS_CAP) for _ in range(n_points)])
-        spectrum = objective(points)
-        if spectrum is None:
-            return None, 0.0, evals
-        best, threshold = spectrum
-    sigma = _SIGMA_INITIAL
+            owners.append(j)
+            proposals.append(_structured_points(dom, atoms, n_points, rng, scale, signs))
+    stack = np.array(proposals).reshape(-1, n_points, dom.d)
+    inside = contains(dom, stack).all(axis=-1)
+    due = []
+    for c, j in enumerate(owners):
+        if inside[c] and evals[j] < eval_cap:
+            evals[j] += 1
+            due.append(c)
+    if due:
+        valid, low, thr = _objective(dom, lam, stack[due])
+        for c, ok, val, t in zip(due, valid, low, thr):
+            j = owners[c]
+            if ok and (np.isnan(best[j]) or val < best[j]):
+                points[j], best[j], threshold[j] = stack[c], val, t
+
+    # Random starts where no structured proposal was valid.
+    start = np.flatnonzero(np.isnan(best))
+    for j in start:
+        points[j] = np.array([sample(dom, rngs[j], DEFAULT_RADIUS_CAP) for _ in range(n_points)])
+    start = start[evals[start] < eval_cap]
+    if len(start):
+        evals[start] += 1
+        valid, best[start], threshold[start] = _objective(dom, lam, points[start])
+        live[start[~valid]] = False
+
+    sigma = np.full(n, _SIGMA_INITIAL)
     for _ in range(4 * _DESCENT_STEPS):
-        if evals >= eval_budget or best < threshold:
+        witness = best < threshold
+        live &= (evals < eval_cap) & ~witness
+        if witness.any():  # restarts after the first witness can no longer win
+            live[np.argmax(witness) :] = False
+        owners_now = np.flatnonzero(live)
+        if not len(owners_now):
             break
-        if rng.random() < 0.7:
-            candidate = points + sigma * (
-                rng.standard_normal(points.shape) + 1j * rng.standard_normal(points.shape)
-            )
-        else:
-            candidate = points.copy()
-            pi = int(rng.integers(n_points))
-            candidate[pi] += sigma * (
-                rng.standard_normal(dom.d) + 1j * rng.standard_normal(dom.d)
-            )
-        if not contains(dom, candidate).all():
+        # Each restart draws its own step; the arithmetic is stacked.
+        shape = (len(owners_now), n_points, dom.d)
+        re, im = np.zeros(shape), np.zeros(shape)
+        whole = np.zeros(len(owners_now), dtype=bool)
+        moved = np.zeros(len(owners_now), dtype=np.int64)
+        for c, j in enumerate(owners_now):
+            rng = rngs[j]
+            if rng.random() < 0.7:
+                whole[c] = True
+                rng.standard_normal(out=re[c])
+                rng.standard_normal(out=im[c])
+            else:
+                moved[c] = pi = rng.integers(n_points)
+                rng.standard_normal(out=re[c, pi])
+                rng.standard_normal(out=im[c, pi])
+        noise = sigma[owners_now, None, None] * (re + 1j * im)
+        candidates = points[owners_now]
+        candidates[whole] += noise[whole]
+        one = np.flatnonzero(~whole)
+        candidates[one, moved[one]] += noise[one, moved[one]]
+        inside = contains(dom, candidates).all(axis=-1)
+        owners_now, candidates = owners_now[inside], candidates[inside]
+        if not len(owners_now):
             continue
-        spectrum = objective(candidate)
-        if spectrum is None:
-            break
-        if spectrum[0] < best:
-            points, (best, threshold) = candidate, spectrum
-            sigma = min(sigma * _SIGMA_GROW, _SIGMA_MAX)
-        else:
-            sigma = max(sigma * _SIGMA_SHRINK, _SIGMA_MIN)
-    if best < threshold:
-        return points, best, evals
-    return None, best, evals
+        evals[owners_now] += 1
+        valid, low, thr = _objective(dom, lam, candidates)
+        live[owners_now[~valid]] = False
+        better = valid & (low < best[owners_now])
+        worse = valid & ~better
+        gain = owners_now[better]
+        points[gain], best[gain], threshold[gain] = candidates[better], low[better], thr[better]
+        sigma[gain] = np.minimum(sigma[gain] * _SIGMA_GROW, _SIGMA_MAX)
+        sigma[owners_now[worse]] = np.maximum(sigma[owners_now[worse]] * _SIGMA_SHRINK, _SIGMA_MIN)
+    witness = best < threshold
+    if not witness.any():
+        return evals, None, None
+    first = int(np.argmax(witness))
+    return evals, first, points[first]
 
 
 def _minimize_witness(
@@ -334,12 +394,15 @@ def search_violation(
     """Guided random-restart search for a non-PSD Gram configuration.
 
     budget counts Gram evaluations across all restarts; each restart spends
-    at most 2 + 50 of them.  Two out of three restarts start from a
-    configuration aimed at a negative degree-2 eigendirection when one
-    exists; the rest start from random samples.  Restarts run in order, each
-    from its own spawned seed, and the search stops at the first restart
-    that finds a witness, so a (seed, budget) pair always gives the same
-    result.  Absence of a witness is a valid outcome.
+    at most min(2 + 50, budget) of them.  Two out of three restarts start
+    from a configuration aimed at a negative degree-2 eigendirection when
+    one exists; the rest start from random samples.  Each restart draws
+    from its own spawned seed.  Restart 0 runs alone, then the others run
+    in lockstep, one stacked objective per step (see _lockstep).  The result
+    is the first restart in order that finds a witness, and the evaluations
+    and restarts counted are those up to and including it, so a
+    (seed, budget) pair always gives the same result.  Absence of a witness
+    is a valid outcome.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -349,24 +412,24 @@ def search_violation(
     n_restarts = max(1, budget // per_restart)
     seeds = np.random.SeedSequence(seed).spawn(n_restarts)
     atoms = _quadratic_atoms(dom, lam)
+    guidance = [atoms if i % 3 != 2 else None for i in range(n_restarts)]
 
     evals_total = 0
-    winner: np.ndarray | None = None
-    restarts_used = 0
-    for i in range(n_restarts):
-        guided = atoms if i % 3 != 2 else None
+    for lo, hi in ((0, 1), (1, n_restarts)):
+        if lo >= hi:
+            break
         # Gram entries that overflow make a configuration invalid, not a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            winner, _, evals = _restart(dom, lam, n_points, seeds[i], per_restart, guided)
-        evals_total += evals
-        restarts_used = i + 1
-        if winner is not None or evals_total >= budget:
-            break
-    if winner is None:
-        return SearchResult(False, None, seed, restarts_used, evals_total)
-    winner = _minimize_witness(dom, lam, winner)
-    report = gram_report(dom, lam, winner)
-    return SearchResult(True, report, seed, restarts_used, evals_total)
+            evals, first, winner = _lockstep(
+                dom, lam, n_points, seeds[lo:hi], guidance[lo:hi], min(per_restart, budget)
+            )
+        if first is not None:
+            evals_total += int(evals[: first + 1].sum())
+            winner = _minimize_witness(dom, lam, winner)
+            report = gram_report(dom, lam, winner)
+            return SearchResult(True, report, seed, lo + first + 1, evals_total)
+        evals_total += int(evals.sum())
+    return SearchResult(False, None, seed, n_restarts, evals_total)
 
 
 # --- witness serialization ----------------------------------------------------

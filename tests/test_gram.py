@@ -167,17 +167,21 @@ def test_search_deterministic():
 @pytest.mark.parametrize(
     "spec, lam, seed, expected",
     [
-        ("IV:3", 0.3, 4, (True, 27, 1)),  # a gap, found after a short descent
-        ("I:2,2", 1.0, 5, (False, 468, 9)),  # Wallach members spend the budget
-        ("III:3", 1.0, 5, (False, 468, 9)),
-        ("IV:5", 3.0, 5, (False, 468, 9)),
+        # (found, evals_used, restarts_used, min_eigenvalue of a witness)
+        ("IV:3", 0.3, 4, (True, 27, 1, -6.520963610356445e-05)),  # found after a short descent
+        ("I:2,2", 1.0, 5, (False, 468, 9, None)),  # Wallach members spend the budget
+        ("III:3", 1.0, 5, (False, 468, 9, None)),
+        ("IV:5", 3.0, 5, (False, 468, 9, None)),
+        ("I:3,3", 1.5, 5, (False, 468, 9, None)),  # a gap the search misses
+        ("III:2", 0.25, 5, (True, 1, 1, -2.5096333323175175e-04)),  # found by the first proposal
+        ("CH:2", 0.5, 5, (False, 468, 9, None)),
     ],
 )
 def test_search_decisions_pinned(spec, lam, seed, expected):
     res = wk.search_violation(wk.parse_domain(spec), lam, budget=500, seed=seed)
-    assert (res.found, res.evals_used, res.restarts_used) == expected
+    assert (res.found, res.evals_used, res.restarts_used) == expected[:3]
     if res.found:
-        assert res.report.min_eigenvalue == pytest.approx(-6.520963610356445e-05, abs=1e-12)
+        assert res.report.min_eigenvalue == pytest.approx(expected[3], abs=1e-12)
 
 
 def test_minimize_witness_matches_reevaluation(monkeypatch):
@@ -292,8 +296,51 @@ def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
     seconds = []
     for seed in range(8):
         proposals.clear()
-        gram._restart(dom, 0.5, 6, np.random.SeedSequence(seed), 2, atoms)
+        gram._lockstep(dom, 0.5, 6, [np.random.SeedSequence(seed)], [atoms], 2)
         assert proposals[0] == (1.0, 1.0)
         seconds.append(proposals[1:])
     assert [] in seconds and any(seconds)
     assert all(len(set(s[0])) == 2 for s in seconds if s)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 51])
+def test_search_honours_a_budget_below_one_restart(budget):
+    res = wk.search_violation(wk.catalog("I", 2, 2), 1.5, budget=budget, seed=0)
+    assert not res.found
+    assert 1 <= res.evals_used <= budget
+
+
+def test_member_search_makes_one_stacked_eigensolve_per_step(monkeypatch):
+    # 1976 evaluations in 38 restarts: restart 0 alone, then the other 37 in
+    # lockstep, about 52 steps each, so about a hundred eigvalsh calls
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(h):
+        calls.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    res = wk.search_violation(wk.catalog("I", 2, 2), 1.0, budget=2000, seed=5)
+    assert (res.found, res.evals_used, res.restarts_used) == (False, 1976, 38)
+    assert len(calls) < 300
+
+
+@pytest.mark.parametrize("spec", ["I:2,2", "III:2", "IV:3", "CH:2"])
+def test_stacked_gram_matrix_matches_single_configurations(spec):
+    dom = wk.parse_domain(spec)
+    stack = np.array([wk.sample_points(dom, 6, seed, 0.9) for seed in range(3)])
+    if spec == "I:2,2":  # one configuration violates the branch condition
+        a = 0.975 * np.exp(1j * np.pi / 6)
+        b = 0.975 * np.exp(-1j * np.pi / 6)
+        stack[1, :2] = [[a, 0, 0, a], [b, 0, 0, b]]
+    h, ok = wk.gram_matrix(dom, 0.7, stack, require_branch=False)
+    assert h.shape == (3, 6, 6) and ok.shape == (3,)
+    for config, (hc, okc) in enumerate(zip(h, ok)):
+        single, single_ok = wk.gram_matrix(dom, 0.7, stack[config], require_branch=False)
+        assert hc.tobytes() == single.tobytes()
+        assert okc == single_ok and isinstance(single_ok, bool)
+    assert list(ok) == [True, spec != "I:2,2", True]
+    if spec == "I:2,2":
+        with pytest.raises(BranchError, match=r"pair \(0, 1\) of configuration 1"):
+            wk.gram_matrix(dom, 0.7, stack)
