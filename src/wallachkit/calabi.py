@@ -8,12 +8,12 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
-The expansion has two paths, chosen by the caller's shape.  One lambda
+The expansion is the Euler-operator recurrence on N's terms.  One lambda
 (bergman_diastasis_series, and through it calabi_matrix, the Cartan-Hartogs
-assembly and the Gram guidance) runs the Euler-operator recurrence on N's
-terms and caches nothing.  A grid of lambdas (scan_lambdas) builds the
-powers of Q = 1 - N once per (domain, cutoff), caches them, and takes one
-linear combination per lambda.
+assembly and the Gram guidance) runs it directly and caches nothing.  A grid
+of lambdas (scan_lambdas) compiles it once per (domain, cutoff), with lambda
+left open, together with the spectral layout of its pattern, and replays it
+per lambda: the same numbers as the single verdicts, bit for bit.
 
 The matrix keeps the series' sorted COO entries on its graded blocks, never
 a dense array.  The kernel is invariant under the maximal torus of K
@@ -24,7 +24,9 @@ One spectral pass labels those components once over the whole matrix and
 solves each component size as one stacked eigenproblem for all degrees;
 each degree's verdict is read off its own components.  The spectrum is that
 of the dense blocks, and a degree's witness is its minimising component's
-eigenvector, zero-padded to the block.
+eigenvector, zero-padded to the block.  The labels and the scatter into the
+stacks depend on the pattern alone (a SpectralLayout), which a scan shares
+across its lambdas.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -42,7 +44,7 @@ import numpy as np
 from . import series as hs
 from .multiindex import basis
 from .series import HermitianSeries
-from .domains import DomainModel, norm_series, one_minus_norm
+from .domains import DomainModel, norm_series
 
 DEFAULT_TOL_ABS = 1e-10
 DEFAULT_TOL_REL = 1e-9
@@ -62,19 +64,6 @@ def check_tolerance(value: float) -> float:
 
 class GradingError(Exception):
     """Off-grade coefficients exceeded tolerance; input is not circular."""
-
-
-# Powers of Q = 1 - N, reused by scan_lambdas across the scales of a domain.
-_POWER_CACHE: dict[tuple[str, int], list[HermitianSeries]] = {}
-
-
-def _norm_powers(dom: DomainModel, cutoff: int) -> list[HermitianSeries]:
-    key = (dom.spec_string, cutoff)
-    powers = _POWER_CACHE.get(key)
-    if powers is None:
-        powers = hs.power_sequence(one_minus_norm(dom, cutoff))
-        _POWER_CACHE[key] = powers
-    return powers
 
 
 def bergman_diastasis_series(dom: DomainModel, lam: float, cutoff: int) -> HermitianSeries:
@@ -170,13 +159,12 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _components(m: CalabiMatrix, n: int) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern on positions 1..n-1,
-    grouped by size: one (count, size) array of positions per size, sizes
-    ascending, each component's positions ascending and the components in
-    order of their least position."""
-    rows = np.concatenate((m.rows, m.cols))
-    cols = np.concatenate((m.cols, m.rows))
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of the canonical entries
+    rows, cols on positions 1..n-1, grouped by size: one (count, size) array
+    of positions per size, sizes ascending, each component's positions
+    ascending and the components in order of their least position."""
+    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
     label = np.arange(n)
     # Label propagation with pointer jumping; label[i] <= i stays a node of
     # i's component, and at the fixpoint it is constant on each component.
@@ -192,48 +180,76 @@ def _components(m: CalabiMatrix, n: int) -> list[np.ndarray]:
     return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
-def _spectral_pass(
-    m: CalabiMatrix, tol_abs: float, tol_rel: float
-) -> tuple[tuple[BlockVerdict, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per-degree verdicts, and the spectrum as (positions, values, vectors,
-    degree bounds) per component size, from one stacked eigensolve per size.
+@dataclass(frozen=True, eq=False)
+class SpectralLayout:
+    """The value-free part of a spectral pass over a Calabi matrix's pattern.
 
-    A component never crosses degrees, as off-grade entries are dropped; the
-    components of a size are in position order, so each degree's are one run,
-    rows bounds[k]:bounds[k + 1] of the stack.
+    runs[d]:runs[d + 1] are degree d's entries.  Per component size, sizes
+    ascending: the (count, size) positions of the components, the entries
+    inside them, the flat indices of each entry and of its mirror in the
+    (count, size, size) stack, and the degree bounds (the components of a
+    size are in position order and never cross degrees, so each degree's
+    are one run, rows bounds[d]:bounds[d + 1] of the stack).
     """
-    check_tolerance(tol_abs)
-    check_tolerance(tol_rel)
-    b = basis(m.n_vars, m.cutoff)
+
+    n_vars: int
+    cutoff: int
+    runs: np.ndarray
+    parts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _spectral_layout(
+    n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray
+) -> SpectralLayout:
+    """The layout of the entries rows, cols of a CalabiMatrix (canonical,
+    sorted, on grade and of positive degree)."""
+    b = basis(n_vars, cutoff)
     degrees = b.degrees
     # Rows are sorted and the order is graded, so each degree's entries are one run.
-    runs = np.searchsorted(m.rows, np.searchsorted(degrees, np.arange(m.cutoff + 2)))
-    scale = [float(np.abs(m.values[lo:hi]).max(initial=0.0)) for lo, hi in zip(runs, runs[1:])]
-    for degree in range(1, m.cutoff + 1):
-        if not isfinite(scale[degree]):
-            raise RuntimeError(
-                f"degree-{degree} block has non-finite coefficients (max |b| = {scale[degree]})"
-            )
+    runs = np.searchsorted(rows, np.searchsorted(degrees, np.arange(cutoff + 2)))
     # Per position: the size of its component (0 until its size comes up)
     # and its row in the stack of that size, flattened to (count * size, size).
     width = np.zeros(len(b), dtype=np.int64)
     place = np.empty(len(b), dtype=np.int64)
     parts = []
-    for idx in _components(m, len(b)):
+    for idx in _components(rows, cols, len(b)):
         size = idx.shape[1]
         width[idx], place[idx.ravel()] = size, np.arange(idx.size)
-        sel = width[m.rows] == size
-        j, k = place[m.rows[sel]], place[m.cols[sel]]
-        stacked = np.zeros((idx.size, size))
-        stacked[j, k % size] = stacked[k, j % size] = m.values[sel]
+        sel = np.flatnonzero(width[rows] == size)
+        j, k = place[rows[sel]], place[cols[sel]]
+        bounds = np.searchsorted(degrees[idx[:, 0]], np.arange(cutoff + 2))
+        parts.append((idx, sel, j * size + k % size, k * size + j % size, bounds))
+    return SpectralLayout(n_vars, cutoff, runs, tuple(parts))
+
+
+def _spectral_pass(
+    layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float
+) -> tuple[tuple[BlockVerdict, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per-degree verdicts, and the spectrum as (positions, values, vectors,
+    degree bounds) per component size, from one stacked eigensolve per size
+    of the entries with the given values on the layout's pattern."""
+    check_tolerance(tol_abs)
+    check_tolerance(tol_rel)
+    runs = layout.runs
+    scale = [float(np.abs(values[lo:hi]).max(initial=0.0)) for lo, hi in zip(runs, runs[1:])]
+    for degree in range(1, layout.cutoff + 1):
+        if not isfinite(scale[degree]):
+            raise RuntimeError(
+                f"degree-{degree} block has non-finite coefficients (max |b| = {scale[degree]})"
+            )
+    parts = []
+    for idx, sel, mine, mirror, bounds in layout.parts:
+        size = idx.shape[1]
+        stacked = np.zeros(idx.size * size)
+        stacked[mine] = stacked[mirror] = values[sel]
         try:
             vals, vecs = np.linalg.eigh(stacked.reshape(idx.shape + (size,)))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed on the {size}-wide components") from exc
-        bounds = np.searchsorted(degrees[idx[:, 0]], np.arange(m.cutoff + 2))
         parts.append((idx, vals, vecs, bounds))
+    b = basis(layout.n_vars, layout.cutoff)
     verdicts = []
-    for degree in range(1, m.cutoff + 1):
+    for degree in range(1, layout.cutoff + 1):
         sl = b.degree_slice(degree)
         tol = max(tol_abs, tol_rel * scale[degree])
         worst = None  # (min eigenvalue, positions, eigenvector) of the first minimising component
@@ -265,7 +281,8 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    per_block, _ = _spectral_pass(m, tol_abs, tol_rel)
+    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
+    per_block, _ = _spectral_pass(layout, m.values, tol_abs, tol_rel)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
     return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
@@ -291,7 +308,8 @@ def extract_immersion(
     eigenvalues at or below the block tolerance are clipped to zero, so the
     component count per degree equals the block's reported rank.
     """
-    per_block, parts = _spectral_pass(m, tol_abs, tol_rel)
+    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
+    per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
@@ -341,6 +359,22 @@ class ScanRow:
     psd: bool
 
 
+# Per (domain, cutoff): the recurrence with lambda left open, and the
+# spectral layout of its pattern.
+_SCAN_PLAN_CACHE: dict[tuple[str, int], tuple[hs.RecurrencePlan, SpectralLayout]] = {}
+
+
+def _scan_plan(dom: DomainModel, cutoff: int) -> tuple[hs.RecurrencePlan, SpectralLayout]:
+    key = (dom.spec_string, cutoff)
+    if key not in _SCAN_PLAN_CACHE:
+        plan = hs.compile_recurrence(norm_series(dom, cutoff))
+        # The recurrence's entries are on grade and of positive degree, so
+        # graded_blocks keeps every one of them.
+        layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols)
+        _SCAN_PLAN_CACHE[key] = plan, layout
+    return _SCAN_PLAN_CACHE[key]
+
+
 def scan_lambdas(
     dom: DomainModel,
     lams: Iterable[float],
@@ -350,23 +384,26 @@ def scan_lambdas(
 ) -> list[ScanRow]:
     """Per-(lambda, degree) block eigen-data; one row per block, in grid order.
 
-    A grid reads the powers of Q = 1 - N, built once per (domain, cutoff) and
-    cached, so each lambda is one linear combination sum_k C(lambda+k-1, k) Q^k
-    followed by the component eigensolves; a single lambda is cheaper by the
-    recurrence of bergman_diastasis_series.
+    The rows are those of psd_verdict(calabi_matrix(dom, lambda, cutoff)),
+    bit for bit.  The recurrence's plan and the spectral layout of its
+    pattern are built once per (domain, cutoff) and cached, so a scale costs
+    one replay of the recurrence and the stacked eigensolves.  A scale at
+    which the recurrence sums to an exact zero (lambda = 0, say) drops that
+    entry, so it takes the single-verdict path, which labels its own pattern.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    powers = _norm_powers(dom, cutoff)
+    plan, layout = _scan_plan(dom, cutoff)
     rows = []
     for lam in lams:
         lam = float(lam)
-        weights = [hs.generalized_binomial(lam, k) for k in range(1, len(powers) + 1)]
-        s = hs.linear_combination(powers, weights) if powers else hs.zero(dom.d, cutoff)
-        m = graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
-        verdict = psd_verdict(m, tol_abs, tol_rel)
+        values = plan.values(lam)
+        if values is None:
+            per_block = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel).per_block
+        else:
+            per_block, _ = _spectral_pass(layout, values, tol_abs, tol_rel)
         rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
-            for bv in verdict.per_block
+            for bv in per_block
         )
     return rows

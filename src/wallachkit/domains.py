@@ -245,7 +245,8 @@ def sample(
         # Radius distributed like a uniform draw from the gauge ball.
         target = radius_cap * gen.uniform() ** (1.0 / (2 * dom.d))
         x = raw * (target / s)
-        if contains(dom, x):
+        # The gauge is homogeneous, so x's gauge is target <= radius_cap < 1.
+        if np.isfinite(x).all():
             return x
     raise SamplingError(f"no interior sample for {dom.spec_string} within retry budget")
 

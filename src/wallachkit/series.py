@@ -39,9 +39,14 @@ product to avoid gamma-function cancellation.  The powers of Q cost far more
 than one expansion needs: :func:`inverse_norm_power` computes N^(-lam) - 1
 for a norm-like N (constant term 1, bidegrees (g, g) only) in one pass from
 N's few terms, by the Euler-operator recurrence (J. C. P. Miller's power
-recurrence; Knuth, TAOCP vol. 2, sec. 4.7).  The powers pay off only when
-many lam share them, as in :func:`wallachkit.calabi.scan_lambdas`;
-inverse_power stays as the independent reference for the recurrence.
+recurrence; Knuth, TAOCP vol. 2, sec. 4.7).  Only the recurrence's weights
+-n (a - g + lam g) depend on lam, not the pairs it sums, so
+:func:`compile_recurrence` records those pairs once and a
+:class:`RecurrencePlan` replays the recurrence for any lam, bit for bit, at
+one gather, product and bincount per level; a scan over many lam
+(:func:`wallachkit.calabi.scan_lambdas`) reads one plan.  The powers serve
+only the Cartan-Hartogs direct series, and inverse_power is the independent
+reference the tests hold the recurrence to.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ PAIR_BYTES = 128
 # The same for inverse_norm_power, per pair a level forms before it keeps the
 # canonical ones: runs peaked at 40-54 B per pair of their largest level.
 RECURRENCE_PAIR_BYTES = 64
+# The same for compile_recurrence, per pair kept so far plus pair the next
+# level forms: scan plans (with their spectral layout) peaked at 42-51 B.
+PLAN_PAIR_BYTES = 64
 # Entry pairs inverse_norm_power forms at once before it drops the non-canonical ones.
 _BATCH_PAIRS = 2**13
 
@@ -333,6 +341,31 @@ def inverse_power(q: HermitianSeries, lam: float) -> HermitianSeries:
     return linear_combination(powers, weights)
 
 
+def _norm_terms(n: HermitianSeries) -> list[tuple]:
+    """N's terms (gamma, delta) != 0 by degree g: [(g, distinct gammas, each
+    term's gamma and delta as rows among them, coefficients)], after checking
+    that N has constant term 1 and only (g, g) entries."""
+    degrees = n.basis.degrees
+    if n.constant_term() != 1.0 or (degrees[n.rows] != degrees[n.cols]).any():
+        raise ValueError("inverse_norm_power needs constant term 1 and only (g, g) entries")
+    gamma, delta, coef = (x[1:] for x in n.mirrored())  # x[0] is the constant term
+    g = degrees[gamma]
+    # The deltas are the gammas again, as the terms come with their mirrors.
+    by_degree = []
+    for level_g in np.unique(g).tolist():
+        at = g == level_g
+        es, gamma_row = np.unique(gamma[at], return_inverse=True)
+        by_degree.append((level_g, es, gamma_row, np.searchsorted(es, delta[at]), coef[at]))
+    return by_degree
+
+
+def _shift(bas: Basis, a: int, level_g: int, es: np.ndarray) -> np.ndarray:
+    """[row of gamma, index of level a - g] -> position of their sum in level a."""
+    exps = bas.exponents
+    shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None])
+    return shift - bas.degree_slice(a).start
+
+
 def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
     """N^(-lam) - 1 truncated, for a series N with constant term 1 whose
     entries all sit on bidegrees (g, g); a ValueError for any other N.
@@ -353,20 +386,7 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
     to refuse.
     """
     bas = n.basis
-    degrees = bas.degrees
-    if n.constant_term() != 1.0 or (degrees[n.rows] != degrees[n.cols]).any():
-        raise ValueError("inverse_norm_power needs constant term 1 and only (g, g) entries")
-    gamma, delta, coef = (x[1:] for x in n.mirrored())  # x[0] is the constant term
-    g = degrees[gamma]
-    # N's terms by degree: the distinct gammas, and each term's gamma and delta
-    # as rows among them (the deltas are the gammas again, as the terms come
-    # with their mirrors), and its coefficient.
-    by_degree = []
-    for level_g in np.unique(g).tolist():
-        at = g == level_g
-        es, gamma_row = np.unique(gamma[at], return_inverse=True)
-        by_degree.append((level_g, es, gamma_row, np.searchsorted(es, delta[at]), coef[at]))
-    exps = bas.exponents
+    by_degree = _norm_terms(n)
     # levels[s]: f's level-s entries, mirrors expanded, at positions local to the level.
     levels = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1))]
     rows, cols, vals = [], [], []
@@ -379,8 +399,7 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
         keys, weights = [], []
         for level_g, es, gamma_row, delta_row, c in active:
             i, j, v = levels[a - level_g]
-            # [row of gamma, index of level a - g] -> position of their sum in level a
-            shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None]) - sl.start
+            shift = _shift(bas, a, level_g, es)
             step = max(1, _BATCH_PAIRS // max(len(i), 1))  # terms per batch
             with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
                 scale = -c * (a - level_g + lam * level_g)
@@ -399,6 +418,90 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
         vals.append(f)
         levels.append(_mirror(p, q, f))
     return _frozen(n.n_vars, n.cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
+
+
+@dataclass(frozen=True, eq=False)
+class RecurrencePlan:
+    """inverse_norm_power's recurrence with lam left open: its entry pattern
+    and, per level, the pairs it sums, in the order it sums them.
+
+    rows and cols are the canonical entries of every level a >= 1, sorted by
+    (row, col).  levels[a - 1] is (terms, slot, src, term, size): terms lists
+    (g, coefficients) of N's term groups with g <= a, and pair i adds
+    scale[term[i]] * f[src[i]] to the level's sum number slot[i] of size,
+    where scale is -c (a - g + lam g) concatenated over the terms and f is 1
+    (the constant term) followed by the values at rows, cols.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    levels: tuple[tuple, ...]
+
+    def values(self, lam: float) -> np.ndarray | None:
+        """The values of inverse_norm_power(N, lam) at rows, cols, bit for bit:
+        the same products summed in the same order, then divided by a.  None
+        if a sum is an exact zero, as the recurrence drops that entry and its
+        pattern is then smaller than the plan's."""
+        f = np.empty(len(self.rows) + 1)
+        f[0] = 1.0
+        at = 1
+        with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
+            for a, (terms, slot, src, term, size) in enumerate(self.levels, 1):
+                scale = np.concatenate([-c * (a - g + lam * g) for g, c in terms])
+                sums = np.bincount(slot, weights=scale[term] * f[src], minlength=size)
+                if not sums.all():
+                    return None
+                f[at : at + size] = sums / a
+                at += size
+        return f[1:]
+
+
+def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
+    """The RecurrencePlan of inverse_norm_power(n, lam) for every lam whose
+    sums are all nonzero (a generic lam), from the same pairs in the same
+    order; the source of a pair on a mirror entry is its canonical entry."""
+    bas = n.basis
+    by_degree = _norm_terms(n)
+    # levels[s]: level s's entries, mirrors expanded, at positions local to the
+    # level, and the index in f of each one's canonical value.
+    levels = [(np.zeros(1, dtype=np.int64),) * 3]
+    rows, cols, plan = [], [], []
+    at = 1  # f's index of the level's first entry
+    total = 0  # pairs kept so far
+    for a in range(1, n.cutoff + 1):
+        active = [terms for terms in by_degree if terms[0] <= a]
+        pairs = total + sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
+        check_memory(PLAN_PAIR_BYTES * pairs, f"a recurrence plan of {pairs} entry pairs")
+        sl = bas.degree_slice(a)
+        dim = sl.stop - sl.start
+        keys, srcs, terms = [], [], []
+        first = 0  # the group's first term in the level's scales
+        for level_g, es, gamma_row, delta_row, c in active:
+            i, j, src = levels[a - level_g]
+            shift = _shift(bas, a, level_g, es)
+            p, q = shift[gamma_row][:, i], shift[delta_row][:, j]
+            t, e = np.nonzero(p <= q)  # row-major, the recurrence's batch order
+            keys.append(p[t, e] * dim + q[t, e])
+            srcs.append(src[e])
+            terms.append(first + t)
+            first += len(c)
+        targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        del keys
+        p, q = np.divmod(targets, dim)
+        plan.append((
+            tuple((level_g, c) for level_g, *_, c in active),
+            slot,
+            np.concatenate(srcs),
+            np.concatenate(terms),
+            len(targets),
+        ))
+        total += len(slot)
+        rows.append(p + sl.start)
+        cols.append(q + sl.start)
+        levels.append(_mirror(p, q, np.arange(at, at + len(targets))))
+        at += len(targets)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return RecurrencePlan(rows, cols, tuple(plan))
 
 
 def _reindex(series: HermitianSeries, n_vars: int, cutoff: int) -> HermitianSeries:

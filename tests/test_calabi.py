@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
+from wallachkit import calabi, multiindex
 from wallachkit.calabi import GradingError, scan_lambdas
 from wallachkit.domains import one_minus_norm
-from wallachkit.multiindex import basis
+from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.series import from_terms, inverse_power
 
 
@@ -155,17 +156,22 @@ def test_i33_cutoff8_series_memory():
 
 
 def test_scan_matches_single_verdicts():
-    dom = wk.parse_domain("III:3")
-    lams = [0.25, 0.5, 0.75, 1.0, 1.25]
-    rows = scan_lambdas(dom, lams, 5)
-    for lam in lams:
-        verdict = wk.psd_verdict(wk.calabi_matrix(dom, lam, 5))
-        got = [(r.degree, r.block_dim, r.psd) for r in rows if r.lam == lam]
-        want = [(bv.degree, bv.dim, bv.min_eigenvalue >= -bv.tol) for bv in verdict.per_block]
-        assert got == want
-        mins = np.array([r.min_eig for r in rows if r.lam == lam])
-        ref = np.array([bv.min_eigenvalue for bv in verdict.per_block])
-        assert np.abs(mins - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    # lambda = k/8 takes in 0, negative scales, the Wallach points, and on
+    # IV:6 the scale 1.5, where the recurrence sums to an exact zero.
+    lams = [k / 8 for k in range(-4, 33)]
+    cases = [("III:3", 7), ("I:2,2", 6), ("IV:5", 5), ("IV:6", 6)]
+    cases += [("I:2,3", 5), ("CH:2", 8), ("III:2", 6)]
+    for spec, cutoff in cases:
+        dom = wk.parse_domain(spec)
+        rows = scan_lambdas(dom, lams, cutoff)
+        for lam in lams:
+            verdict = wk.psd_verdict(wk.calabi_matrix(dom, lam, cutoff))
+            got = [(r.degree, r.block_dim, r.min_eig, r.psd) for r in rows if r.lam == lam]
+            want = [
+                (bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
+                for bv in verdict.per_block
+            ]
+            assert got == want, (spec, lam)
 
 
 # --- normalization --------------------------------------------------------------
@@ -369,6 +375,29 @@ def test_scan_rows_structure():
     assert at_half_deg2.min_eig == pytest.approx(-0.25, rel=1e-12)
     assert not at_half_deg2.psd
     assert at_half_deg2.block_dim == 10
+
+
+def test_scan_plan_path_refuses_bad_tolerances_and_overflow():
+    dom = wk.catalog("III", 3)
+    plan, _ = calabi._scan_plan(dom, 4)
+    assert plan.values(0.75) is not None  # the scan reads the plan here
+    for tol in (float("nan"), float("inf"), -1e-3):
+        for name in ("tol_abs", "tol_rel"):
+            with pytest.raises(ValueError, match="not a finite number >= 0"):
+                scan_lambdas(dom, [0.75], 4, **{name: tol})
+    values = plan.values(1e300)
+    assert values is not None and not np.isfinite(values).all()
+    with pytest.raises(RuntimeError, match="non-finite coefficients"):
+        scan_lambdas(dom, [1e300], 4)
+
+
+def test_scan_plan_is_charged_to_the_memory_guard(monkeypatch):
+    # III:3 at cutoff 7 keeps 54 680 pairs: about 3.5 MB at 64 bytes a pair.
+    monkeypatch.setattr(calabi, "_SCAN_PLAN_CACHE", {})
+    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 2 * 10**6)
+    with pytest.raises(MemoryLimitError, match="recurrence plan of .* entry pairs"):
+        scan_lambdas(wk.parse_domain("III:3"), [0.75], 7)
+    assert not calabi._SCAN_PLAN_CACHE
 
 
 # --- weight components against the dense eigensolve ---------------------------------

@@ -1,10 +1,13 @@
 """Enumeration order, position lookup, and exponent arithmetic."""
 
 import itertools
+from math import ceil, comb, log2
 
 import numpy as np
 import pytest
 
+import wallachkit as wk
+from wallachkit import multiindex
 from wallachkit.multiindex import MultiIndex, Basis, basis, enumerate_indices, index_sum
 
 
@@ -157,3 +160,38 @@ def test_rank_matches_position(n_vars, cutoff):
 def test_rank_rejects_wrong_length():
     with pytest.raises(ValueError, match="length 3"):
         basis(3, 2).rank(np.zeros((4, 2), dtype=np.int64))
+
+
+def _comb_position(exponents):
+    """The graded position of an exponent vector, read off math.comb directly."""
+    n, tail = len(exponents), sum(exponents)
+    pos = comb(tail - 1 + n, n)
+    for k in range(1, n):
+        tail -= exponents[k - 1]
+        pos += comb(tail + n - k - 1, n - k)
+    return pos
+
+
+def test_rank_tables_grow_by_doubling(monkeypatch):
+    # The recurrence ranks every level at a higher top degree; one table per
+    # variable count, doubled as the tops rise, keeps the builds logarithmic.
+    monkeypatch.setattr(multiindex, "_RANK_TABLE_CACHE", {})
+    built = []
+    build = multiindex._build_rank_table
+    monkeypatch.setattr(
+        multiindex, "_build_rank_table", lambda n, t: built.append((n, t)) or build(n, t)
+    )
+    s = wk.bergman_diastasis_series(wk.parse_domain("CH:1"), 0.5, 2000)
+    assert len(s.values) == 2000
+    assert 1 <= len(built) <= ceil(log2(2000)) + 1
+    assert [n for n, _ in built] == [1] * len(built)
+    assert basis(1, 2000).rank(np.arange(2001)[:, None]).tolist() == list(range(2001))
+    # Grown tables rank like the closed form, across several growths.
+    rng = np.random.default_rng(5)
+    for n_vars, top in [(3, 5), (3, 40), (3, 300), (6, 25), (6, 120)]:
+        exps = rng.multinomial(top, np.full(n_vars, 1.0 / n_vars), size=50)
+        exps[:, 0] -= rng.integers(0, exps[:, 0] + 1)  # lower degrees too
+        ranks = basis(n_vars, 1).rank(exps)
+        assert ranks.tolist() == [_comb_position(e) for e in exps.tolist()]
+    table = multiindex._RANK_TABLE_CACHE[6]
+    assert all(table[t, m] == comb(t + m - 1, m) for t in range(len(table)) for m in range(1, 7))

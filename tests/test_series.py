@@ -21,11 +21,12 @@ from wallachkit.calabi import (
     psd_verdict,
 )
 from wallachkit.cartan_hartogs import ch_assembled_series, parse_ch_spec
-from wallachkit.domains import one_minus_norm
+from wallachkit.domains import norm_series, one_minus_norm
 from wallachkit.multiindex import basis
 from wallachkit.series import (
     HermitianSeries,
     add,
+    compile_recurrence,
     embed,
     evaluate,
     from_entries,
@@ -487,3 +488,22 @@ def test_rebase_and_embed_match_tuple_reference(n_vars, cutoff, new_vars, new_cu
     assert len(got.values) == len(ref)
     for (hol, anti), v in ref.items():
         assert got.coefficient(hol, anti) == v
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff", [("III:3", 7), ("I:2,2", 8), ("IV:6", 8), ("I:3,3", 6), ("CH:2", 10)]
+)
+def test_recurrence_plan_replays_inverse_norm_power_bit_for_bit(spec, cutoff):
+    n = norm_series(wk.parse_domain(spec), cutoff)
+    plan = compile_recurrence(n)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 2.0, 3.7):
+        ref = inverse_norm_power(n, lam)
+        values = plan.values(lam)
+        if values is None:
+            # The recurrence dropped an exact zero: its pattern is a strict subset.
+            assert len(ref.values) < len(plan.rows)
+            keys = plan.rows * len(n.basis) + plan.cols
+            assert np.isin(ref.rows * len(n.basis) + ref.cols, keys).all()
+            continue
+        assert np.array_equal(plan.rows, ref.rows) and np.array_equal(plan.cols, ref.cols)
+        assert values.tobytes() == ref.values.tobytes(), lam
