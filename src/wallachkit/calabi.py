@@ -21,12 +21,13 @@ a dense array.  The kernel is invariant under the maximal torus of K
 spaces: permuted, the matrix is block diagonal, with blocks given by the
 connected components of its nonzero pattern, none of which crosses degrees.
 One spectral pass labels those components once over the whole matrix and
-solves each component size as one stacked eigenproblem for all degrees;
-each degree's verdict is read off its own components.  The spectrum is that
-of the dense blocks, and a degree's witness is its minimising component's
-eigenvector, zero-padded to the block.  The labels and the scatter into the
-stacks depend on the pattern alone (a SpectralLayout), which a scan shares
-across its lambdas.
+solves each component size as one stacked eigenvalue problem for all
+degrees; each degree's verdict is read off its own components.  The
+spectrum is that of the dense blocks.  The pass computes eigenvalues only;
+a refuted degree's witness is an eigenvector of its minimising component
+alone, zero-padded to the block, and extract_immersion alone asks for every
+eigenvector.  The labels and the scatter into the stacks depend on the
+pattern alone (a SpectralLayout), which a scan shares across its lambdas.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -222,12 +223,25 @@ def _spectral_layout(
     return SpectralLayout(n_vars, cutoff, runs, tuple(parts))
 
 
+def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a stack of symmetric matrices by eigh,
+    or with vectors False (eigenvalues, the stack itself) by eigvalsh."""
+    try:
+        return np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), stack)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed on the {stack.shape[-1]}-wide components") from exc
+
+
 def _spectral_pass(
-    layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float
+    layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float,
+    vectors: bool = False,
 ) -> tuple[tuple[BlockVerdict, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per-degree verdicts, and the spectrum as (positions, values, vectors,
+    """Per-degree verdicts, and the spectrum as (positions, values, matrices,
     degree bounds) per component size, from one stacked eigensolve per size
-    of the entries with the given values on the layout's pattern."""
+    of the entries with the given values on the layout's pattern: eigvalsh,
+    with the components as the matrices and one eigh of a refuted degree's
+    minimising component for its witness, or with vectors eigh, with the
+    eigenvectors as the matrices."""
     check_tolerance(tol_abs)
     check_tolerance(tol_rel)
     runs = layout.runs
@@ -242,33 +256,30 @@ def _spectral_pass(
         size = idx.shape[1]
         stacked = np.zeros(idx.size * size)
         stacked[mine] = stacked[mirror] = values[sel]
-        try:
-            vals, vecs = np.linalg.eigh(stacked.reshape(idx.shape + (size,)))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver failed on the {size}-wide components") from exc
-        parts.append((idx, vals, vecs, bounds))
+        vals, mats = _eigen(stacked.reshape(idx.shape + (size,)), vectors)
+        parts.append((idx, vals, mats, bounds))
     b = basis(layout.n_vars, layout.cutoff)
     verdicts = []
     for degree in range(1, layout.cutoff + 1):
         sl = b.degree_slice(degree)
         tol = max(tol_abs, tol_rel * scale[degree])
-        worst = None  # (min eigenvalue, positions, eigenvector) of the first minimising component
+        worst = None  # (min eigenvalue, positions, matrix) of the first minimising component
         rank = count = largest = 0
-        for idx, vals, vecs, bounds in parts:  # sizes ascending
+        for idx, vals, mats, bounds in parts:  # sizes ascending
             lo, hi = bounds[degree], bounds[degree + 1]
             if lo == hi:
                 continue
             c = lo + int(np.argmin(vals[lo:hi, 0]))
             if worst is None or vals[c, 0] < worst[0]:
-                worst = (float(vals[c, 0]), idx[c], vecs[c, :, 0])
+                worst = (float(vals[c, 0]), idx[c], mats[c])
             rank += int(np.count_nonzero(vals[lo:hi] > tol))
             count += int(hi - lo)
             largest = idx.shape[1]
-        min_eig, positions, vector = worst
+        min_eig, positions, mat = worst
         witness = None
         if min_eig < -tol:
             witness = np.zeros(sl.stop - sl.start)
-            witness[positions - sl.start] = vector
+            witness[positions - sl.start] = (mat if vectors else _eigen(mat, True)[1])[:, 0]
         verdicts.append(
             BlockVerdict(degree, sl.stop - sl.start, min_eig, rank, tol, witness, count, largest)
         )
@@ -309,7 +320,7 @@ def extract_immersion(
     component count per degree equals the block's reported rank.
     """
     layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
-    per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel)
+    per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)

@@ -26,8 +26,9 @@ so the search remains honest on domains where no guidance is available.
 Evaluations are batched: a configuration is one (k, d) array, and a stack
 of them gets its norm matrices from one evaluation (domains.norm_matrix),
 its membership from one stacked gauge and its spectra from one eigvalsh.
-Restart 0 runs alone; the remaining restarts then advance in lockstep, each
-step evaluating every restart still running in one stacked objective.  Each
+Restart 0 runs alone; the remaining restarts then advance in lockstep chunks
+of at most 64, each step evaluating every restart still running in the
+chunk in one stacked objective.  Each
 restart keeps its own generator and makes the same draws as it would alone,
 so the result, the first restart in order that finds a witness, does not
 depend on the grouping.
@@ -52,6 +53,7 @@ _SIGMA_SHRINK = 0.93
 _SIGMA_MAX = 0.15
 _SIGMA_MIN = 0.002
 _ATOM_CUT = 1e-6
+_CHUNK = 64  # restarts per lockstep group after restart 0
 
 
 class BranchError(Exception):
@@ -95,7 +97,7 @@ def gram_matrix(
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[-2]
     rows, cols = upper_triangle(k)
-    nv = norm_matrix(dom, pts, pts)[..., rows, cols]
+    nv = norm_matrix(dom, pts[..., rows, None, :], pts[..., cols, None, :])[..., 0, 0]
     bad = nv.real <= 0.0
     branch_ok = ~bad.any(axis=-1)
     if require_branch and not branch_ok.all():
@@ -398,7 +400,10 @@ def search_violation(
     from a configuration aimed at a negative degree-2 eigendirection when
     one exists; the rest start from random samples.  Each restart draws
     from its own spawned seed.  Restart 0 runs alone, then the others run
-    in lockstep, one stacked objective per step (see _lockstep).  The result
+    in lockstep chunks of at most 64, one stacked objective per step (see
+    _lockstep), spawning their seeds chunk by chunk and stopping after the
+    first chunk that holds a witness, so a large budget costs nothing
+    before it is spent.  The result
     is the first restart in order that finds a witness, and the evaluations
     and restarts counted are those up to and including it, so a
     (seed, budget) pair always gives the same result.  Absence of a witness
@@ -410,18 +415,19 @@ def search_violation(
         raise ValueError("budget must be >= 1")
     per_restart = 2 + _DESCENT_STEPS
     n_restarts = max(1, budget // per_restart)
-    seeds = np.random.SeedSequence(seed).spawn(n_restarts)
+    root = np.random.SeedSequence(seed)
     atoms = _quadratic_atoms(dom, lam)
-    guidance = [atoms if i % 3 != 2 else None for i in range(n_restarts)]
 
-    evals_total = 0
-    for lo, hi in ((0, 1), (1, n_restarts)):
-        if lo >= hi:
-            break
+    evals_total = lo = 0
+    while lo < n_restarts:
+        hi = 1 if lo == 0 else min(lo + _CHUNK, n_restarts)
+        # Successive spawns continue the same children, so chunks draw as one spawn would.
+        chunk = root.spawn(hi - lo)
+        guidance = [atoms if i % 3 != 2 else None for i in range(lo, hi)]
         # Gram entries that overflow make a configuration invalid, not a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             evals, first, winner = _lockstep(
-                dom, lam, n_points, seeds[lo:hi], guidance[lo:hi], min(per_restart, budget)
+                dom, lam, n_points, chunk, guidance, min(per_restart, budget)
             )
         if first is not None:
             evals_total += int(evals[: first + 1].sum())
@@ -429,6 +435,7 @@ def search_violation(
             report = gram_report(dom, lam, winner)
             return SearchResult(True, report, seed, lo + first + 1, evals_total)
         evals_total += int(evals.sum())
+        lo = hi
     return SearchResult(False, None, seed, n_restarts, evals_total)
 
 

@@ -466,16 +466,57 @@ def test_i33_cutoff7_blocks_and_verdict_stay_sparse():
     assert peak < 32 * 2**20
 
 
-def test_verdict_runs_one_eigh_per_component_size(monkeypatch):
-    # III:3 at cutoff 7 has 42 (degree, component size) pairs but 14 sizes.
-    cm = wk.calabi_matrix(wk.parse_domain("III:3"), 0.75, 7)
-    eigh = np.linalg.eigh
-    sizes = []
+def test_verdict_runs_one_eigvalsh_per_component_size(monkeypatch):
+    # III:3 at cutoff 7 has 42 (degree, component size) pairs but 14 sizes;
+    # eigenvectors are solved only for each refuted degree's witness component.
+    dom = wk.parse_domain("III:3")
+    refuted, member = wk.calabi_matrix(dom, 0.75, 7), wk.calabi_matrix(dom, 1.0, 7)
+    calls = []
 
-    def counted(a):
-        sizes.append(a.shape[-1])
-        return eigh(a)
+    def counted(name, solve):
+        def call(a):
+            calls.append((name, a.shape))
+            return solve(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    wk.psd_verdict(cm)
-    assert len(sizes) == len(set(sizes)) == 14
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    verdict = wk.psd_verdict(refuted)
+    stacks = [shape for name, shape in calls if name == "eigvalsh"]
+    singles = [shape for name, shape in calls if name == "eigh"]
+    assert len(stacks) == len({shape[-1] for shape in stacks}) == 14
+    assert all(len(shape) == 3 for shape in stacks)
+    negative = [bv for bv in verdict.per_block if bv.witness is not None]
+    assert not verdict.psd and len(singles) == len(negative) >= 1
+    assert all(len(shape) == 2 for shape in singles)
+    calls.clear()
+    assert wk.psd_verdict(member).psd
+    assert [name for name, _ in calls] == ["eigvalsh"] * 14
+    calls.clear()
+    wk.extract_immersion(member)  # reads every eigenvector
+    assert [name for name, _ in calls] == ["eigh"] * 14
+
+
+@pytest.mark.parametrize(
+    "spec, lam, cutoff",
+    [("III:3", 0.75, 7), ("I:2,2", 0.5, 5), ("IV:5", 1.0, 5), ("I:2,3", 0.25, 4), ("CH:2", -0.5, 6)],
+)
+def test_refuted_witness_is_a_unit_eigenvector_on_one_component(spec, lam, cutoff, dense_blocks):
+    s = wk.bergman_diastasis_series(wk.parse_domain(spec), lam, cutoff)
+    verdict = wk.psd_verdict(wk.graded_blocks(s))
+    blocks = dense_blocks(s)
+    refuted = [bv for bv in verdict.per_block if bv.witness is not None]
+    assert refuted and all(bv.min_eigenvalue < -bv.tol for bv in refuted)
+    for bv in refuted:
+        block, w = blocks[bv.degree], bv.witness
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        # The support lies inside the connected component of its first position.
+        reach, frontier = set(), {int(np.flatnonzero(w)[0])}
+        while frontier:
+            reach |= frontier
+            frontier = {int(j) for i in frontier for j in np.flatnonzero(block[i])} - reach
+        assert set(np.flatnonzero(w).tolist()) <= reach
+        assert len(reach) <= bv.largest_component
+        scale = float(np.max(np.abs(block)))
+        assert np.linalg.norm(block @ w - bv.min_eigenvalue * w) <= 1e-12 * scale

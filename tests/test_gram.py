@@ -1,5 +1,7 @@
 """Gram matrices of kernel powers and the violation search."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,36 @@ def test_stacked_gram_matrix_matches_single_configurations(spec):
     if spec == "I:2,2":
         with pytest.raises(BranchError, match=r"pair \(0, 1\) of configuration 1"):
             wk.gram_matrix(dom, 0.7, stack)
+
+
+def _record(res):
+    points = None if res.report is None else np.array(res.report.points).tobytes()
+    min_eig = None if res.report is None else res.report.min_eigenvalue
+    return res.found, res.evals_used, res.restarts_used, min_eig, points
+
+
+@pytest.mark.parametrize(
+    "spec, lam, seeds",
+    # witnesses found by restarts 5 to 8, a miss, and a Wallach member
+    [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2", 1.0, (0,))],
+)
+def test_chunked_restarts_match_one_lockstep_group(spec, lam, seeds, monkeypatch):
+    # Chunks of 1 and 2 restarts give what one group of all of them gives.
+    dom = wk.parse_domain(spec)
+    monkeypatch.setattr(gram, "_CHUNK", 10**6)
+    whole = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
+    assert all(r[2] > 4 for r in whole)
+    for chunk in (1, 2):
+        monkeypatch.setattr(gram, "_CHUNK", chunk)
+        assert [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds] == whole
+
+
+def test_huge_budget_stops_after_the_chunk_with_a_witness():
+    # Restart 0 finds the witness; a budget of 1e9 (19 million restarts)
+    # spawns no seeds beyond the first chunk.
+    dom = wk.parse_domain("I:2,2")
+    start = time.perf_counter()
+    huge = wk.search_violation(dom, 0.5, budget=10**9, seed=3)
+    elapsed = time.perf_counter() - start
+    assert huge.found and elapsed < 2.0
+    assert _record(huge) == _record(wk.search_violation(dom, 0.5, budget=2000, seed=3))
