@@ -20,14 +20,17 @@ a dense array.  The kernel is invariant under the maximal torus of K
 (z -> D1 z D2 on type I), so each block is a direct sum of small weight
 spaces: permuted, the matrix is block diagonal, with blocks given by the
 connected components of its nonzero pattern, none of which crosses degrees.
-One spectral pass labels those components once over the whole matrix and
-solves each component size as one stacked eigenvalue problem for all
-degrees; each degree's verdict is read off its own components.  The
-spectrum is that of the dense blocks.  The pass computes eigenvalues only;
+K also holds coordinate permutations (domains.symmetries) that commute with
+the matrix, so components they map onto each other share a spectrum.  One
+spectral pass labels the components once, groups them into these orbits and
+solves one per orbit, each size as one stacked eigenvalue problem for all
+degrees; each degree's verdict is read off its own components, weighted by
+orbit size, and is that of the dense block.  It computes eigenvalues only;
 a refuted degree's witness is an eigenvector of its minimising component
-alone, zero-padded to the block, and extract_immersion alone asks for every
-eigenvector.  The labels and the scatter into the stacks depend on the
-pattern alone (a SpectralLayout), which a scan shares across its lambdas.
+alone, zero-padded to the block.  extract_immersion (every eigenvector) and
+graded_blocks of an arbitrary series solve every component.  The labels,
+orbits and scatter depend on the pattern alone (a SpectralLayout), which a
+scan shares across its lambdas.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -36,7 +39,7 @@ finite cutoff is only "consistent-to-cutoff".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite
 from typing import Iterable, Sequence
 
@@ -45,7 +48,7 @@ import numpy as np
 from . import series as hs
 from .multiindex import basis
 from .series import HermitianSeries
-from .domains import DomainModel, norm_series
+from .domains import DomainModel, norm_series, symmetries
 
 DEFAULT_TOL_ABS = 1e-10
 DEFAULT_TOL_REL = 1e-9
@@ -96,6 +99,7 @@ class CalabiMatrix:
     values: np.ndarray
     off_grade_max: float
     max_abs_coeff: float
+    symmetries: tuple[tuple[int, ...], ...] = ()  # domains.symmetries of the kernel's domain
 
 
 def graded_blocks(
@@ -131,7 +135,8 @@ def graded_blocks(
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
     """bergman_diastasis_series + graded_blocks with metadata attached."""
     s = bergman_diastasis_series(dom, lam, cutoff)
-    return graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
+    m = graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
+    return replace(m, symmetries=symmetries(dom))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +149,7 @@ class BlockVerdict:
     witness: np.ndarray | None  # eigenvector of the minimum eigenvalue if negative
     components: int  # connected components of the block's nonzero pattern
     largest_component: int
+    solved_components: int  # representatives of their orbits, the components eigensolved
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +166,9 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern of the canonical entries
-    rows, cols on positions 1..n-1, grouped by size: one (count, size) array
-    of positions per size, sizes ascending, each component's positions
-    ascending and the components in order of their least position."""
+def _labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Per position 0..n-1, the least position of its connected component in
+    the graph with edges rows[e] -- cols[e]."""
     rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
     label = np.arange(n)
     # Label propagation with pointer jumping; label[i] <= i stays a node of
@@ -174,9 +178,17 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
         np.minimum.at(new, rows, label[cols])
         new = new[new]
         if np.array_equal(new, label):
-            break
+            return label
         label = new
-    order = np.argsort(label[1:], kind="stable") + 1
+
+
+def _components(label: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
+    """The components given by label of the positions 1..n-1 where keep
+    holds, grouped by size: one (count, size) array of positions per size,
+    sizes ascending, each component's positions ascending and the components
+    in order of their least position."""
+    order = np.flatnonzero(keep[1:]) + 1
+    order = order[np.argsort(label[order], kind="stable")]
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
@@ -185,42 +197,70 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
 class SpectralLayout:
     """The value-free part of a spectral pass over a Calabi matrix's pattern.
 
-    runs[d]:runs[d + 1] are degree d's entries.  Per component size, sizes
-    ascending: the (count, size) positions of the components, the entries
-    inside them, the flat indices of each entry and of its mirror in the
-    (count, size, size) stack, and the degree bounds (the components of a
-    size are in position order and never cross degrees, so each degree's
-    are one run, rows bounds[d]:bounds[d + 1] of the stack).
+    runs[d]:runs[d + 1] are degree d's entries.  Per size, sizes ascending:
+    the (count, size) positions of the orbit representatives (components of
+    least position) and the offset of their stack in one flat buffer, where
+    entries sel go to flat indices mine, their mirrors to mirror.  Per
+    representative, in stack order: degree, size, orbit size; per degree:
+    its components and representatives.
     """
 
     n_vars: int
     cutoff: int
     runs: np.ndarray
-    parts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    parts: tuple[tuple[np.ndarray, int], ...]
+    sel: np.ndarray
+    mine: np.ndarray
+    mirror: np.ndarray
+    degree: np.ndarray
+    size: np.ndarray
+    weight: np.ndarray
+    components: np.ndarray
+    solved: np.ndarray
 
 
 def _spectral_layout(
-    n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray
+    n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray, generators: Sequence = ()
 ) -> SpectralLayout:
     """The layout of the entries rows, cols of a CalabiMatrix (canonical,
-    sorted, on grade and of positive degree)."""
+    sorted, on grade and of positive degree), its components grouped into
+    orbits under the coordinate permutations in generators.  One that does
+    not map every component onto a component is ignored."""
     b = basis(n_vars, cutoff)
-    degrees = b.degrees
+    n, degrees = len(b), b.degrees
     # Rows are sorted and the order is graded, so each degree's entries are one run.
     runs = np.searchsorted(rows, np.searchsorted(degrees, np.arange(cutoff + 2)))
+    label = _labels(rows, cols, n)
+    maps = [b.rank(b.exponents[:, list(g)]) for g in generators]
+    # m permutes the positions, so one that maps each component into one maps it onto one.
+    maps = [m for m in maps if np.array_equal(label[m], label[m][label])]
+    # Per component label, the least label its images reach: its orbit's.
+    image = np.concatenate([label, *(label[m] for m in maps)])
+    orbit = _labels(np.resize(label, image.size), image, n)
     # Per position: the size of its component (0 until its size comes up)
     # and its row in the stack of that size, flattened to (count * size, size).
-    width = np.zeros(len(b), dtype=np.int64)
-    place = np.empty(len(b), dtype=np.int64)
-    parts = []
-    for idx in _components(rows, cols, len(b)):
+    width = np.zeros(n, dtype=np.int64)
+    place = np.empty(n, dtype=np.int64)
+    parts, sel, mine, mirror, offset = [], [], [], [], 0
+    for idx in _components(label, orbit[label] == label):
         size = idx.shape[1]
         width[idx], place[idx.ravel()] = size, np.arange(idx.size)
-        sel = np.flatnonzero(width[rows] == size)
-        j, k = place[rows[sel]], place[cols[sel]]
-        bounds = np.searchsorted(degrees[idx[:, 0]], np.arange(cutoff + 2))
-        parts.append((idx, sel, j * size + k % size, k * size + j % size, bounds))
-    return SpectralLayout(n_vars, cutoff, runs, tuple(parts))
+        sel.append(np.flatnonzero(width[rows] == size))
+        j, k = place[rows[sel[-1]]], place[cols[sel[-1]]]
+        mine.append(offset + j * size + k % size)
+        mirror.append(offset + k * size + j % size)
+        parts.append((idx, offset))
+        offset += idx.size * size
+    lead = np.concatenate([idx[:, 0] for idx, _ in parts])
+    size = np.repeat([idx.shape[1] for idx, _ in parts], [len(idx) for idx, _ in parts])
+    # An orbit's positions fill orbit-size components of the representative's size.
+    weight = np.bincount(orbit[label[1:]], minlength=n)[lead] // size
+    degree = degrees[lead]
+    return SpectralLayout(
+        n_vars, cutoff, runs, tuple(parts), *map(np.concatenate, (sel, mine, mirror)),
+        degree, size, weight, np.bincount(degree, weight, cutoff + 1).astype(np.int64),
+        np.bincount(degree, minlength=cutoff + 1),
+    )
 
 
 def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -235,55 +275,56 @@ def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
 def _spectral_pass(
     layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float,
     vectors: bool = False,
-) -> tuple[tuple[BlockVerdict, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per-degree verdicts, and the spectrum as (positions, values, matrices,
-    degree bounds) per component size, from one stacked eigensolve per size
-    of the entries with the given values on the layout's pattern: eigvalsh,
-    with the components as the matrices and one eigh of a refuted degree's
-    minimising component for its witness, or with vectors eigh, with the
-    eigenvectors as the matrices."""
+) -> tuple[tuple[BlockVerdict, ...], dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per-degree verdicts, and the spectrum as {size: (positions, values,
+    matrices)}, from one stacked eigensolve per size of the representatives
+    with the given values on the layout's pattern: eigvalsh, with the
+    components as the matrices and one eigh of a refuted degree's first
+    minimising representative for its witness, or with vectors eigh, with
+    the eigenvectors as the matrices.  Ranks count each orbit in full."""
     check_tolerance(tol_abs)
     check_tolerance(tol_rel)
-    runs = layout.runs
-    scale = [float(np.abs(values[lo:hi]).max(initial=0.0)) for lo, hi in zip(runs, runs[1:])]
-    for degree in range(1, layout.cutoff + 1):
-        if not isfinite(scale[degree]):
-            raise RuntimeError(
-                f"degree-{degree} block has non-finite coefficients (max |b| = {scale[degree]})"
-            )
-    parts = []
-    for idx, sel, mine, mirror, bounds in layout.parts:
-        size = idx.shape[1]
-        stacked = np.zeros(idx.size * size)
-        stacked[mine] = stacked[mirror] = values[sel]
-        vals, mats = _eigen(stacked.reshape(idx.shape + (size,)), vectors)
-        parts.append((idx, vals, mats, bounds))
-    b = basis(layout.n_vars, layout.cutoff)
-    verdicts = []
-    for degree in range(1, layout.cutoff + 1):
-        sl = b.degree_slice(degree)
-        tol = max(tol_abs, tol_rel * scale[degree])
-        worst = None  # (min eigenvalue, positions, matrix) of the first minimising component
-        rank = count = largest = 0
-        for idx, vals, mats, bounds in parts:  # sizes ascending
-            lo, hi = bounds[degree], bounds[degree + 1]
-            if lo == hi:
-                continue
-            c = lo + int(np.argmin(vals[lo:hi, 0]))
-            if worst is None or vals[c, 0] < worst[0]:
-                worst = (float(vals[c, 0]), idx[c], mats[c])
-            rank += int(np.count_nonzero(vals[lo:hi] > tol))
-            count += int(hi - lo)
-            largest = idx.shape[1]
-        min_eig, positions, mat = worst
-        witness = None
-        if min_eig < -tol:
-            witness = np.zeros(sl.stop - sl.start)
-            witness[positions - sl.start] = (mat if vectors else _eigen(mat, True)[1])[:, 0]
-        verdicts.append(
-            BlockVerdict(degree, sl.stop - sl.start, min_eig, rank, tol, witness, count, largest)
+    runs, cutoff, degree, size = layout.runs, layout.cutoff, layout.degree, layout.size
+    scale, filled = np.zeros(cutoff + 1), runs[1:] > runs[:-1]
+    scale[filled] = np.maximum.reduceat(np.abs(values), runs[:-1][filled])
+    bad = int(np.argmin(np.isfinite(scale)))  # the first non-finite degree, if any
+    if not isfinite(scale[bad]):
+        raise RuntimeError(
+            f"degree-{bad} block has non-finite coefficients (max |b| = {scale[bad]})"
         )
-    return tuple(verdicts), parts
+    tol = np.maximum(tol_abs, tol_rel * scale)
+    buffer = np.zeros(int(size @ size))  # size x size entries per representative
+    buffer[layout.mine] = buffer[layout.mirror] = values[layout.sel]
+    spectra = {}
+    for idx, offset in layout.parts:
+        count, width = idx.shape
+        stack = buffer[offset : offset + count * width * width].reshape(count, width, width)
+        spectra[width] = (idx, *_eigen(stack, vectors))
+    eigenvalues = np.concatenate([vals.ravel() for _, vals, _ in spectra.values()])
+    first = np.cumsum(size) - size
+    above = np.add.reduceat(eigenvalues > np.repeat(tol[degree], size), first)
+    rank = np.bincount(degree, layout.weight * above, cutoff + 1)
+    # Per degree, the first representative in stack order with the least minimum.
+    lowest = eigenvalues[first]
+    components, solved = layout.components, layout.solved
+    pick = np.lexsort((lowest, degree))[np.cumsum(solved) - solved]
+    largest = np.zeros(cutoff + 1, dtype=np.int64)
+    np.maximum.at(largest, degree, size)
+    b = basis(layout.n_vars, cutoff)
+    verdicts = []
+    for d in range(1, cutoff + 1):
+        sl, c = b.degree_slice(d), pick[d]
+        min_eig, witness = float(lowest[c]), None
+        if min_eig < -tol[d]:
+            # The representatives of one size are consecutive in stack order.
+            idx, _, mats = spectra[size[c]]
+            row = c - np.searchsorted(size, size[c])
+            mat = mats[row] if vectors else _eigen(mats[row], True)[1]
+            witness = np.zeros(sl.stop - sl.start)
+            witness[idx[row] - sl.start] = mat[:, 0]
+        verdicts.append(BlockVerdict(d, sl.stop - sl.start, min_eig, int(rank[d]), float(tol[d]),
+                                     witness, int(components[d]), int(largest[d]), int(solved[d])))
+    return tuple(verdicts), spectra
 
 
 def psd_verdict(
@@ -292,7 +333,7 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
+    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.symmetries)
     per_block, _ = _spectral_pass(layout, m.values, tol_abs, tol_rel)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
@@ -319,27 +360,23 @@ def extract_immersion(
     eigenvalues at or below the block tolerance are clipped to zero, so the
     component count per degree equals the block's reported rank.
     """
+    # Every component's eigenvectors are needed, so the orbits stay trivial.
     layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
     per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
+    tol = np.array([0.0] + [bv.tol for bv in per_block])
+    kept = []
+    for idx, vals, vecs in parts.values():
+        degree = b.degrees[idx[:, 0]]
+        for c, e in zip(*np.nonzero(vals > tol[degree][:, None])):
+            kept.append((int(degree[c]), -float(vals[c, e]), idx[c], vecs[c, :, e]))
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]
-    for bv in per_block:
-        kept = [
-            (float(vals[c, e]), idx[c], vecs[c, :, e])
-            for idx, vals, vecs, bounds in parts
-            for c, e in zip(*np.nonzero(vals > bv.tol))
-            if bounds[bv.degree] <= c < bounds[bv.degree + 1]
-        ]
-        for val, positions, vec in sorted(kept, key=lambda t: -t[0]):
-            w = np.sqrt(val) * vec
-            components.append(
-                ImmersionComponent(
-                    bv.degree,
-                    {b[i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0},
-                )
-            )
+    for d, neg, positions, vec in sorted(kept, key=lambda t: t[:2]):
+        w = np.sqrt(-neg) * vec
+        coeffs = {b[i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0}
+        components.append(ImmersionComponent(d, coeffs))
     return components
 
 
@@ -381,7 +418,7 @@ def _scan_plan(dom: DomainModel, cutoff: int) -> tuple[hs.RecurrencePlan, Spectr
         plan = hs.compile_recurrence(norm_series(dom, cutoff))
         # The recurrence's entries are on grade and of positive degree, so
         # graded_blocks keeps every one of them.
-        layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols)
+        layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols, symmetries(dom))
         _SCAN_PLAN_CACHE[key] = plan, layout
     return _SCAN_PLAN_CACHE[key]
 

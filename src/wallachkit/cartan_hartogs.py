@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +51,7 @@ from .domains import (
     one_minus_norm,
     parse_domain,
     sample,
+    symmetries,
     wallach_set,
 )
 from .multiindex import basis, check_memory
@@ -188,7 +189,9 @@ def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
 def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     """Graded Calabi matrix of e^{cD} - 1 from the assembled series."""
     s = ch_assembled_series(ch, c, cutoff)
-    return graded_blocks(s, domain_spec=ch.spec_string, lam=c)
+    # The base's coordinate permutations, with w fixed, fix the kernel too.
+    gens = tuple(g + (ch.base.d,) for g in symmetries(ch.base))
+    return replace(graded_blocks(s, domain_spec=ch.spec_string, lam=c), symmetries=gens)
 
 
 def ch_truncated_verdict(

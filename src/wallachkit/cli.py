@@ -195,6 +195,7 @@ def _block_dicts(verdict: calabi.Verdict) -> list[dict]:
             "tol": bv.tol,
             "components": bv.components,
             "largest_component": bv.largest_component,
+            "solved_components": bv.solved_components,
         }
         for bv in verdict.per_block
     ]

@@ -22,7 +22,9 @@ Supported kinds and their conventions:
 norm_series builds the polynomial per cutoff, as a signed sum of Hermitian
 squares N(z, w) = sum_t s_t f_t(z) conj(f_t(w)): on I, III and CH the f_t
 are the k-minors of Z for k <= cutoff, with s_t = (-1)^k; on IV they are 1,
-the z_i and z.z.  Constructing a domain builds no series.
+the z_i and z.z.  Constructing a domain builds no series.  symmetries lists
+generators of the coordinate permutations that fix N, which the Calabi
+spectral pass uses to solve one weight component per orbit.
 
 The invariants are stored as catalog constants (standard Jordan-triple data);
 validate_catalog() guards them by cross-checking the closed-form Wallach
@@ -153,17 +155,23 @@ def _coordinates(dom: DomainModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _entry_matrix(dom: DomainModel) -> np.ndarray:
+    """The coordinate at each entry of Z: p x q on I, symmetric n x n on III,
+    one row on CH and IV."""
+    if dom.kind == "III":
+        rows, cols = upper_triangle(dom.params[0])
+        entry = np.empty((dom.params[0],) * 2, dtype=np.int64)
+        entry[rows, cols] = entry[cols, rows] = np.arange(dom.d)
+        return entry
+    return np.arange(dom.d).reshape(dom.params if dom.kind == "I" else (1, dom.d))
+
+
 def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
     """Type I and III points (..., d) as their matrices (..., p, q) or (..., n, n)."""
     x = _coordinates(dom, x)
     if dom.kind == "I":
         return x.reshape(x.shape[:-1] + dom.params)
-    (n,) = dom.params
-    rows, cols = upper_triangle(n)
-    z = np.empty(x.shape[:-1] + (n, n), dtype=np.complex128)
-    z[..., rows, cols] = x
-    z[..., cols, rows] = x
-    return z
+    return x[..., _entry_matrix(dom)]
 
 
 def _batch_last(z: np.ndarray) -> np.ndarray:
@@ -321,13 +329,24 @@ def _hermitian_squares(
         yield -2.0, unit[:, None, :], np.ones((d, 1))
         yield 1.0, 2 * unit[None], np.ones((1, d))
         return
+    yield from _minors(_entry_matrix(dom), min(dom.r, max_degree))
+
+
+def symmetries(dom: DomainModel) -> tuple[tuple[int, ...], ...]:
+    """Generators g of the coordinate permutations in K, which fix N:
+    N(z[g], w[g]) = N(z, w).  They swap and cycle the rows and the columns
+    of Z on I (the coordinates on CH and IV), act as Z -> P Z P^T on III,
+    and transpose Z on I:p,p."""
+    entry = _entry_matrix(dom)
+    p, q = entry.shape
+    # (0 1) and (0 1 ... n-1) generate S_n; for n = 2 they coincide.
+    perms = {n: [np.r_[1, 0, 2:n], np.roll(np.arange(n), 1)][: min(n - 1, 2)] for n in (p, q)}
     if dom.kind == "III":
-        rows, cols = upper_triangle(dom.params[0])
-        entry = np.empty((dom.params[0],) * 2, dtype=np.int64)
-        entry[rows, cols] = entry[cols, rows] = np.arange(d)
+        grids = [entry[g][:, g][upper_triangle(p)] for g in perms[p]]
     else:
-        entry = np.arange(d).reshape(dom.params if dom.kind == "I" else (1, d))
-    yield from _minors(entry, min(dom.r, max_degree))
+        grids = [entry[g] for g in perms[p]] + [entry[:, g] for g in perms[q]]
+        grids += [entry.T] if p == q > 1 else []
+    return tuple(tuple(int(i) for i in g.ravel()) for g in grids)
 
 
 @lru_cache(maxsize=None)

@@ -162,10 +162,10 @@ def gram_report(
 def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float]] | None:
     """Coordinate atoms of the most negative degree-2 eigendirection.
 
-    Returns [(i, j, coef), ...] sorted by |coef| descending, where the
-    eigenvector reads sum coef * z_i z_j, or None when the degree-2 block is
-    positive semidefinite, not finite or too large to build (no guidance to
-    offer).  The direction is the Calabi verdict's degree-2 witness.
+    Returns [(i, j, coef), ...] sorted by |coef| descending, ties by (i, j),
+    where the eigenvector reads sum coef * z_i z_j, or None when the degree-2
+    block is positive semidefinite, not finite or too large to build (no
+    guidance to offer).  The direction is the Calabi verdict's degree-2 witness.
     """
     from .calabi import calabi_matrix, psd_verdict
     from .multiindex import MemoryLimitError, basis
@@ -186,7 +186,12 @@ def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float
         nonzero = np.flatnonzero(bas.exponents[pos])
         atoms.append((int(nonzero[0]), int(nonzero[-1]), coef))
     atoms.sort(key=lambda a: -abs(a[2]))
-    return atoms or None
+    # Equal |coef| differ by rounding: ties within 1e-12 relative go by position (i, j).
+    tie, keys = np.inf, []
+    for i, j, coef in atoms:
+        tie = tie if abs(coef) >= tie * (1.0 - 1e-12) else abs(coef)
+        keys.append((-tie, i, j))
+    return [atom for _, atom in sorted(zip(keys, atoms))] or None
 
 
 _OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))  # primitive cube root of unity

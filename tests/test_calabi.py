@@ -9,13 +9,14 @@ the series code.
 """
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit import calabi, multiindex
+from wallachkit import calabi, cartan_hartogs as chm, multiindex
 from wallachkit.calabi import GradingError, scan_lambdas
 from wallachkit.domains import one_minus_norm
 from wallachkit.multiindex import MemoryLimitError, basis
@@ -487,6 +488,10 @@ def test_verdict_runs_one_eigvalsh_per_component_size(monkeypatch):
     singles = [shape for name, shape in calls if name == "eigh"]
     assert len(stacks) == len({shape[-1] for shape in stacks}) == 14
     assert all(len(shape) == 3 for shape in stacks)
+    # One component per S_3 orbit: 80 of the 371 are solved.
+    assert sum(shape[0] for shape in stacks) == 80
+    assert sum(bv.solved_components for bv in verdict.per_block) == 80
+    assert sum(bv.components for bv in verdict.per_block) == 371
     negative = [bv for bv in verdict.per_block if bv.witness is not None]
     assert not verdict.psd and len(singles) == len(negative) >= 1
     assert all(len(shape) == 2 for shape in singles)
@@ -494,8 +499,9 @@ def test_verdict_runs_one_eigvalsh_per_component_size(monkeypatch):
     assert wk.psd_verdict(member).psd
     assert [name for name, _ in calls] == ["eigvalsh"] * 14
     calls.clear()
-    wk.extract_immersion(member)  # reads every eigenvector
+    wk.extract_immersion(member)  # reads every eigenvector, of every component
     assert [name for name, _ in calls] == ["eigh"] * 14
+    assert sum(shape[0] for _, shape in calls) == 371
 
 
 @pytest.mark.parametrize(
@@ -520,3 +526,71 @@ def test_refuted_witness_is_a_unit_eigenvector_on_one_component(spec, lam, cutof
         assert len(reach) <= bv.largest_component
         scale = float(np.max(np.abs(block)))
         assert np.linalg.norm(block @ w - bv.min_eigenvalue * w) <= 1e-12 * scale
+
+
+# --- orbits under the coordinate permutations ----------------------------------------
+
+
+def _assert_orbits_change_nothing(m):
+    """The verdict solving one component per orbit against the one solving
+    all; returns the numbers of components solved and of components."""
+    reduced, trivial = wk.psd_verdict(m), wk.psd_verdict(replace(m, symmetries=()))
+    assert reduced.psd == trivial.psd
+    degrees = basis(m.n_vars, m.cutoff).degrees[m.rows]
+    for r, t in zip(reduced.per_block, trivial.per_block, strict=True):
+        fields = ("degree", "dim", "rank", "tol", "components", "largest_component")
+        assert [getattr(r, f) for f in fields] == [getattr(t, f) for f in fields]
+        assert t.solved_components == t.components >= r.solved_components >= 1
+        scale = float(np.abs(m.values[degrees == r.degree]).max(initial=0.0))
+        assert abs(r.min_eigenvalue - t.min_eigenvalue) <= 1e-13 * max(scale, 1e-300)
+    return sum(bv.solved_components for bv in reduced.per_block), sum(
+        bv.components for bv in reduced.per_block
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [("III:3", 5), ("I:2,2", 5), ("IV:5", 4), ("IV:6", 4), ("I:2,3", 4), ("CH:2", 6),
+     ("III:2", 5), ("I:3,3", 4)],
+)
+def test_orbit_verdicts_match_trivial_orbits(spec, cutoff):
+    # lambda = k/8 from -0.5 to 4: 0, negative scales and the Wallach points.
+    dom = wk.parse_domain(spec)
+    for lam in [k / 8 for k in range(-4, 33)]:
+        solved, components = _assert_orbits_change_nothing(wk.calabi_matrix(dom, lam, cutoff))
+        assert solved < components
+
+
+@pytest.mark.parametrize(
+    "spec, cs",
+    [("CHD(I:2,2;mu=einstein)", (0.5, 1.0, 1.25)), ("CHD(III:2;mu=einstein)", (0.25, 1.0, 2.0)),
+     ("CHD(IV:3;mu=1)", (0.2, 0.5, 1.5))],
+)
+def test_orbit_verdicts_match_trivial_orbits_on_hartogs_assemblies(spec, cs):
+    ch = chm.parse_ch_spec(spec)
+    for c in cs:
+        m = chm.ch_block_assembly(ch, c, 5)
+        assert m.symmetries and all(g[-1] == ch.base.d for g in m.symmetries)  # w stays put
+        solved, components = _assert_orbits_change_nothing(m)
+        assert solved < components
+
+
+def _block_record(bv):
+    witness = None if bv.witness is None else bv.witness.tobytes()
+    return (bv.degree, bv.dim, bv.min_eigenvalue, bv.rank, bv.tol, witness,
+            bv.components, bv.largest_component, bv.solved_components)
+
+
+def test_a_permutation_that_does_not_fix_the_kernel_is_ignored():
+    # z11 <-> z12 on I:2,2 sends the 2-wide {z11 z22, z12 z21} to two components.
+    swap = (1, 0, 2, 3)
+    dom = wk.parse_domain("I:2,2")
+    for lam in (-0.25, 0.5, 1.0, 1.5):
+        m = wk.calabi_matrix(dom, lam, 5)
+        for gens, used in [((swap,), ()), (m.symmetries + (swap,), m.symmetries)]:
+            got = wk.psd_verdict(replace(m, symmetries=gens))
+            want = wk.psd_verdict(replace(m, symmetries=used))
+            assert got.psd == want.psd
+            assert [_block_record(bv) for bv in got.per_block] == [
+                _block_record(bv) for bv in want.per_block
+            ]

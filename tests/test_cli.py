@@ -174,6 +174,9 @@ def test_ch_check_below_threshold_with_blocks(capsys):
     assert v["first_failure"] == {"m": 0, "lambda": 0.8}
     assert v["truncated_psd"] is False
     assert d["agreement"] is True
+    blocks = d["per_block"]
+    assert all(1 <= b["solved_components"] <= b["components"] for b in blocks)
+    assert sum(b["solved_components"] for b in blocks) < sum(b["components"] for b in blocks)
 
 
 def test_einstein_probe(capsys):
@@ -270,8 +273,12 @@ def test_calabi_non_finite_coefficients_exit_one(capsys):
 def test_calabi_reports_weight_components(capsys):
     code, d, _ = run_json(capsys, "calabi", "I:2,2", "--lambda", "0.5", "--cutoff", "2")
     assert code == 0
-    blocks = [(b["dim"], b["components"], b["largest_component"]) for b in d["per_block"]]
-    assert blocks == [(4, 4, 1), (10, 9, 2)]
+    keys = ("dim", "components", "largest_component", "solved_components")
+    blocks = [tuple(b[k] for k in keys) for b in d["per_block"]]
+    # Row and column swaps and the transpose: the four z_ij form one orbit;
+    # in degree 2 the squares, the pairs sharing a row or a column, and the
+    # 2-wide {z11 z22, z12 z21} do.
+    assert blocks == [(4, 4, 1, 1), (10, 9, 2, 3)]
 
 
 @pytest.mark.parametrize("cutoff", [7, 9])

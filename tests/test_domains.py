@@ -12,6 +12,7 @@ from wallachkit.domains import (
     norm_series,
     one_minus_norm,
     spectral_radius,
+    symmetries,
 )
 from wallachkit.cli import main
 from wallachkit.multiindex import basis
@@ -19,6 +20,23 @@ from wallachkit.series import evaluate, rebase
 
 
 # --- catalog constants ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["I:2,3", "I:3,3", "III:3", "IV:5", "CH:3"])
+def test_symmetries_fix_the_generic_norm(spec):
+    dom = wk.parse_domain(spec)
+    n = norm_series(dom, dom.r)
+    b = n.basis
+    gens = symmetries(dom)
+    assert gens and all(sorted(g) == list(range(dom.d)) for g in gens)
+    for g in gens:
+        pos = b.rank(b.exponents[:, list(g)])
+        rows, cols = pos[n.rows], pos[n.cols]
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(rows[order], n.rows), g
+        assert np.array_equal(cols[order], n.cols), g
+        assert np.array_equal(n.values[order], n.values), g
 
 
 def test_type_i_invariants():

@@ -272,6 +272,18 @@ def test_structured_proposals_skip_non_finite_blocks():
     assert _quadratic_atoms(wk.catalog("I", 2, 2), 1e300) is None
 
 
+def test_tied_atoms_go_in_position_order():
+    # On IV:5 at lambda = 1 the degree-2 witness is (z.z) / sqrt(5): five
+    # atoms of |coef| 1/sqrt(5), equal up to rounding, so position decides.
+    from wallachkit.gram import _quadratic_atoms
+
+    atoms = _quadratic_atoms(wk.catalog("IV", 5), 1.0)
+    assert [(i, j) for i, j, _ in atoms] == [(k, k) for k in range(5)]
+    assert all(abs(abs(c) - 5**-0.5) <= 1e-12 for _, _, c in atoms)
+    # Untied atoms keep the |coef| order: on III:2 the z1 z3 atom leads.
+    assert [(i, j) for i, j, _ in _quadratic_atoms(wk.catalog("III", 2), 0.25)] == [(0, 2), (1, 1)]
+
+
 def test_min_gram_eigenvalue_consistent_with_report():
     dom = wk.catalog("IV", 3)
     pts = wk.sample_points(dom, 5, 11, 0.6)
