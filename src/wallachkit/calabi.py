@@ -27,7 +27,8 @@ solves one per orbit, each size as one stacked eigenvalue problem for all
 degrees; each degree's verdict is read off its own components, weighted by
 orbit size, and is that of the dense block.  It computes eigenvalues only;
 a refuted degree's witness is an eigenvector of its minimising component
-alone, zero-padded to the block.  extract_immersion (every eigenvector) and
+alone, zero-padded to the block; a scan, whose rows read no witness,
+solves none.  extract_immersion (every eigenvector) and
 graded_blocks of an arbitrary series solve every component.  The labels,
 orbits and scatter depend on the pattern alone (a SpectralLayout), which a
 scan shares across its lambdas.
@@ -274,14 +275,15 @@ def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectral_pass(
     layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float,
-    vectors: bool = False,
+    vectors: bool = False, witnesses: bool = True,
 ) -> tuple[tuple[BlockVerdict, ...], dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Per-degree verdicts, and the spectrum as {size: (positions, values,
     matrices)}, from one stacked eigensolve per size of the representatives
     with the given values on the layout's pattern: eigvalsh, with the
     components as the matrices and one eigh of a refuted degree's first
     minimising representative for its witness, or with vectors eigh, with
-    the eigenvectors as the matrices.  Ranks count each orbit in full."""
+    the eigenvectors as the matrices.  Ranks count each orbit in full.
+    Without witnesses every witness is None and no eigh runs for them."""
     check_tolerance(tol_abs)
     check_tolerance(tol_rel)
     runs, cutoff, degree, size = layout.runs, layout.cutoff, layout.degree, layout.size
@@ -315,7 +317,7 @@ def _spectral_pass(
     for d in range(1, cutoff + 1):
         sl, c = b.degree_slice(d), pick[d]
         min_eig, witness = float(lowest[c]), None
-        if min_eig < -tol[d]:
+        if witnesses and min_eig < -tol[d]:
             # The representatives of one size are consecutive in stack order.
             idx, _, mats = spectra[size[c]]
             row = c - np.searchsorted(size, size[c])
@@ -449,7 +451,8 @@ def scan_lambdas(
         if values is None:
             per_block = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel).per_block
         else:
-            per_block, _ = _spectral_pass(layout, values, tol_abs, tol_rel)
+            # A scan row reads no witness, so none is solved for.
+            per_block, _ = _spectral_pass(layout, values, tol_abs, tol_rel, witnesses=False)
         rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
             for bv in per_block

@@ -3,8 +3,8 @@
 Each :class:`DomainModel` carries the numerical invariants (complex dimension
 d, rank r, the positive invariant a, genus gamma), the generic norm N both as
 an exact polynomial kernel (a :class:`~wallachkit.series.HermitianSeries`) and
-as a direct two-point evaluator, plus membership, sampling, and the
-closed-form Wallach set
+as a direct two-point evaluator, plus membership (on I and III a pivot test
+of I - Z Z*, see contains), sampling, and the closed-form Wallach set
 
     W = {0, a/2, ..., (r-1)a/2}  union  ((r-1)a/2, infinity).
 
@@ -155,15 +155,18 @@ def _coordinates(dom: DomainModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
 def _entry_matrix(dom: DomainModel) -> np.ndarray:
     """The coordinate at each entry of Z: p x q on I, symmetric n x n on III,
-    one row on CH and IV."""
+    one row on CH and IV (read-only)."""
     if dom.kind == "III":
         rows, cols = upper_triangle(dom.params[0])
         entry = np.empty((dom.params[0],) * 2, dtype=np.int64)
         entry[rows, cols] = entry[cols, rows] = np.arange(dom.d)
-        return entry
-    return np.arange(dom.d).reshape(dom.params if dom.kind == "I" else (1, dom.d))
+    else:
+        entry = np.arange(dom.d).reshape(dom.params if dom.kind == "I" else (1, dom.d))
+    entry.flags.writeable = False
+    return entry
 
 
 def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
@@ -217,7 +220,8 @@ def spectral_radius(dom: DomainModel, x: np.ndarray) -> float | np.ndarray:
 
     Points lie along the last axis of x: one point gives a float, a (k, d)
     stack an array of k gauges.  I and III take the largest singular value
-    from one stacked SVD; IV and CH are closed forms.
+    from one stacked SVD; IV and CH are closed forms.  contains does not
+    read it on I and III; sample scales by it.
     """
     if dom.kind in ("I", "III"):
         gauge = np.linalg.svd(_as_matrix(dom, x), compute_uv=False)[..., 0]
@@ -232,8 +236,33 @@ def spectral_radius(dom: DomainModel, x: np.ndarray) -> float | np.ndarray:
 
 
 def contains(dom: DomainModel, x: np.ndarray) -> bool | np.ndarray:
-    """Interior membership, per point for a (k, d) stack."""
-    return spectral_radius(dom, x) < 1.0
+    """Interior membership, per point for a (k, d) stack.
+
+    I and III: Z is inside iff I - Z Z* (p x p, the smaller side) is positive
+    definite, i.e. iff every pivot of its square-root-free Cholesky
+    factorisation L D L* is > 0: exact in exact arithmetic, and defined for
+    every input.  One elimination runs over the whole stack, a vectorized
+    step per column; once a point has a pivot that is not > 0, the
+    arithmetic that follows on it is discarded.  IV and CH compare their
+    closed-form gauge with 1.  A NaN or infinite coordinate gives False on
+    every kind, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        if dom.kind not in ("I", "III"):
+            return spectral_radius(dom, x) < 1.0
+        # Z's entries first and the batch axes reversed after them, so each
+        # step runs over the whole batch; .T restores the batch order.
+        z = _coordinates(dom, x).T[_entry_matrix(dom)]
+        g = np.einsum("ik...,jk...->ij...", z, z.conj())  # Z Z*
+        inside = np.ones(z.shape[2:], dtype=bool)
+        # Step k eliminates column k of I - g in place: the pivot is 1 - g_kk,
+        # and (I - g)_ij -= (I - g)_ik conj((I - g)_jk) / pivot for i, j > k.
+        for k in range(len(g)):
+            pivot = 1.0 - g[k, k].real
+            inside &= pivot > 0.0
+            col = g[k + 1 :, k]
+            g[k + 1 :, k + 1 :] += col[:, None] * (col.conj() / pivot)[None, :]
+    return inside.T if inside.ndim else bool(inside)
 
 
 def sample(
@@ -241,22 +270,9 @@ def sample(
     rng: int | np.random.Generator,
     radius_cap: float = 0.7,
 ) -> np.ndarray:
-    """One interior point with spectral radius <= radius_cap; deterministic per seed."""
-    if not 0.0 < radius_cap < 1.0:
-        raise ValueError("radius_cap must lie in (0, 1)")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    for _ in range(_SAMPLE_RETRIES):
-        raw = gen.standard_normal(dom.d) + 1j * gen.standard_normal(dom.d)
-        s = spectral_radius(dom, raw)
-        if s <= 0.0:
-            continue
-        # Radius distributed like a uniform draw from the gauge ball.
-        target = radius_cap * gen.uniform() ** (1.0 / (2 * dom.d))
-        x = raw * (target / s)
-        # The gauge is homogeneous, so x's gauge is target <= radius_cap < 1.
-        if np.isfinite(x).all():
-            return x
-    raise SamplingError(f"no interior sample for {dom.spec_string} within retry budget")
+    """One interior point with spectral radius <= radius_cap; deterministic per
+    seed.  The one-point case of sample_points."""
+    return sample_points(dom, 1, rng, radius_cap)[0]
 
 
 def sample_points(
@@ -265,8 +281,30 @@ def sample_points(
     rng: int | np.random.Generator,
     radius_cap: float = 0.7,
 ) -> list[np.ndarray]:
+    """count interior points, each with spectral radius <= radius_cap.
+
+    Each point draws d complex normals (real parts, then imaginary parts) and
+    then one uniform, point after point, so the points do not depend on how
+    many are drawn at once; an all-zero normal draw, the only one whose gauge
+    is 0, is drawn again.  One spectral_radius call gauges them all, and each
+    direction is scaled to a gauge distributed like that of a uniform draw
+    from the gauge ball of radius radius_cap.
+    """
+    if not 0.0 < radius_cap < 1.0:
+        raise ValueError("radius_cap must lie in (0, 1)")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return [sample(dom, gen, radius_cap) for _ in range(count)]
+    raw = np.empty((count, dom.d), dtype=np.complex128)
+    target = np.empty(count)
+    for i in range(count):
+        for _ in range(_SAMPLE_RETRIES):
+            raw[i] = gen.standard_normal(dom.d) + 1j * gen.standard_normal(dom.d)
+            if raw[i].any():
+                break
+        else:
+            raise SamplingError(f"no interior sample for {dom.spec_string} within retry budget")
+        target[i] = radius_cap * gen.uniform() ** (1.0 / (2 * dom.d))
+    # The gauge is homogeneous, so each point's gauge is target <= radius_cap < 1.
+    return list(raw * (target / spectral_radius(dom, raw))[:, None])
 
 
 # --- Wallach set -------------------------------------------------------------

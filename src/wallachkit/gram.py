@@ -25,7 +25,10 @@ so the search remains honest on domains where no guidance is available.
 
 Evaluations are batched: a configuration is one (k, d) array, and a stack
 of them gets its norm matrices from one evaluation (domains.norm_matrix),
-its membership from one stacked gauge and its spectra from one eigvalsh.
+its membership from one domains.contains call (on I and III the pivots of
+one stacked L D L* elimination of I - Z Z*, no SVD) and its spectra from one
+eigvalsh.  The random points of a configuration come from one sample_points
+call, which gauges them together.
 Restart 0 runs alone; the remaining restarts then advance in lockstep chunks
 of at most 64, each step evaluating every restart still running in the
 chunk in one stacked objective.  Each
@@ -41,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import DomainModel, contains, norm_matrix, parse_domain, sample, upper_triangle
+from .domains import DomainModel, contains, norm_matrix, parse_domain, sample_points, upper_triangle
 
 DEFAULT_WITNESS_TOL = 1e-6
 DEFAULT_RADIUS_CAP = 0.7
@@ -230,8 +233,7 @@ def _structured_points(
                 points.append(_OMEGA**k * u + np.conj(_OMEGA) ** k * v)
     if len(points) < n_points:
         points.append(np.zeros(dom.d, dtype=np.complex128))
-    while len(points) < n_points:
-        points.append(sample(dom, rng, 0.25 * scale))
+    points.extend(sample_points(dom, n_points - len(points), rng, 0.25 * scale))
     return np.array(points)
 
 
@@ -308,7 +310,7 @@ def _lockstep(
     # Random starts where no structured proposal was valid.
     start = np.flatnonzero(np.isnan(best))
     for j in start:
-        points[j] = np.array([sample(dom, rngs[j], DEFAULT_RADIUS_CAP) for _ in range(n_points)])
+        points[j] = sample_points(dom, n_points, rngs[j], DEFAULT_RADIUS_CAP)
     start = start[evals[start] < eval_cap]
     if len(start):
         evals[start] += 1

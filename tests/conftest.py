@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from wallachkit.domains import spectral_radius
+
 
 def _dense_blocks(s):
     """{degree: dense block} of a series' on-grade entries of positive degree,
@@ -24,3 +26,23 @@ def _dense_blocks(s):
 @pytest.fixture
 def dense_blocks():
     return _dense_blocks
+
+
+def _pointwise_sample_points(dom, count, rng, radius_cap=0.7):
+    """Interior points drawn and gauged one at a time, each scaled to a gauge
+    drawn like that of a uniform point of the radius_cap ball: the reference
+    domains.sample_points (one gauge for the whole stack) is checked against."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    points = []
+    while len(points) < count:
+        raw = gen.standard_normal(dom.d) + 1j * gen.standard_normal(dom.d)
+        s = spectral_radius(dom, raw)
+        if s > 0.0:
+            target = radius_cap * gen.uniform() ** (1.0 / (2 * dom.d))
+            points.append(raw * (target / s))
+    return points
+
+
+@pytest.fixture
+def pointwise_sample_points():
+    return _pointwise_sample_points

@@ -1,9 +1,12 @@
 """Catalog invariants, norm evaluation, membership, sampling, Wallach sets."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import wallachkit as wk
 from wallachkit.domains import (
@@ -359,6 +362,116 @@ def test_batched_contains_matches_pointwise():
         for g, x in zip(gauges, xs):
             assert g == pytest.approx(_reference_gauge(dom, x), rel=1e-14)
             assert spectral_radius(dom, x) == g
+
+
+# Derandomized with no example database, as in test_spectral_properties.py;
+# the fixture used alongside is a pure function.
+PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+MEMBERSHIP_SPECS = ("I:2,3", "I:3,3", "I:4,4", "III:3")
+# Up to 16 coordinates, enough for I:4,4; a test keeps the first d.
+ENTRIES = st.lists(
+    st.complex_numbers(
+        max_magnitude=10.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
+    ),
+    min_size=16,
+    max_size=16,
+)
+
+
+def _matrix(dom, x):
+    """A type I or III point as its matrix."""
+    if dom.kind == "I":
+        return x.reshape(dom.params)
+    z = np.zeros((dom.params[0],) * 2, dtype=complex)
+    z[np.triu_indices(dom.params[0])] = x
+    return z + np.triu(z, 1).T
+
+
+@PROPERTY_SETTINGS
+@given(
+    spec=st.sampled_from(MEMBERSHIP_SPECS),
+    entries=ENTRIES,
+    gauge=st.one_of(st.floats(1e-3, 1.0 - 1e-10), st.floats(1.0 + 1e-10, 1e3)),
+)
+def test_pivot_membership_matches_the_gauge(spec, entries, gauge):
+    dom = wk.parse_domain(spec)
+    raw = np.array(entries[: dom.d])
+    size = _reference_gauge(dom, raw)
+    assume(size > 1e-100)
+    x = raw * (gauge / size)
+    inside = wk.contains(dom, x)
+    assert inside == (_reference_gauge(dom, x) < 1.0)
+    assert wk.contains(dom, np.array([x, raw])).tolist() == [inside, wk.contains(dom, raw)]
+
+
+@PROPERTY_SETTINGS
+@given(
+    spec=st.sampled_from(MEMBERSHIP_SPECS),
+    entries=ENTRIES,
+    where=st.integers(0, 15),
+    unit=st.sampled_from((1.0, -1.0, 1j, -1j)),
+)
+def test_points_of_gauge_exactly_one_are_outside(spec, entries, where, unit):
+    # Z_ij = unit with the rest of row i and column j zero (on III, i = j)
+    # and the rest of Z scaled to gauge 0.9 has singular value exactly 1.
+    dom = wk.parse_domain(spec)
+    z = _matrix(dom, np.array(entries[: dom.d]))
+    i, j = divmod(where % z.size, z.shape[1])
+    j = i if dom.kind == "III" else j
+    z[i, :] = z[:, j] = 0.0
+    rest = np.linalg.norm(z, 2)
+    if rest > 0.0:
+        z *= 0.9 / rest
+    z[i, j] = unit
+    x = z.ravel() if dom.kind == "I" else z[np.triu_indices(len(z))]
+    assert _reference_gauge(dom, x) == pytest.approx(1.0, rel=1e-14)
+    assert wk.contains(dom, x) is False
+    assert wk.contains(dom, np.array([x, 0.5 * x])).tolist() == [False, True]
+
+
+@PROPERTY_SETTINGS
+@given(
+    spec=st.sampled_from(
+        ("I:1,1", "I:2,3", "I:3,3", "III:1", "III:3", "IV:3", "IV:5", "CH:1", "CH:2")
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 8),
+    cap=st.floats(0.01, 0.99),
+)
+def test_sampling_matches_the_pointwise_loop(spec, seed, count, cap, pointwise_sample_points):
+    dom = wk.parse_domain(spec)
+    gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    points = wk.sample_points(dom, count, gen, cap)
+    assert len(points) == count
+    want = pointwise_sample_points(dom, count, ref, cap)
+    assert np.array(points).tobytes() == np.array(want).tobytes()
+    want = pointwise_sample_points(dom, 1, ref, cap)[0]
+    assert wk.sample(dom, gen, cap).tobytes() == want.tobytes()
+    assert gen.bytes(8) == ref.bytes(8)  # the same number of draws
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf))
+
+
+@pytest.mark.parametrize("spec", ["I:2,3", "III:3", "IV:5", "CH:2"])
+def test_non_finite_points_are_outside_without_a_warning(spec):
+    dom = wk.parse_domain(spec)
+    inside = np.array(wk.sample_points(dom, len(NON_FINITE), 3, 0.5))
+    bad = inside.copy()
+    for i, value in enumerate(NON_FINITE):
+        bad[i, i % dom.d] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(wk.contains(dom, x) is False for x in bad)
+        assert wk.contains(dom, bad).tolist() == [False] * len(bad)
+        both = wk.contains(dom, np.array([bad, inside]))
+    assert both.tolist() == [[False] * len(bad), [True] * len(bad)]
 
 
 def test_sample_points_count():

@@ -7,6 +7,7 @@ import pytest
 
 import wallachkit as wk
 from wallachkit import gram
+from wallachkit.domains import spectral_radius
 from wallachkit.gram import BranchError, _minimize_witness, _witness_threshold, min_gram_eigenvalue
 
 
@@ -391,3 +392,21 @@ def test_huge_budget_stops_after_the_chunk_with_a_witness():
     elapsed = time.perf_counter() - start
     assert huge.found and elapsed < 2.0
     assert _record(huge) == _record(wk.search_violation(dom, 0.5, budget=2000, seed=3))
+
+
+@pytest.mark.parametrize(
+    "spec, lam, found",
+    # a gap the search finds, a gap it misses, and a Wallach member
+    [("I:2,2", 0.5, True), ("III:3", 0.75, False), ("I:2,3", 1.0, False)],
+)
+def test_search_decisions_match_the_gauge_and_pointwise_sampling(
+    spec, lam, found, monkeypatch, pointwise_sample_points
+):
+    # The search as it was: membership from the SVD gauge, and random points
+    # drawn and gauged one at a time.
+    dom = wk.parse_domain(spec)
+    record = _record(wk.search_violation(dom, lam, budget=2000, seed=9901))
+    assert record[0] == found
+    monkeypatch.setattr(gram, "contains", lambda dom, x: spectral_radius(dom, x) < 1.0)
+    monkeypatch.setattr(gram, "sample_points", pointwise_sample_points)
+    assert _record(wk.search_violation(dom, lam, budget=2000, seed=9901)) == record
