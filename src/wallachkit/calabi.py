@@ -8,12 +8,13 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
-The expansion is the Euler-operator recurrence on N's terms.  One lambda
-(bergman_diastasis_series, and through it calabi_matrix, the Cartan-Hartogs
-assembly and the Gram guidance) runs it directly and caches nothing.  A grid
-of lambdas (scan_lambdas) compiles it once per (domain, cutoff), with lambda
-left open, together with the spectral layout of its pattern, and replays it
-per lambda: the same numbers as the single verdicts, bit for bit.
+The expansion is the Euler-operator recurrence on N's terms, compiled with
+lambda left open and replayed at lambda (series.compile_recurrence).  One
+lambda (bergman_diastasis_series, and through it calabi_matrix and the Gram
+guidance) compiles and replays it once and caches nothing.  A grid of
+lambdas (scan_lambdas) compiles it once per (domain, cutoff), together with
+the spectral layout of its pattern, and replays it per lambda: the same
+numbers as the single verdicts, bit for bit.
 
 The matrix keeps the series' sorted COO entries on its graded blocks, never
 a dense array.  The kernel is invariant under the maximal torus of K
@@ -27,8 +28,9 @@ solves one per orbit, each size as one stacked eigenvalue problem for all
 degrees; each degree's verdict is read off its own components, weighted by
 orbit size, and is that of the dense block.  It computes eigenvalues only;
 a refuted degree's witness is an eigenvector of its minimising component
-alone, zero-padded to the block; a scan, whose rows read no witness,
-solves none.  extract_immersion (every eigenvector) and
+alone, zero-padded to the block, where minima that tie to a few ulps of the
+block scale go to the first component in stack order; a scan, whose rows
+read no witness, solves none.  extract_immersion (every eigenvector) and
 graded_blocks of an arbitrary series solve every component.  The labels,
 orbits and scatter depend on the pattern alone (a SpectralLayout), which a
 scan shares across its lambdas.
@@ -57,6 +59,9 @@ DEFAULT_TOL_REL = 1e-9
 # Pure terms a_{j0}, a_{0j} and off-grade entries must vanish to this level.
 NORMALIZATION_TOL = 1e-13
 GRADING_REL_TOL = 1e-13
+# Component minima this close, relative to the block scale (max |b|), tie
+# for the witness.
+WITNESS_TIE_REL = 64 * np.finfo(np.float64).eps
 
 
 def check_tolerance(value: float) -> float:
@@ -280,8 +285,9 @@ def _spectral_pass(
     """Per-degree verdicts, and the spectrum as {size: (positions, values,
     matrices)}, from one stacked eigensolve per size of the representatives
     with the given values on the layout's pattern: eigvalsh, with the
-    components as the matrices and one eigh of a refuted degree's first
-    minimising representative for its witness, or with vectors eigh, with
+    components as the matrices and one eigh of a refuted degree's witness
+    representative, the first in stack order whose minimum ties with the
+    least (WITNESS_TIE_REL), or with vectors eigh, with
     the eigenvectors as the matrices.  Ranks count each orbit in full.
     Without witnesses every witness is None and no eigh runs for them."""
     check_tolerance(tol_abs)
@@ -306,18 +312,21 @@ def _spectral_pass(
     first = np.cumsum(size) - size
     above = np.add.reduceat(eigenvalues > np.repeat(tol[degree], size), first)
     rank = np.bincount(degree, layout.weight * above, cutoff + 1)
-    # Per degree, the first representative in stack order with the least minimum.
     lowest = eigenvalues[first]
     components, solved = layout.components, layout.solved
-    pick = np.lexsort((lowest, degree))[np.cumsum(solved) - solved]
+    least = lowest[np.lexsort((lowest, degree))[np.cumsum(solved) - solved]]
+    # The witness comes from the first representative in stack order whose
+    # minimum is within a few ulps of the block scale of the least: minima
+    # equal in exact arithmetic differ by rounding, which must not choose it.
+    ties = np.flatnonzero(lowest <= least[degree] + WITNESS_TIE_REL * scale[degree])
     largest = np.zeros(cutoff + 1, dtype=np.int64)
     np.maximum.at(largest, degree, size)
     b = basis(layout.n_vars, cutoff)
     verdicts = []
     for d in range(1, cutoff + 1):
-        sl, c = b.degree_slice(d), pick[d]
-        min_eig, witness = float(lowest[c]), None
+        sl, min_eig, witness = b.degree_slice(d), float(least[d]), None
         if witnesses and min_eig < -tol[d]:
+            c = ties[np.argmax(degree[ties] == d)]
             # The representatives of one size are consecutive in stack order.
             idx, _, mats = spectra[size[c]]
             row = c - np.searchsorted(size, size[c])
@@ -438,8 +447,8 @@ def scan_lambdas(
     bit for bit.  The recurrence's plan and the spectral layout of its
     pattern are built once per (domain, cutoff) and cached, so a scale costs
     one replay of the recurrence and the stacked eigensolves.  A scale at
-    which the recurrence sums to an exact zero (lambda = 0, say) drops that
-    entry, so it takes the single-verdict path, which labels its own pattern.
+    which the replay holds an exact zero (lambda = 0, say), an entry a single
+    verdict drops, takes the single-verdict path, which labels its own pattern.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -448,7 +457,7 @@ def scan_lambdas(
     for lam in lams:
         lam = float(lam)
         values = plan.values(lam)
-        if values is None:
+        if not values.all():
             per_block = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel).per_block
         else:
             # A scan row reads no witness, so none is solved for.

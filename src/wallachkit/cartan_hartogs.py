@@ -5,13 +5,16 @@ A CHDomain over base Omega with fiber exponent mu > 0 is the set
 D(z, w) = -log(N(z, z)^mu - |w|^2).  Coordinates are (z_1, ..., z_d, w).
 
 Two independent expansions of e^{cD} - 1 = (N^mu - |w|^2)^{-c} - 1 are
-provided: a direct (d+1)-variable series computation, and a block assembly
-that never expands in w, using
+provided, both by the recurrence of series.inverse_norm_power: a direct
+(d+1)-variable computation, N^mu - 1 as the recurrence at -mu and then that
+of N^mu - |w|^2 (constant term 1, bidegrees (g, g) only) at c, and a block
+assembly that never expands in w, using
 
     (N^mu - |w|^2)^{-c} = sum_m C(c+m-1, m) |w|^{2m} N^{-mu(c+m)}
 
 so each w-degree m contributes the base-domain expansion at Wallach
-parameter mu(c+m) scaled by the binomial prefactor.  Their agreement is a
+parameter mu(c+m) scaled by the binomial prefactor: one recurrence plan on
+N, compiled once and replayed at every mu(c+m).  Their agreement is a
 cross-check of the whole series stack.
 
 The closed-form inducibility verdict reduces to base-domain Wallach
@@ -38,7 +41,6 @@ from .calabi import (
     DEFAULT_TOL_REL,
     CalabiMatrix,
     Verdict,
-    bergman_diastasis_series,
     graded_blocks,
     psd_verdict,
 )
@@ -48,7 +50,7 @@ from .domains import (
     _hermitian_squares,
     contains,
     generic_norm_eval,
-    one_minus_norm,
+    norm_series,
     parse_domain,
     sample,
     symmetries,
@@ -145,27 +147,34 @@ def ch_sample(
 
 
 def ch_direct_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
-    """(N^mu - |w|^2)^{-c} - 1 computed entirely in d+1 variables."""
+    """(N^mu - |w|^2)^{-c} - 1 computed entirely in d+1 variables: N^mu - 1
+    is the recurrence at -mu, and N^mu - |w|^2, with constant term 1 and
+    bidegrees (g, g) only, takes the recurrence at c in its turn."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
         raise ValueError("c must be positive")
     base = ch.base
     # N^mu - 1 in the base variables, then embedded with w as the last variable.
-    nmu_minus_1 = hs.inverse_power(one_minus_norm(base, cutoff), -ch.mu)
-    q = hs.scale(hs.embed(nmu_minus_1, ch.n_vars, cutoff), -1.0)
-    w = (0,) * base.d + (1,)
-    q = hs.add(q, hs.from_terms(ch.n_vars, cutoff, {(w, w): 1.0}))  # N^mu - |w|^2 = 1 - Q'
-    return hs.inverse_power(q, c)
+    nmu_minus_1 = hs.inverse_norm_power(norm_series(base, cutoff), -ch.mu)
+    z, w = (0,) * ch.n_vars, (0,) * base.d + (1,)
+    one_minus_w2 = hs.from_terms(ch.n_vars, cutoff, {(z, z): 1.0, (w, w): -1.0})
+    return hs.inverse_norm_power(hs.add(hs.embed(nmu_minus_1, ch.n_vars), one_minus_w2), c)
 
 
 def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
-    """Same series via the per-w-degree assembly (no expansion in w)."""
+    """Same series via the per-w-degree assembly (no expansion in w).
+
+    One recurrence plan on N at the cutoff serves every m: level a reads only
+    N's terms of degree <= a, and basis(d, k) is a prefix of basis(d, cutoff),
+    so the plan's levels up to cutoff - m are the expansion at that cutoff.
+    """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
         raise ValueError("c must be positive")
     full = basis(ch.n_vars, cutoff)
+    plan = hs.compile_recurrence(norm_series(ch.base, cutoff))
     rows, cols, vals = [], [], []
     for m in range(cutoff + 1):
         prefactor = hs.generalized_binomial(c, m)
@@ -177,10 +186,11 @@ def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
             cols.append(pos[:1])
             vals.append([prefactor])
         if cutoff - m >= 1:
-            s = bergman_diastasis_series(ch.base, ch.mu * (c + m), cutoff - m)
-            rows.append(pos[s.rows])
-            cols.append(pos[s.cols])
-            vals.append(prefactor * s.values)
+            # from_entries drops the exact zeros, as inverse_norm_power does.
+            stop = np.searchsorted(plan.rows, len(exps))
+            rows.append(pos[plan.rows[:stop]])
+            cols.append(pos[plan.cols[:stop]])
+            vals.append(prefactor * plan.values(ch.mu * (c + m))[:stop])
     return hs.from_entries(
         ch.n_vars, cutoff, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )

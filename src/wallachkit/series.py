@@ -15,8 +15,9 @@ values (float64) hold the nonzero canonical entries (j <= k) sorted by
 structural.  Every series comes out of :func:`from_entries`, which mirrors
 j > k, drops positions past the basis, sums duplicates (np.unique and
 bincount) and drops zeros; sums, rebasing and products all feed it arrays.
-The one exception is :func:`inverse_norm_power`, which sums each level the
-same way and emits the levels in order, already in that form.
+The one exception is :func:`inverse_norm_power`, whose recurrence sums each
+level the same way and emits the levels in order, already in that form once
+its exact zeros are dropped.
 
 :func:`product` never builds a table of index sums.  It groups the entries
 of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
@@ -36,17 +37,18 @@ constant term:
 
 with C(.,.) the generalized binomial coefficient, computed by a running
 product to avoid gamma-function cancellation.  The powers of Q cost far more
-than one expansion needs: :func:`inverse_norm_power` computes N^(-lam) - 1
-for a norm-like N (constant term 1, bidegrees (g, g) only) in one pass from
-N's few terms, by the Euler-operator recurrence (J. C. P. Miller's power
-recurrence; Knuth, TAOCP vol. 2, sec. 4.7).  Only the recurrence's weights
--n (a - g + lam g) depend on lam, not the pairs it sums, so
-:func:`compile_recurrence` records those pairs once and a
-:class:`RecurrencePlan` replays the recurrence for any lam, bit for bit, at
-one gather, product and bincount per level; a scan over many lam
-(:func:`wallachkit.calabi.scan_lambdas`) reads one plan.  The powers serve
-only the Cartan-Hartogs direct series, and inverse_power is the independent
-reference the tests hold the recurrence to.
+than one expansion needs; they remain as an independent reference for the
+recurrence.  Every expansion the program runs is N^(-lam) for a norm-like N
+(constant term 1, bidegrees (g, g) only), by the Euler-operator recurrence
+on N's few terms (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2,
+sec. 4.7), and one function forms its pairs: only the recurrence's weights
+-n (a - g + lam g) depend on lam, so :func:`compile_recurrence` records the
+pairs once and a :class:`RecurrencePlan` replays them for any lam, one
+gather, product and bincount per level, exact zeros kept.
+:func:`inverse_norm_power` is one compile and one replay with the zeros
+dropped; a scan over many lam (:func:`wallachkit.calabi.scan_lambdas`) and
+the Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, each replay
+one plan.
 """
 
 from __future__ import annotations
@@ -61,13 +63,10 @@ from .multiindex import Basis, basis, check_memory
 # Memory per entry pair a product forms (ranks, values, their concatenation
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
-# The same for inverse_norm_power, per pair a level forms before it keeps the
-# canonical ones: runs peaked at 40-54 B per pair of their largest level.
-RECURRENCE_PAIR_BYTES = 64
 # The same for compile_recurrence, per pair kept so far plus pair the next
-# level forms: scan plans (with their spectral layout) peaked at 42-51 B.
+# level forms: single verdicts (compile and replay) peaked at 33-45 B.
 PLAN_PAIR_BYTES = 64
-# Entry pairs inverse_norm_power forms at once before it drops the non-canonical ones.
+# Entry pairs compile_recurrence forms at once before it drops the non-canonical ones.
 _BATCH_PAIRS = 2**13
 
 
@@ -142,16 +141,6 @@ def _mirror(rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and their value sums (each in input
-    order), without the keys whose sum is zero."""
-    targets, slot = np.unique(keys, return_inverse=True)
-    sums = np.bincount(slot, weights=values, minlength=len(targets))
-    nonzero = sums != 0.0
-    # bincount of nothing is int64
-    return targets[nonzero], np.asarray(sums[nonzero], dtype=np.float64)
-
-
 def _frozen(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSeries:
     """The series of canonical, sorted, distinct, nonzero entries, read-only."""
     for x in (rows, cols, values):
@@ -174,9 +163,12 @@ def from_entries(n_vars: int, cutoff: int, rows, cols, values) -> HermitianSerie
     values = np.asarray(values, dtype=np.float64)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     keep = hi < m
-    targets, values = _sum_by_key(lo[keep] * m + hi[keep], values[keep])
-    rows, cols = np.divmod(targets, m)
-    return _frozen(n_vars, cutoff, rows, cols, values)
+    targets, slot = np.unique(lo[keep] * m + hi[keep], return_inverse=True)
+    sums = np.bincount(slot, weights=values[keep], minlength=len(targets))
+    nonzero = sums != 0.0
+    rows, cols = np.divmod(targets[nonzero], m)
+    # bincount of nothing is int64
+    return _frozen(n_vars, cutoff, rows, cols, np.asarray(sums[nonzero], dtype=np.float64))
 
 
 def zero(n_vars: int, cutoff: int) -> HermitianSeries:
@@ -359,13 +351,6 @@ def _norm_terms(n: HermitianSeries) -> list[tuple]:
     return by_degree
 
 
-def _shift(bas: Basis, a: int, level_g: int, es: np.ndarray) -> np.ndarray:
-    """[row of gamma, index of level a - g] -> position of their sum in level a."""
-    exps = bas.exponents
-    shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None])
-    return shift - bas.degree_slice(a).start
-
-
 def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
     """N^(-lam) - 1 truncated, for a series N with constant term 1 whose
     entries all sit on bidegrees (g, g); a ValueError for any other N.
@@ -377,59 +362,26 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
 
     over N's terms (gamma, delta) != 0 with |gamma| = |delta| = g, so each
     level comes from lower levels and N's few terms in one pass, with no
-    powers of 1 - N.  Graded-lex order is translation invariant, so a term
-    maps the positions of a level to sorted positions of a higher one: one
-    rank table per distinct gamma and source level turns the target
-    positions into gathers.  Pairs are formed a small batch of terms at a
-    time, and only those with canonical targets (p <= q) are kept to be
-    summed.  Overflowing coefficients come out as inf or nan, for the caller
-    to refuse.
+    powers of 1 - N.  The recurrence is compiled (compile_recurrence) and
+    replayed at lam, and the entries that sum to an exact zero are dropped.
+    Overflowing coefficients come out as inf or nan, for the caller to refuse.
     """
-    bas = n.basis
-    by_degree = _norm_terms(n)
-    # levels[s]: f's level-s entries, mirrors expanded, at positions local to the level.
-    levels = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1))]
-    rows, cols, vals = [], [], []
-    for a in range(1, n.cutoff + 1):
-        active = [terms for terms in by_degree if terms[0] <= a]
-        pairs = sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
-        check_memory(RECURRENCE_PAIR_BYTES * pairs, f"a recurrence level of {pairs} entry pairs")
-        sl = bas.degree_slice(a)
-        dim = sl.stop - sl.start
-        keys, weights = [], []
-        for level_g, es, gamma_row, delta_row, c in active:
-            i, j, v = levels[a - level_g]
-            shift = _shift(bas, a, level_g, es)
-            step = max(1, _BATCH_PAIRS // max(len(i), 1))  # terms per batch
-            with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
-                scale = -c * (a - level_g + lam * level_g)
-                for lo in range(0, len(c), step):
-                    b = slice(lo, lo + step)
-                    p, q = shift[gamma_row[b]][:, i], shift[delta_row[b]][:, j]
-                    keep = p <= q
-                    keys.append(p[keep] * dim + q[keep])
-                    weights.append((scale[b, None] * v)[keep])
-        targets, sums = _sum_by_key(np.concatenate(keys), np.concatenate(weights))
-        del keys, weights
-        p, q = np.divmod(targets, dim)
-        f = sums / a  # dividing after the sum keeps exact cancellations exact
-        rows.append(p + sl.start)
-        cols.append(q + sl.start)
-        vals.append(f)
-        levels.append(_mirror(p, q, f))
-    return _frozen(n.n_vars, n.cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
+    plan = compile_recurrence(n)
+    values = plan.values(lam)
+    keep = values != 0.0
+    return _frozen(n.n_vars, n.cutoff, plan.rows[keep], plan.cols[keep], values[keep])
 
 
 @dataclass(frozen=True, eq=False)
 class RecurrencePlan:
-    """inverse_norm_power's recurrence with lam left open: its entry pattern
-    and, per level, the pairs it sums, in the order it sums them.
+    """The recurrence of N^(-lam) with lam left open: its entry pattern and,
+    per level, the pairs it sums, in the order it sums them.
 
     rows and cols are the canonical entries of every level a >= 1, sorted by
-    (row, col).  levels[a - 1] is (terms, slot, src, term, size): terms lists
-    (g, coefficients) of N's term groups with g <= a, and pair i adds
-    scale[term[i]] * f[src[i]] to the level's sum number slot[i] of size,
-    where scale is -c (a - g + lam g) concatenated over the terms and f is 1
+    (row, col).  levels[a - 1] is (coef, g, counts, src, slot, size): per
+    term of N of degree g <= a, its -c, g and the number of pairs it forms;
+    pair i, taken term by term, adds its term's scale -c (a - g + lam g)
+    times f[src[i]] to the level's sum number slot[i] of size, where f is 1
     (the constant term) followed by the values at rows, cols.
     """
 
@@ -437,34 +389,42 @@ class RecurrencePlan:
     cols: np.ndarray
     levels: tuple[tuple, ...]
 
-    def values(self, lam: float) -> np.ndarray | None:
-        """The values of inverse_norm_power(N, lam) at rows, cols, bit for bit:
-        the same products summed in the same order, then divided by a.  None
-        if a sum is an exact zero, as the recurrence drops that entry and its
-        pattern is then smaller than the plan's."""
+    def values(self, lam: float) -> np.ndarray:
+        """The coefficients of N^(-lam) at rows, cols, exact zeros included:
+        each level's products summed in order, then divided by a, so exact
+        cancellations stay exact.  Overflow gives inf or nan."""
         f = np.empty(len(self.rows) + 1)
         f[0] = 1.0
         at = 1
         with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
-            for a, (terms, slot, src, term, size) in enumerate(self.levels, 1):
-                scale = np.concatenate([-c * (a - g + lam * g) for g, c in terms])
-                sums = np.bincount(slot, weights=scale[term] * f[src], minlength=size)
-                if not sums.all():
-                    return None
-                f[at : at + size] = sums / a
+            for a, (coef, g, counts, src, slot, size) in enumerate(self.levels, 1):
+                weights = f[src]
+                weights *= np.repeat(coef * (a - g + lam * g), counts)
+                f[at : at + size] = np.bincount(slot, weights=weights, minlength=size) / a
                 at += size
         return f[1:]
 
 
 def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
-    """The RecurrencePlan of inverse_norm_power(n, lam) for every lam whose
-    sums are all nonzero (a generic lam), from the same pairs in the same
-    order; the source of a pair on a mirror entry is its canonical entry."""
+    """The RecurrencePlan of N^(-lam) for a series N with constant term 1
+    whose entries all sit on bidegrees (g, g); a ValueError for any other N.
+
+    Graded-lex order is translation invariant, so a term maps the positions
+    of a level to sorted positions of a higher one: one rank table per
+    distinct gamma and source level turns the target positions into gathers.
+    Pairs are formed a small batch of terms at a time, and only those with
+    canonical targets (p <= q) are kept; the source of a pair on a mirror
+    entry is its canonical entry.
+    """
     bas = n.basis
+    exps = bas.exponents
     by_degree = _norm_terms(n)
     # levels[s]: level s's entries, mirrors expanded, at positions local to the
     # level, and the index in f of each one's canonical value.
     levels = [(np.zeros(1, dtype=np.int64),) * 3]
+    # -c and g of every term; the terms of degree <= a are a prefix.
+    coef = -np.concatenate([c for *_, c in by_degree])
+    g = np.concatenate([np.full(len(c), float(level_g)) for level_g, *_, c in by_degree])
     rows, cols, plan = [], [], []
     at = 1  # f's index of the level's first entry
     total = 0  # pairs kept so far
@@ -474,27 +434,26 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
         check_memory(PLAN_PAIR_BYTES * pairs, f"a recurrence plan of {pairs} entry pairs")
         sl = bas.degree_slice(a)
         dim = sl.stop - sl.start
-        keys, srcs, terms = [], [], []
-        first = 0  # the group's first term in the level's scales
+        keys, srcs, counts = [], [], []
         for level_g, es, gamma_row, delta_row, c in active:
             i, j, src = levels[a - level_g]
-            shift = _shift(bas, a, level_g, es)
-            p, q = shift[gamma_row][:, i], shift[delta_row][:, j]
-            t, e = np.nonzero(p <= q)  # row-major, the recurrence's batch order
-            keys.append(p[t, e] * dim + q[t, e])
-            srcs.append(src[e])
-            terms.append(first + t)
-            first += len(c)
+            # [row of gamma, index of level a - g] -> position of their sum in level a
+            shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None]) - sl.start
+            step = max(1, _BATCH_PAIRS // len(i))  # terms per batch
+            for lo in range(0, len(c), step):
+                b = slice(lo, lo + step)
+                p, q = shift[gamma_row[b]].take(i, axis=1), shift[delta_row[b]].take(j, axis=1)
+                keep = p <= q
+                kept = np.flatnonzero(keep)  # row-major: term by term
+                keys.append((p * dim + q).ravel()[kept])
+                srcs.append(src[kept % len(src)])
+                counts.append(keep.sum(axis=1))
         targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
         del keys
         p, q = np.divmod(targets, dim)
-        plan.append((
-            tuple((level_g, c) for level_g, *_, c in active),
-            slot,
-            np.concatenate(srcs),
-            np.concatenate(terms),
-            len(targets),
-        ))
+        terms = sum(len(c) for *_, c in active)
+        counts, srcs = np.concatenate(counts), np.concatenate(srcs)
+        plan.append((coef[:terms], g[:terms], counts, srcs, slot, len(targets)))
         total += len(slot)
         rows.append(p + sl.start)
         cols.append(q + sl.start)

@@ -144,7 +144,8 @@ def test_recurrence_matches_power_expansion(spec, lams):
 
 
 def test_i33_cutoff8_series_memory():
-    # The power expansion peaks at 97 MiB here; the recurrence holds one level at a time.
+    # The power expansion peaks at 97 MiB here; the recurrence plan, formed in
+    # batches, keeps two int64 indices per pair it sums.
     dom = wk.parse_domain("I:3,3")
     tracemalloc.start()
     try:
@@ -526,6 +527,31 @@ def test_refuted_witness_is_a_unit_eigenvector_on_one_component(spec, lam, cutof
         assert len(reach) <= bv.largest_component
         scale = float(np.max(np.abs(block)))
         assert np.linalg.norm(block @ w - bv.min_eigenvalue * w) <= 1e-12 * scale
+
+
+def test_values_only_and_eigenvector_passes_pick_the_same_witnesses():
+    # Component minima equal in exact arithmetic (on I:3,3 a 6-wide and a
+    # 3-wide component in different orbits) come out of eigvalsh and eigh
+    # with different rounding; the witness must not follow that rounding.
+    lams = [k / 8 for k in range(-4, 33)]
+    for spec, cutoff in (("I:3,3", 5), ("III:3", 6), ("I:2,3", 5), ("IV:5", 5), ("CH:2", 6)):
+        dom = wk.parse_domain(spec)
+        plan, layout = calabi._scan_plan(dom, cutoff)
+        b = basis(dom.d, cutoff)
+        label = calabi._labels(plan.rows, plan.cols, len(b))
+        for lam in lams:
+            values = plan.values(lam)
+            if not values.all():
+                continue  # an exact zero leaves the plan's pattern
+            by_values, _ = calabi._spectral_pass(layout, values, 1e-10, 1e-9)
+            by_vectors, _ = calabi._spectral_pass(layout, values, 1e-10, 1e-9, vectors=True)
+            for bv, bw in zip(by_values, by_vectors, strict=True):
+                assert (bv.witness is None) == (bw.witness is None), (spec, lam, bv.degree)
+                if bv.witness is not None:
+                    # The component of each witness's largest entry.
+                    at = b.degree_slice(bv.degree).start
+                    picked = [label[at + np.argmax(np.abs(w))] for w in (bv.witness, bw.witness)]
+                    assert picked[0] == picked[1], (spec, lam, bv.degree)
 
 
 # --- orbits under the coordinate permutations ----------------------------------------

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.multiindex import MemoryLimitError
+from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.cartan_hartogs import (
     CHDomain,
     StencilError,
     ch_assembled_series,
     thm1_threshold,
 )
-from wallachkit.series import max_abs_diff
+from wallachkit.series import from_entries, generalized_binomial, max_abs_diff
 
 
 def binomial_oracle(c: Fraction, m: int) -> Fraction:
@@ -146,6 +146,46 @@ def test_cross_path_equality_cases():
         assembled = ch_assembled_series(ch, c, 3)
         scale = max(direct.max_abs(), 1.0)
         assert max_abs_diff(direct, assembled) <= 1e-10 * scale, (base_spec, mu, c)
+
+
+def _assembled_reference(ch, c, cutoff):
+    """sum_m C(c+m-1, m) |w|^{2m} N^{-mu(c+m)}, one recurrence per w-degree m
+    at cutoff - m."""
+    full = basis(ch.n_vars, cutoff)
+    rows, cols, vals = [], [], []
+    for m in range(cutoff + 1):
+        prefactor = generalized_binomial(c, m)
+        exps = basis(ch.base.d, cutoff - m).exponents
+        pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))  # pos[0]: w^m
+        if m >= 1:
+            rows.append(pos[:1])
+            cols.append(pos[:1])
+            vals.append([prefactor])
+        if cutoff - m >= 1:
+            s = wk.bergman_diastasis_series(ch.base, ch.mu * (c + m), cutoff - m)
+            rows.append(pos[s.rows])
+            cols.append(pos[s.cols])
+            vals.append(prefactor * s.values)
+    return from_entries(ch.n_vars, cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [
+        ("CHD(I:2,2;mu=einstein)", 6),
+        ("CHD(III:3;mu=einstein)", 5),
+        ("CHD(IV:5;mu=0.7)", 5),
+        ("CHD(I:2,2;mu=1e-5)", 5),
+    ],
+)
+def test_assembly_replays_one_plan_like_one_recurrence_per_w_degree(spec, cutoff):
+    ch = wk.parse_ch_spec(spec)
+    # c past which mu(c + m) lies in the continuous part for every m.
+    threshold = (ch.base.r - 1) * ch.base.a / (2.0 * ch.mu)
+    for c in (0.5 * threshold, 1.5 * threshold, 0.3, 1.25, 2.5):
+        got, ref = ch_assembled_series(ch, c, cutoff), _assembled_reference(ch, c, cutoff)
+        assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols), c
+        assert got.values.tobytes() == ref.values.tobytes(), c
 
 
 def test_fiber_degree_zero_structure():

@@ -493,17 +493,35 @@ def test_rebase_and_embed_match_tuple_reference(n_vars, cutoff, new_vars, new_cu
 @pytest.mark.parametrize(
     "spec, cutoff", [("III:3", 7), ("I:2,2", 8), ("IV:6", 8), ("I:3,3", 6), ("CH:2", 10)]
 )
-def test_recurrence_plan_replays_inverse_norm_power_bit_for_bit(spec, cutoff):
-    n = norm_series(wk.parse_domain(spec), cutoff)
-    plan = compile_recurrence(n)
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 2.0, 3.7):
-        ref = inverse_norm_power(n, lam)
+def test_recurrence_plan_leading_levels_are_lower_cutoffs(spec, cutoff):
+    # Level a reads only N's terms of degree <= a, which are the same at every
+    # cutoff, and basis(d, k) is a prefix of basis(d, cutoff): the plan's
+    # levels up to k are inverse_norm_power at cutoff k, bit for bit, once
+    # the exact zeros are dropped.
+    dom = wk.parse_domain(spec)
+    plan = compile_recurrence(norm_series(dom, cutoff))
+    for lam in (0.0, 0.25, 0.5, 1.0, 1.3, 3.7):
         values = plan.values(lam)
-        if values is None:
-            # The recurrence dropped an exact zero: its pattern is a strict subset.
-            assert len(ref.values) < len(plan.rows)
-            keys = plan.rows * len(n.basis) + plan.cols
-            assert np.isin(ref.rows * len(n.basis) + ref.cols, keys).all()
-            continue
-        assert np.array_equal(plan.rows, ref.rows) and np.array_equal(plan.cols, ref.cols)
-        assert values.tobytes() == ref.values.tobytes(), lam
+        assert len(values) == len(plan.rows)
+        for k in range(1, cutoff + 1):
+            ref = inverse_norm_power(norm_series(dom, k), lam)
+            stop = np.searchsorted(plan.rows, len(basis(dom.d, k)))
+            keep = values[:stop] != 0.0
+            assert np.array_equal(plan.rows[:stop][keep], ref.rows), (lam, k)
+            assert np.array_equal(plan.cols[:stop][keep], ref.cols), (lam, k)
+            assert values[:stop][keep].tobytes() == ref.values.tobytes(), (lam, k)
+
+
+@pytest.mark.parametrize("lam", [1.5, 0.0])
+def test_recurrence_plan_keeps_exact_zeros_and_inverse_norm_power_drops_them(lam):
+    # On IV:6 the recurrence sums some entries to exactly zero at lambda = 1.5,
+    # and every entry at lambda = 0.
+    n = norm_series(wk.parse_domain("IV:6"), 6)
+    plan = compile_recurrence(n)
+    values = plan.values(lam)
+    assert len(values) == len(plan.rows) and not values.all()
+    s = inverse_norm_power(n, lam)
+    keep = values != 0.0
+    assert len(s.values) == np.count_nonzero(keep) < len(values)
+    assert np.array_equal(s.rows, plan.rows[keep]) and np.array_equal(s.cols, plan.cols[keep])
+    assert s.values.tobytes() == values[keep].tobytes()
