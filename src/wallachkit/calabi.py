@@ -140,9 +140,12 @@ def graded_blocks(
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
     """bergman_diastasis_series + graded_blocks with metadata attached."""
-    s = bergman_diastasis_series(dom, lam, cutoff)
-    m = graded_blocks(s, domain_spec=dom.spec_string, lam=lam)
-    return replace(m, symmetries=symmetries(dom))
+    return _domain_matrix(dom, lam, bergman_diastasis_series(dom, lam, cutoff))
+
+
+def _domain_matrix(dom: DomainModel, lam: float, s: HermitianSeries) -> CalabiMatrix:
+    """graded_blocks of dom's series s at lam with dom's symmetries attached."""
+    return replace(graded_blocks(s, dom.spec_string, lam), symmetries=symmetries(dom))
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +389,8 @@ def extract_immersion(
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]
     for d, neg, positions, vec in sorted(kept, key=lambda t: t[:2]):
         w = np.sqrt(-neg) * vec
-        coeffs = {b[i].exponents: float(c) for i, c in zip(positions, w) if c != 0.0}
+        exps = b.exponents[positions].tolist()
+        coeffs = {tuple(e): float(c) for e, c in zip(exps, w) if c != 0.0}
         components.append(ImmersionComponent(d, coeffs))
     return components
 
@@ -448,7 +452,8 @@ def scan_lambdas(
     pattern are built once per (domain, cutoff) and cached, so a scale costs
     one replay of the recurrence and the stacked eigensolves.  A scale at
     which the replay holds an exact zero (lambda = 0, say), an entry a single
-    verdict drops, takes the single-verdict path, which labels its own pattern.
+    verdict drops, builds the single verdict's matrix from the replay with
+    the zeros dropped and labels that smaller pattern, with no second compile.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -458,7 +463,8 @@ def scan_lambdas(
         lam = float(lam)
         values = plan.values(lam)
         if not values.all():
-            per_block = psd_verdict(calabi_matrix(dom, lam, cutoff), tol_abs, tol_rel).per_block
+            m = _domain_matrix(dom, lam, plan.series(values))
+            per_block = psd_verdict(m, tol_abs, tol_rel).per_block
         else:
             # A scan row reads no witness, so none is solved for.
             per_block, _ = _spectral_pass(layout, values, tol_abs, tol_rel, witnesses=False)

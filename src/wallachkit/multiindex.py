@@ -1,4 +1,4 @@
-"""Graded enumeration and arithmetic of monomial multi-indices.
+"""Graded enumeration and ranking of monomial multi-indices.
 
 A multi-index is a tuple of nonnegative integer exponents, one per complex
 variable.  Enumeration is graded: indices are listed by total degree, the
@@ -10,22 +10,20 @@ matrices and golden files stable.
 Positions follow in closed form from the combinatorial number system, so
 :meth:`Basis.rank` ranks whole arrays of exponent vectors (for instance the
 exponent sums of index pairs) without any lookup table.  A :class:`Basis`
-is numpy arrays; a :class:`MultiIndex` is a view of one of its rows.
+is numpy arrays, one exponent row per multi-index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Arrays sized from a call's inputs (a basis, the entry pairs of a series
-# product, the Einstein probe's norm jet) may take at most this much memory.
+# Arrays sized from a call's inputs (a basis, the entry pairs of a product or
+# a recurrence plan, the Einstein probe's norm jet) may take at most this much.
 MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 
@@ -42,55 +40,12 @@ def check_memory(need_bytes: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple of a monomial, with its total degree cached."""
-
-    exponents: tuple[int, ...]
-    degree: int = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.exponents:
-            raise ValueError("multi-index needs at least one variable")
-        if any(e < 0 or int(e) != e for e in self.exponents):
-            raise ValueError(f"exponents must be nonnegative integers: {self.exponents}")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        object.__setattr__(self, "degree", sum(self.exponents))
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.exponents)
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{self.exponents}"
-
-
-def index_sum(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Componentwise sum (the exponent of a monomial product)."""
-    if a.n_vars != b.n_vars:
-        raise ValueError(f"variable count mismatch: {a.n_vars} vs {b.n_vars}")
-    return MultiIndex(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
-
-
-def enumerate_indices(n_vars: int, max_degree: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of degree <= max_degree in graded order.
-
-    The zero index comes first; degrees never decrease along the list; within
-    a degree the order is lexicographic with the first variable most
-    significant.  max_degree < 0 is clamped to the singleton zero index.
-    """
-    return tuple(basis(n_vars, max_degree))
-
-
 class Basis:
     """The multi-indices of degree <= max_degree in graded order, as arrays.
 
     exponents is the read-only (len, n_vars) int64 matrix of exponent
     vectors and degrees the read-only array of their total degrees.
-    Positions come from rank; indexing and iteration yield MultiIndex views.
+    Positions come from rank.
     """
 
     def __init__(self, n_vars: int, max_degree: int):
@@ -125,26 +80,6 @@ class Basis:
 
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def __getitem__(self, i: int) -> MultiIndex:
-        return MultiIndex(tuple(self.exponents[i].tolist()))
-
-    def __iter__(self) -> Iterator[MultiIndex]:
-        return (MultiIndex(tuple(row)) for row in self.exponents.tolist())
-
-    def position(self, mi: MultiIndex | tuple[int, ...]) -> int:
-        """Position of a multi-index in the enumeration; KeyError if absent."""
-        pos = self.position_or_none(mi)
-        if pos is None:
-            raise KeyError(mi)
-        return pos
-
-    def position_or_none(self, exponents: MultiIndex | tuple[int, ...]) -> int | None:
-        """Position of an exponent vector, or None if it is not in the basis."""
-        exps = np.asarray(tuple(exponents), dtype=np.int64)
-        if exps.shape != (self.n_vars,) or exps.min() < 0 or exps.sum() > self.max_degree:
-            return None
-        return int(self.rank(exps))
 
     def rank(self, *terms: np.ndarray) -> np.ndarray:
         """Graded-order positions of the exponent vectors along the last axis.

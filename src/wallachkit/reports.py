@@ -89,18 +89,6 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def report_from_dict(payload: Mapping[str, Any]) -> RunReport:
-    return RunReport(
-        command=payload["command"],
-        domain=payload["domain"],
-        parameters=dict(payload.get("parameters", {})),
-        verdicts=dict(payload.get("verdicts", {})),
-        per_block=list(payload.get("per_block", [])),
-        agreement=payload.get("agreement"),
-        duration_s=float(payload.get("duration_s", 0.0)),
-    )
-
-
 def scan_csv(rows: Sequence) -> str:
     """CSV for scan results; rows carry lam/degree/block_dim/min_eig/psd."""
     lines = [SCAN_CSV_HEADER]

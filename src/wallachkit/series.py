@@ -14,7 +14,7 @@ values (float64) hold the nonzero canonical entries (j <= k) sorted by
 (j, k); the (k, j) mirror is implied, which makes Hermitian symmetry
 structural.  Every series comes out of :func:`from_entries`, which mirrors
 j > k, drops positions past the basis, sums duplicates (np.unique and
-bincount) and drops zeros; sums, rebasing and products all feed it arrays.
+bincount) and drops zeros; sums, embeddings and products all feed it arrays.
 The one exception is :func:`inverse_norm_power`, whose recurrence sums each
 level the same way and emits the levels in order, already in that form once
 its exact zeros are dropped.
@@ -63,8 +63,11 @@ from .multiindex import Basis, basis, check_memory
 # Memory per entry pair a product forms (ranks, values, their concatenation
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
-# The same for compile_recurrence, per pair kept so far plus pair the next
-# level forms: single verdicts (compile and replay) peaked at 33-45 B.
+# compile_recurrence charges each pair it keeps at what it holds (int64 src
+# and slot) and each pair the next level forms at PLAN_PAIR_BYTES.  Single
+# verdicts peaked at 37-39 B per pair formed on top of the kept pairs: the
+# estimate is 1.6-1.7x the traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
+KEPT_PAIR_BYTES = 16
 PLAN_PAIR_BYTES = 64
 # Entry pairs compile_recurrence forms at once before it drops the non-canonical ones.
 _BATCH_PAIRS = 2**13
@@ -95,12 +98,10 @@ class HermitianSeries:
 
     def coefficient(self, hol: tuple[int, ...], anti: tuple[int, ...]) -> float:
         """Coefficient of z^hol zbar^anti (0.0 if absent or out of range)."""
-        b = self.basis
-        j = b.position_or_none(tuple(hol))
-        k = b.position_or_none(tuple(anti))
-        if j is None or k is None:
+        exps = (tuple(hol), tuple(anti))
+        if any(len(e) != self.n_vars or min(e) < 0 or sum(e) > self.cutoff for e in exps):
             return 0.0
-        j, k = min(j, k), max(j, k)
+        j, k = sorted(self.basis.rank(np.array(exps, dtype=np.int64)).tolist())
         lo, hi = np.searchsorted(self.rows, (j, j + 1))
         i = lo + int(np.searchsorted(self.cols[lo:hi], k))
         return float(self.values[i]) if i < hi and self.cols[i] == k else 0.0
@@ -211,10 +212,6 @@ def _check_shapes(a: HermitianSeries, b: HermitianSeries) -> None:
 
 def add(a: HermitianSeries, b: HermitianSeries) -> HermitianSeries:
     return linear_combination((a, b), (1.0, 1.0))
-
-
-def scale(a: HermitianSeries, s: float) -> HermitianSeries:
-    return linear_combination((a,), (s,))
 
 
 def linear_combination(
@@ -367,9 +364,7 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
     Overflowing coefficients come out as inf or nan, for the caller to refuse.
     """
     plan = compile_recurrence(n)
-    values = plan.values(lam)
-    keep = values != 0.0
-    return _frozen(n.n_vars, n.cutoff, plan.rows[keep], plan.cols[keep], values[keep])
+    return plan.series(plan.values(lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,6 +380,8 @@ class RecurrencePlan:
     (the constant term) followed by the values at rows, cols.
     """
 
+    n_vars: int
+    cutoff: int
     rows: np.ndarray
     cols: np.ndarray
     levels: tuple[tuple, ...]
@@ -403,6 +400,11 @@ class RecurrencePlan:
                 f[at : at + size] = np.bincount(slot, weights=weights, minlength=size) / a
                 at += size
         return f[1:]
+
+    def series(self, values: np.ndarray) -> HermitianSeries:
+        """The series N^(-lam) - 1 of values = self.values(lam), exact zeros dropped."""
+        keep = values != 0.0
+        return _frozen(self.n_vars, self.cutoff, self.rows[keep], self.cols[keep], values[keep])
 
 
 def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
@@ -430,8 +432,9 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     total = 0  # pairs kept so far
     for a in range(1, n.cutoff + 1):
         active = [terms for terms in by_degree if terms[0] <= a]
-        pairs = total + sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
-        check_memory(PLAN_PAIR_BYTES * pairs, f"a recurrence plan of {pairs} entry pairs")
+        forms = sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
+        need = KEPT_PAIR_BYTES * total + PLAN_PAIR_BYTES * forms
+        check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {total} kept)")
         sl = bas.degree_slice(a)
         dim = sl.stop - sl.start
         keys, srcs, counts = [], [], []
@@ -460,29 +463,19 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
         levels.append(_mirror(p, q, np.arange(at, at + len(targets))))
         at += len(targets)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return RecurrencePlan(rows, cols, tuple(plan))
+    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan))
 
 
-def _reindex(series: HermitianSeries, n_vars: int, cutoff: int) -> HermitianSeries:
-    """The same kernel over basis(n_vars, cutoff), new trailing variables unused."""
+def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> HermitianSeries:
+    """The same kernel in n_vars >= series.n_vars variables (new trailing
+    variables unused), at cutoff if given: terms above it drop, none appear."""
+    if n_vars < series.n_vars:
+        raise ValueError("cannot embed into fewer variables")
+    cutoff = series.cutoff if cutoff is None else cutoff
     exps = series.basis.exponents
     pad = np.zeros((len(exps), n_vars - series.n_vars), dtype=np.int64)
     pos = basis(n_vars, cutoff).rank(np.hstack((exps, pad)))
     return from_entries(n_vars, cutoff, pos[series.rows], pos[series.cols], series.values)
-
-
-def rebase(series: HermitianSeries, cutoff: int) -> HermitianSeries:
-    """Same kernel at a different cutoff; extra terms drop, none appear."""
-    if cutoff == series.cutoff:
-        return series
-    return _reindex(series, series.n_vars, cutoff)
-
-
-def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> HermitianSeries:
-    """Reinterpret in a larger variable set (new trailing variables unused)."""
-    if n_vars < series.n_vars:
-        raise ValueError("cannot embed into fewer variables")
-    return _reindex(series, n_vars, series.cutoff if cutoff is None else cutoff)
 
 
 def max_abs_diff(a: HermitianSeries, b: HermitianSeries) -> float:

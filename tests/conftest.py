@@ -16,7 +16,7 @@ def _dense_blocks(s):
         sl = b.degree_slice(d)
         mats[d] = np.zeros((sl.stop - sl.start, sl.stop - sl.start))
     for j, k, v in s.items_full():
-        dj, dk = b[j].degree, b[k].degree
+        dj, dk = b.degrees[j], b.degrees[k]
         if dj == dk and dj >= 1:
             o = b.degree_slice(dj).start
             mats[dj][j - o, k - o] = v

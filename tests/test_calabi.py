@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit import calabi, cartan_hartogs as chm, multiindex
+from wallachkit import calabi, cartan_hartogs as chm, multiindex, series as hs
 from wallachkit.calabi import GradingError, scan_lambdas
-from wallachkit.domains import one_minus_norm
+from wallachkit.domains import norm_series, one_minus_norm
 from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.series import from_terms, inverse_power
 
@@ -70,7 +70,7 @@ def oracle_matrix(lam: Fraction) -> np.ndarray:
     """Assemble the oracle block as a dense matrix in the engine's basis order."""
     b = basis(4, 2)
     sl = b.degree_slice(2)
-    exps = [b[i].exponents for i in range(sl.start, sl.stop)]
+    exps = list(map(tuple, b.exponents[sl].tolist()))
     pos = {e: i for i, e in enumerate(exps)}
     m = np.zeros((len(exps), len(exps)))
     for (h, a), v in degree2_block_oracle(lam).items():
@@ -155,6 +155,53 @@ def test_i33_cutoff8_series_memory():
         tracemalloc.stop()
     assert len(s.values) > 100_000
     assert peak < 64 * 2**20
+
+
+class _StopAtLevel(Exception):
+    pass
+
+
+def _plan_estimates(monkeypatch, stop=None):
+    """The (bytes, what) of every plan guard call, in order; the one whose
+    message names level stop raises _StopAtLevel instead of checking."""
+    calls = []
+
+    def guard(need, what):
+        calls.append((need, what))
+        if f"level {stop} " in what:
+            raise _StopAtLevel
+        multiindex.check_memory(need, what)
+
+    monkeypatch.setattr(hs, "check_memory", guard)
+    return calls
+
+
+def test_i33_cutoff11_plan_estimate_is_under_the_limit(monkeypatch):
+    # The compile runs levels 1-10 (about 1.3 s and 450 MiB) and stops at
+    # level 11's guard call: each pair kept holds two int64 indices, and the
+    # level forms 27.6 M more, so the estimate is about 1.8 GiB.
+    calls = _plan_estimates(monkeypatch, stop=11)
+    with pytest.raises(_StopAtLevel):
+        hs.compile_recurrence(norm_series(wk.parse_domain("I:3,3"), 11))
+    need, what = calls[-1]
+    assert what == "a recurrence plan's level 11 (27577944 pairs formed, 9061065 kept)"
+    assert need == hs.KEPT_PAIR_BYTES * 9061065 + hs.PLAN_PAIR_BYTES * 27577944
+    assert need < multiindex.MEMORY_LIMIT_BYTES
+
+
+@pytest.mark.parametrize("spec, cutoff", [("I:3,3", 9), ("IV:6", 8)])
+def test_plan_estimate_bounds_the_traced_peak_within_2x(monkeypatch, spec, cutoff):
+    dom = wk.parse_domain(spec)
+    norm_series(dom, cutoff)  # cached, so the peak is the recurrence's alone
+    calls = _plan_estimates(monkeypatch)
+    tracemalloc.start()
+    try:
+        wk.bergman_diastasis_series(dom, 0.75, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = max(need for need, _ in calls)
+    assert peak <= estimate <= 2 * peak
 
 
 def test_scan_matches_single_verdicts():
@@ -252,7 +299,7 @@ def test_verdict_gap_point_refuted():
     # the witness direction is the determinant direction in degree 2
     b = basis(4, 2)
     sl = b.degree_slice(2)
-    exps = [b[i].exponents for i in range(sl.start, sl.stop)]
+    exps = list(map(tuple, b.exponents[sl].tolist()))
     w = neg[0].witness
     i14, i23 = exps.index((1, 0, 0, 1)), exps.index((0, 1, 1, 0))
     overlap = abs(w[i14] - w[i23]) / np.sqrt(2)
@@ -394,10 +441,12 @@ def test_scan_plan_path_refuses_bad_tolerances_and_overflow():
 
 
 def test_scan_plan_is_charged_to_the_memory_guard(monkeypatch):
-    # III:3 at cutoff 7 keeps 54 680 pairs: about 3.5 MB at 64 bytes a pair.
+    # III:3 at cutoff 7 forms 64 254 pairs at level 7 with 18 854 kept: about
+    # 4.4 MB at 64 bytes a pair formed and 16 a pair kept.
     monkeypatch.setattr(calabi, "_SCAN_PLAN_CACHE", {})
     monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 2 * 10**6)
-    with pytest.raises(MemoryLimitError, match="recurrence plan of .* entry pairs"):
+    refusal = r"recurrence plan's level 7 \(64254 pairs formed, 18854 kept\)"
+    with pytest.raises(MemoryLimitError, match=refusal):
         scan_lambdas(wk.parse_domain("III:3"), [0.75], 7)
     assert not calabi._SCAN_PLAN_CACHE
 

@@ -195,7 +195,7 @@ def test_fiber_degree_zero_structure():
     b = s.basis
     bad = 0.0
     for j, k, v in s.items_full():
-        if b[j].exponents[-1] != b[k].exponents[-1]:
+        if b.exponents[j, -1] != b.exponents[k, -1]:
             bad = max(bad, abs(v))
     assert bad <= 1e-13 * max(s.max_abs(), 1.0)
 

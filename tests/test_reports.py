@@ -12,7 +12,6 @@ from wallachkit.reports import (
     RunReport,
     format_float,
     parse_json,
-    report_from_dict,
     report_to_dict,
     scan_csv,
     to_json,
@@ -104,5 +103,6 @@ def test_run_report_round_trip():
     )
     d = report_to_dict(r)
     assert d["command"] == "calabi"
-    back = report_from_dict(parse_json(to_json(d)))
-    assert back == r
+    back = parse_json(to_json(d))
+    assert back == d
+    assert RunReport(**back) == r
