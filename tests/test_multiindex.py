@@ -9,6 +9,7 @@ import pytest
 import wallachkit as wk
 from wallachkit import multiindex
 from wallachkit.multiindex import Basis, basis
+from wallachkit.series import from_terms
 
 
 def brute_force_count(n_vars: int, max_degree: int) -> int:
@@ -52,6 +53,55 @@ def test_grading_non_decreasing_and_zero_first():
 
 def test_deterministic():
     assert np.array_equal(Basis(3, 4).exponents, basis(3, 4).exponents)
+
+
+def test_degree_cached_consistent():
+    b = basis(3, 5)
+    i = int(b.rank((2, 0, 3)))
+    assert b.exponents[i].tolist() == [2, 0, 3]
+    assert b.degrees[i] == 5
+
+
+def test_index_sum():
+    # rank(a, b) places the index sum a + b without forming it.
+    b = basis(2, 5)
+    assert b.rank((1, 0), (0, 1)) == b.rank((1, 1))
+    assert b.rank((0, 0), (2, 3)) == b.rank((2, 3))
+    i = int(b.rank((2, 1), (1, 1)))
+    assert b.exponents[i].tolist() == [3, 2]
+    assert b.degrees[i] == 5
+
+
+def test_index_sum_mismatch_rejected():
+    with pytest.raises(ValueError):
+        basis(2, 2).rank((1, 0), (1, 0, 0))
+
+
+def test_position_accepts_multi_index_and_tuple():
+    # A tuple, a list and an int64 row rank alike.
+    b = basis(2, 2)
+    assert b.rank((1, 1)) == b.rank([1, 1]) == b.rank(np.array([1, 1])) == 4
+    assert b.rank((0, 2)) == 5
+
+
+def test_position_or_none_missing():
+    # A vector above the cutoff ranks past the basis, where nothing is stored.
+    b = basis(2, 2)
+    assert b.rank((3, 0)) >= len(b)
+
+
+@pytest.mark.parametrize("exponents", [(3, 0), (2, 1), (0, -1), (1,), (0, 0, 0), (), (-1, 3)])
+def test_position_rejects_vectors_outside_the_basis(exponents):
+    # No row of the basis holds these.  HermitianSeries.coefficient, the lookup
+    # by exponents, gives 0.0 for them on either side (a degree above the
+    # cutoff, a negative exponent or a wrong length), never an error or a
+    # wrapped position.
+    assert tuple(exponents) not in set(map(tuple, basis(2, 2).exponents.tolist()))
+    s = from_terms(2, 2, {((1, 1), (1, 1)): 2.0, ((0, 2), (2, 0)): 3.0})
+    assert s.coefficient(exponents, (1, 1)) == s.coefficient((1, 1), exponents) == 0.0
+    assert s.coefficient(exponents, exponents) == 0.0
+    assert s.coefficient((1, 1), (1, 1)) == 2.0
+    assert s.coefficient((2, 0), (0, 2)) == s.coefficient((0, 2), (2, 0)) == 3.0
 
 
 def test_position_is_left_inverse():

@@ -319,22 +319,12 @@ def test_embed_adds_variables():
     assert e.coefficient((1, 0, 0), (1, 0, 0)) == 1.0
 
 
-def test_embed_lower_cutoff_drops_terms():
+def test_rebase_lower_cutoff_drops_terms():
+    # Rebasing to a lower cutoff is embed at the same n_vars.
     s = inverse_power(unit_disk_q(4), 1.0)
     r = embed(s, 1, 2)
     assert r.cutoff == 2
     assert diag_coeffs(r) == [0.0, 1.0, 1.0]
-
-
-@pytest.mark.parametrize("exps", [(3, 0), (2, 1), (0, -1), (-1, 3), (1,), (0, 0, 0), ()])
-def test_coefficient_is_zero_outside_the_basis(exps):
-    # A degree above the cutoff, a negative exponent or a wrong length gives
-    # 0.0 on either side, never an error or a wrapped position.
-    s = from_terms(2, 2, {((1, 1), (1, 1)): 2.0, ((0, 2), (2, 0)): 3.0})
-    assert s.coefficient(exps, (1, 1)) == s.coefficient((1, 1), exps) == 0.0
-    assert s.coefficient(exps, exps) == 0.0
-    assert s.coefficient((1, 1), (1, 1)) == 2.0
-    assert s.coefficient((2, 0), (0, 2)) == s.coefficient((0, 2), (2, 0)) == 3.0
 
 
 def test_evaluate_polarized():
@@ -485,7 +475,8 @@ def _reindex_reference(s, n_vars, cutoff):
     "n_vars, cutoff, new_vars, new_cutoff",
     [(2, 4, 2, 2), (2, 4, 2, 6), (3, 3, 3, 1), (1, 5, 3, 5), (2, 3, 4, 2), (2, 3, 3, 4)],
 )
-def test_embed_matches_tuple_reference(n_vars, cutoff, new_vars, new_cutoff):
+def test_rebase_and_embed_match_tuple_reference(n_vars, cutoff, new_vars, new_cutoff):
+    # new_vars == n_vars is a rebase to the new cutoff, the rest add variables.
     s = _random_series(np.random.default_rng(cutoff + new_vars), n_vars, cutoff, 40)
     got = embed(s, new_vars, new_cutoff)
     assert (got.n_vars, got.cutoff) == (new_vars, new_cutoff)
