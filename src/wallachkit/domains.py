@@ -3,8 +3,9 @@
 Each :class:`DomainModel` carries the numerical invariants (complex dimension
 d, rank r, the positive invariant a, genus gamma), the generic norm N both as
 an exact polynomial kernel (a :class:`~wallachkit.series.HermitianSeries`) and
-as a direct two-point evaluator, plus membership (on I and III a pivot test
-of I - Z Z*, see contains), sampling, and the closed-form Wallach set
+as a direct two-point evaluator (on I and III a pivot-free elimination of
+I - Z W*, see norm_matrix), plus membership (on I and III a pivot test of
+I - Z Z*, see contains), sampling, and the closed-form Wallach set
 
     W = {0, a/2, ..., (r-1)a/2}  union  ((r-1)a/2, infinity).
 
@@ -177,28 +178,33 @@ def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
     return x[..., _entry_matrix(dom)]
 
 
-def _batch_last(z: np.ndarray) -> np.ndarray:
-    """A (..., k, n, m) matrix stack as a (k, n, m, ...) C-contiguous copy."""
-    lead = z.ndim - 3
-    return np.ascontiguousarray(np.moveaxis(z, range(lead), range(-lead, 0)))
-
-
 def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(..., k, l) matrices of N(x_a, ybar_b) for point stacks xs (..., k, d) and ys (..., l, d).
 
-    Leading axes are batch axes.  Types I and III stack every I - Z_a Z_b*
-    (for symmetric Z_b that is I - Z_a Zbar_b) and take one stacked
-    determinant; IV and CH are closed forms in the inner products
-    <x_a, ybar_b>.  The contractions use einsum: on stacks this small a
-    threaded BLAS matmul is far slower.  The matrix stacks are copied with
-    their batch axes last in memory, so einsum's inner loop runs over the
-    batch instead of the tiny matrix axes; every sum is formed as before.
+    Leading axes are batch axes, as many on xs as on ys.  Types I and III
+    form every g = Z_a Z_b* (Z_a Zbar_b for symmetric Z_b) and take
+    det(I - g) as the product of the pivots of one Gaussian elimination
+    without pivoting over every pair, laid out as in contains.  Inside the
+    domain ||g||_2 < 1, so I - g has a positive definite Hermitian part and
+    no pivot vanishes (Golub and Van Loan, 1979); outside, a zero pivot
+    before the last makes N non-finite, with no warning.  IV and CH are
+    closed forms in the inner products <x_a, ybar_b>.  The contractions use
+    einsum: on stacks this small a threaded BLAS matmul is far slower.
     """
     if dom.kind in ("I", "III"):
-        zx = _batch_last(_as_matrix(dom, xs))
-        zy = _batch_last(_as_matrix(dom, ys).conj())
-        eye = np.eye(zx.shape[1])
-        return np.linalg.det(eye - np.einsum("aij...,bkj...->...abik", zx, zy))
+        # As in contains: Z's entries first, then the batch axes reversed (.T undoes it).
+        zx = _coordinates(dom, xs).T[_entry_matrix(dom)]
+        zy = _coordinates(dom, ys).T[_entry_matrix(dom)]
+        g = np.einsum("ica...,jcb...->ijba...", zx, zy.conj())
+        det = 1.0
+        with np.errstate(all="ignore"):
+            # Step k eliminates column k of I - g: the pivot is 1 - g_kk, and
+            # (I - g)_ij -= (I - g)_ik (I - g)_kj / pivot for i, j > k.
+            for k in range(len(g)):
+                pivot = 1.0 - g[k, k]
+                det = det * pivot
+                g[k + 1 :, k + 1 :] += g[k + 1 :, k, None] * (g[k, k + 1 :] / pivot)[None]
+        return det.T
     x = _coordinates(dom, xs)
     yb = _coordinates(dom, ys).conj()
     inner = np.einsum("...ai,...bi->...ab", x, yb)

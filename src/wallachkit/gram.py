@@ -24,17 +24,18 @@ short local descent does the rest.  Pure random restarts stay in the mix
 so the search remains honest on domains where no guidance is available.
 
 Evaluations are batched: a configuration is one (k, d) array, and a stack
-of them gets its norm matrices from one evaluation (domains.norm_matrix),
-its membership from one domains.contains call (on I and III the pivots of
-one stacked L D L* elimination of I - Z Z*, no SVD) and its spectra from one
+of them gets its norm matrices from one evaluation (domains.norm_matrix; on
+I and III the pivots of one elimination of every I - Z_a Z_b*), its
+membership from one domains.contains call (on I and III the pivots of one
+stacked L D L* elimination of I - Z Z*, no SVD) and its spectra from one
 eigvalsh.  The random points of a configuration come from one sample_points
 call, which gauges them together.
-Restart 0 runs alone; the remaining restarts then advance in lockstep chunks
-of at most 64, each step evaluating every restart still running in the
-chunk in one stacked objective.  Each
-restart keeps its own generator and makes the same draws as it would alone,
-so the result, the first restart in order that finds a witness, does not
-depend on the grouping.
+With degree-2 guidance restart 0, which then starts from a structured
+proposal, runs alone first; the restarts then advance in lockstep chunks of
+at most 64, each step evaluating every restart still running in the chunk
+in one stacked objective.  Each restart keeps its own generator and makes
+the same draws as it would alone, so the result, the first restart in order
+that finds a witness, does not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _SIGMA_SHRINK = 0.93
 _SIGMA_MAX = 0.15
 _SIGMA_MIN = 0.002
 _ATOM_CUT = 1e-6
-_CHUNK = 64  # restarts per lockstep group after restart 0
+_CHUNK = 64  # restarts per lockstep group, apart from a guided restart 0
 
 
 class BranchError(Exception):
@@ -93,15 +94,16 @@ def gram_matrix(
     of configurations gives (..., k, k) matrices and one flag per
     configuration.  Entries come from a single principal-log evaluation of
     the upper triangle of the stacked norm matrix, mirrored by conjugation,
-    so Hermitian symmetry is exact and the diagonal is real.  With
-    require_branch a branch violation raises BranchError naming the first
-    offending pair in row-major order (of the first offending configuration).
+    so Hermitian symmetry is exact and the diagonal is real.  A pair whose
+    N is NaN or has Re N <= 0 violates the branch; with require_branch that
+    raises BranchError naming the first offending pair in row-major order
+    (of the first offending configuration).
     """
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[-2]
     rows, cols = upper_triangle(k)
     nv = norm_matrix(dom, pts[..., rows, None, :], pts[..., cols, None, :])[..., 0, 0]
-    bad = nv.real <= 0.0
+    bad = ~(nv.real > 0.0)
     branch_ok = ~bad.any(axis=-1)
     if require_branch and not branch_ok.all():
         config, i = divmod(int(np.argmax(bad)), len(rows))
@@ -406,11 +408,12 @@ def search_violation(
     at most min(2 + 50, budget) of them.  Two out of three restarts start
     from a configuration aimed at a negative degree-2 eigendirection when
     one exists; the rest start from random samples.  Each restart draws
-    from its own spawned seed.  Restart 0 runs alone, then the others run
-    in lockstep chunks of at most 64, one stacked objective per step (see
-    _lockstep), spawning their seeds chunk by chunk and stopping after the
-    first chunk that holds a witness, so a large budget costs nothing
-    before it is spent.  The result
+    from its own spawned seed.  With guidance restart 0 runs alone first,
+    since its structured start often finds the witness at once; the
+    restarts run in lockstep chunks of at most 64, one stacked objective per
+    step (see _lockstep), spawning their seeds chunk by chunk and stopping
+    after the first chunk that holds a witness, so a large budget costs
+    nothing before it is spent.  The result
     is the first restart in order that finds a witness, and the evaluations
     and restarts counted are those up to and including it, so a
     (seed, budget) pair always gives the same result.  Absence of a witness
@@ -427,7 +430,7 @@ def search_violation(
 
     evals_total = lo = 0
     while lo < n_restarts:
-        hi = 1 if lo == 0 else min(lo + _CHUNK, n_restarts)
+        hi = 1 if lo == 0 and atoms is not None else min(lo + _CHUNK, n_restarts)
         # Successive spawns continue the same children, so chunks draw as one spawn would.
         chunk = root.spawn(hi - lo)
         guidance = [atoms if i % 3 != 2 else None for i in range(lo, hi)]

@@ -217,6 +217,48 @@ def test_norm_matrix_matches_pairwise():
     }
 
 
+def _explicit_matrix(dom, x):
+    """Z as a matrix: p x q row-major on I, symmetric from its upper triangle on III."""
+    if dom.kind == "I":
+        return x.reshape(dom.params)
+    n = dom.params[0]
+    z = np.zeros((n, n), dtype=complex)
+    z[np.triu_indices(n)] = x
+    return z + np.triu(z, 1).T
+
+
+@pytest.mark.parametrize("spec", ["I:2,3", "I:3,3", "I:4,5", "III:3", "III:4"])
+def test_norm_matrix_matches_explicit_determinants(spec):
+    # N = det(I - Z W*) on I and det(I - Z Wbar) on III, from LAPACK on the
+    # explicit matrices, at sampled points scaled to each gauge and at points
+    # on one complex line with phases 1.1 apart, some pairs of which have
+    # Re N < 0.
+    dom = wk.parse_domain(spec)
+    rng = np.random.default_rng(23)
+    flagged = 0
+    for radius in (0.7, 0.9, 0.975):
+        raw = [wk.sample(dom, rng, 0.5) for _ in range(5)]
+        line = [np.exp(1j * t) * _gauge_one_point(dom) for t in (0.0, 1.1, 2.2)]
+        xs = np.array([radius * x / spectral_radius(dom, x) for x in raw + line])
+        ys = xs[::-1][:6]
+        eye = np.eye(dom.params[0])
+        zx = [_explicit_matrix(dom, x) for x in xs]
+        # W* on I; Wbar on III, where W is symmetric
+        wy = [_explicit_matrix(dom, y).conj() for y in ys]
+        wy = [w.T for w in wy] if dom.kind == "I" else wy
+        ref = np.array([[np.linalg.det(eye - z @ w) for w in wy] for z in zx])
+        n = norm_matrix(dom, xs, ys)
+        assert np.all(np.abs(n - ref) <= 1e-13 * np.abs(ref))
+        assert np.array_equal(n.real <= 0.0, ref.real <= 0.0)
+        flagged += int((ref.real <= 0.0).sum())
+    assert flagged > 0
+    # Outside the domain: at Z = W = I the first pivot is 0, and N is not finite.
+    one = _gauge_one_point(dom)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(norm_matrix(dom, one, one)).any()
+
+
 def test_norm_series_agrees_with_evaluator():
     rng = np.random.default_rng(10)
     for spec in ("I:2,2", "III:2", "IV:3", "IV:5", "CH:2"):
