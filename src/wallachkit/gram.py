@@ -33,14 +33,22 @@ call, which gauges them together.
 With degree-2 guidance restart 0, which then starts from a structured
 proposal, runs alone first; the restarts then advance in lockstep chunks of
 at most 64, each step evaluating every restart still running in the chunk
-in one stacked objective.  Each restart keeps its own generator and makes
-the same draws as it would alone, so the result, the first restart in order
-that finds a witness, does not depend on the grouping.
+in one stacked objective.  Each restart keeps its own generator.  Every
+descent step reads one record of 1 + k + 2kd standard normals from it (k
+points in C^d): the first below Phi^-1(0.7) moves the whole configuration,
+else the argmax of the next k picks the one point that moves, and the last
+2kd, read in pairs, are the real and imaginary parts of the step.  A
+restart draws its records _DRAW_STEPS steps at a time in one call; a record
+is still the next stretch of the restart's own stream, so a restart makes
+the same draws as it would alone, and the result, the first restart in
+order that finds a witness, depends neither on the grouping nor on
+_DRAW_STEPS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +66,8 @@ _SIGMA_MAX = 0.15
 _SIGMA_MIN = 0.002
 _ATOM_CUT = 1e-6
 _CHUNK = 64  # restarts per lockstep group, apart from a guided restart 0
+_DRAW_STEPS = 16  # descent step records each restart draws at a time
+_WHOLE_MOVE = NormalDist().inv_cdf(0.7)  # a step record's first normal below it moves every point
 
 
 class BranchError(Exception):
@@ -92,9 +102,10 @@ def gram_matrix(
 
     points is a (k, d) array or a sequence of k points; a (..., k, d) stack
     of configurations gives (..., k, k) matrices and one flag per
-    configuration.  Entries come from a single principal-log evaluation of
-    the upper triangle of the stacked norm matrix, mirrored by conjugation,
-    so Hermitian symmetry is exact and the diagonal is real.  A pair whose
+    configuration.  Entries come from one evaluation of the principal power
+    |N|^(-lambda) e^(-i lambda Arg N), in real arithmetic, on the upper
+    triangle of the stacked norm matrix, mirrored by conjugation, so
+    Hermitian symmetry is exact and the diagonal is real.  A pair whose
     N is NaN or has Re N <= 0 violates the branch; with require_branch that
     raises BranchError naming the first offending pair in row-major order
     (of the first offending configuration).
@@ -112,7 +123,12 @@ def gram_matrix(
             f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}){where}: "
             f"N = {complex(nv.reshape(-1, len(rows))[config, i])}"
         )
-    values = np.exp(-lam * np.log(nv))
+    # exp(-lambda Log N) without complex exp and log: the same branch, to rounding
+    modulus = np.abs(nv) ** -lam
+    theta = -lam * np.arctan2(nv.imag, nv.real)
+    values = np.empty_like(nv)
+    values.real = modulus * np.cos(theta)
+    values.imag = modulus * np.sin(theta)
     h = np.empty(pts.shape[:-2] + (k, k), dtype=np.complex128)
     h[..., cols, rows] = values.conj()
     h[..., rows, cols] = values
@@ -268,7 +284,12 @@ def _lockstep(
     guidance[j] (None: random start), and spends at most eval_cap
     evaluations; its draws and decisions do not depend on the others.  Each
     stage and each descent step evaluates every restart's configuration in
-    one stacked objective.  A restart finishes when its cap is spent, its
+    one stacked objective.  Descent step t reads record t of each live
+    restart's step records (see the module docstring), which every live
+    restart draws into its row of one buffer of _DRAW_STEPS records per
+    restart when t is a multiple of _DRAW_STEPS: restarts live at step t
+    have all taken t steps, so one index addresses every row, and the step
+    itself is stack arithmetic.  A restart finishes when its cap is spent, its
     best value is below its threshold (a witness), an objective is invalid
     or its steps run out; restarts after the first one holding a witness are
     dropped, since they can no longer win.  Returns (evals per restart,
@@ -320,7 +341,11 @@ def _lockstep(
         live[start[~valid]] = False
 
     sigma = np.full(n, _SIGMA_INITIAL)
-    for _ in range(4 * _DESCENT_STEPS):
+    steps = 4 * _DESCENT_STEPS
+    width = 1 + n_points + 2 * n_points * dom.d  # one step record, see the module docstring
+    block = min(_DRAW_STEPS, steps)
+    records = np.empty((n, block, width))
+    for t in range(steps):
         witness = best < threshold
         live &= (evals < eval_cap) & ~witness
         if witness.any():  # restarts after the first witness can no longer win
@@ -328,26 +353,15 @@ def _lockstep(
         owners_now = np.flatnonzero(live)
         if not len(owners_now):
             break
-        # Each restart draws its own step; the arithmetic is stacked.
-        shape = (len(owners_now), n_points, dom.d)
-        re, im = np.zeros(shape), np.zeros(shape)
-        whole = np.zeros(len(owners_now), dtype=bool)
-        moved = np.zeros(len(owners_now), dtype=np.int64)
-        for c, j in enumerate(owners_now):
-            rng = rngs[j]
-            if rng.random() < 0.7:
-                whole[c] = True
-                rng.standard_normal(out=re[c])
-                rng.standard_normal(out=im[c])
-            else:
-                moved[c] = pi = rng.integers(n_points)
-                rng.standard_normal(out=re[c, pi])
-                rng.standard_normal(out=im[c, pi])
-        noise = sigma[owners_now, None, None] * (re + 1j * im)
-        candidates = points[owners_now]
-        candidates[whole] += noise[whole]
-        one = np.flatnonzero(~whole)
-        candidates[one, moved[one]] += noise[one, moved[one]]
+        if t % block == 0:  # every live restart has read the records it drew
+            for j in owners_now:
+                rngs[j].standard_normal(out=records[j])
+        record = records[owners_now, t % block]
+        pick = np.argmax(record[:, 1 : 1 + n_points], axis=1)
+        moves = (record[:, :1] < _WHOLE_MOVE) | (np.arange(n_points) == pick[:, None])
+        noise = (sigma[owners_now, None] * record[:, 1 + n_points :]).view(np.complex128)
+        current = points[owners_now]
+        candidates = np.where(moves[..., None], current + noise.reshape(current.shape), current)
         inside = contains(dom, candidates).all(axis=-1)
         owners_now, candidates = owners_now[inside], candidates[inside]
         if not len(owners_now):
@@ -408,8 +422,10 @@ def search_violation(
     at most min(2 + 50, budget) of them.  Two out of three restarts start
     from a configuration aimed at a negative degree-2 eigendirection when
     one exists; the rest start from random samples.  Each restart draws
-    from its own spawned seed.  With guidance restart 0 runs alone first,
-    since its structured start often finds the witness at once; the
+    from its own spawned seed, one fixed-length record per descent step,
+    read from blocks of _DRAW_STEPS records (see _lockstep), so its path
+    does not depend on the other restarts.  With guidance restart 0 runs
+    alone first, since its structured start often finds the witness at once; the
     restarts run in lockstep chunks of at most 64, one stacked objective per
     step (see _lockstep), spawning their seeds chunk by chunk and stopping
     after the first chunk that holds a witness, so a large budget costs

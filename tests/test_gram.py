@@ -8,7 +8,7 @@ import pytest
 
 import wallachkit as wk
 from wallachkit import gram
-from wallachkit.domains import spectral_radius
+from wallachkit.domains import norm_matrix, spectral_radius, upper_triangle
 from wallachkit.gram import BranchError, _minimize_witness, _witness_threshold, min_gram_eigenvalue
 
 
@@ -186,7 +186,7 @@ def test_search_deterministic():
     "spec, lam, seed, expected",
     [
         # (found, evals_used, restarts_used, min_eigenvalue of a witness)
-        ("IV:3", 0.3, 4, (True, 27, 1, -6.520963610356445e-05)),  # found after a short descent
+        ("IV:3", 0.3, 4, (True, 9, 1, -1.0070986232477216e-03)),  # found after a short descent
         ("I:2,2", 1.0, 5, (False, 468, 9, None)),  # Wallach members spend the budget
         ("III:3", 1.0, 5, (False, 468, 9, None)),
         ("IV:5", 3.0, 5, (False, 468, 9, None)),
@@ -378,6 +378,40 @@ def test_stacked_gram_matrix_matches_single_configurations(spec):
             wk.gram_matrix(dom, 0.7, stack)
 
 
+@pytest.mark.parametrize("spec", ["I:2,3", "III:3", "IV:4", "CH:2"])
+def test_real_power_matches_the_complex_logarithm(spec):
+    # Configuration 1 has a NaN coordinate; configuration 2 holds a pair with
+    # N = 0 (0.5 e_0 and 2 e_0 on every kind) and a point outside the domain.
+    dom = wk.parse_domain(spec)
+    stack = np.array([wk.sample_points(dom, 6, seed, 0.9) for seed in range(3)])
+    stack[1, 3, 0] = np.nan
+    stack[2, :2] = 0.0
+    stack[2, :2, 0] = 0.5, 2.0
+    rows, cols = upper_triangle(6)
+    nv = norm_matrix(dom, stack[:, rows, None, :], stack[:, cols, None, :])[..., 0, 0]
+    for lam in (0.3, 2.5, 40.0):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log = np.log(nv)
+            reference = np.exp(-lam * log)
+            h, ok = wk.gram_matrix(dom, lam, stack, require_branch=False)
+        got = h[:, rows, cols]
+        assert list(ok) == [True, False, False]
+        finite = np.isfinite(reference)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.count_nonzero(~finite) == 7  # the NaN point's six pairs and the zero pair
+        # Rounding -lam Log N to doubles moves either form by about
+        # lam |Log N| eps, which passes 1e-14 at lam = 40.
+        tol = 1e-14 + 4 * np.finfo(float).eps * lam * np.abs(log[finite])
+        # the diagonal keeps the real part
+        ref = np.where(rows == cols, reference.real, reference)[finite]
+        assert np.all(np.abs(got[finite] - ref) <= tol * np.abs(ref))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for config in (1, 2):
+                with pytest.raises(BranchError, match=r"pair \(\d, \d\)"):
+                    wk.gram_matrix(dom, lam, stack[config])
+
+
 def _record(res):
     points = None if res.report is None else np.array(res.report.points).tobytes()
     min_eig = None if res.report is None else res.report.min_eigenvalue
@@ -398,6 +432,22 @@ def test_chunked_restarts_match_one_lockstep_group(spec, lam, seeds, monkeypatch
     for chunk in (1, 2):
         monkeypatch.setattr(gram, "_CHUNK", chunk)
         assert [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds] == whole
+
+
+@pytest.mark.parametrize(
+    "spec, lam, seeds",
+    # the cases of test_chunked_restarts_match_one_lockstep_group
+    [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2", 1.0, (0,))],
+)
+def test_step_records_do_not_depend_on_the_draw_block(spec, lam, seeds, monkeypatch):
+    # A step record is the next stretch of its restart's stream however many
+    # records are drawn at a time: one per step, 5, or all of them at once.
+    dom = wk.parse_domain(spec)
+    default = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
+    for steps in (1, 5, 10**6):
+        monkeypatch.setattr(gram, "_DRAW_STEPS", steps)
+        records = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
+        assert records == default
 
 
 def test_huge_budget_stops_after_the_chunk_with_a_witness():
