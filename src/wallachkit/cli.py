@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# --- handlers: return (exit_code, report, text_lines, payload_override) --------
+# --- handlers: return (report, text_lines, payload_override) -------------------
 
 
 def _cmd_info(args):
@@ -182,7 +182,7 @@ def _cmd_info(args):
         f"Wallach set: {{{', '.join(f'{x:g}' for x in ws.discrete)}}}"
         f" union ({ws.continuous_from:g}, inf)",
     ]
-    return 0, report, lines, None
+    return report, lines, None
 
 
 def _block_dicts(verdict: calabi.Verdict) -> list[dict]:
@@ -237,7 +237,7 @@ def _cmd_calabi(args):
             f"  degree {bv.degree}: dim={bv.dim} min_eig={bv.min_eigenvalue:.6g} rank={bv.rank}"
         )
     lines.append(f"  agreement: {agreement}")
-    return (0 if agreement else 2), report, lines, None
+    return report, lines, None
 
 
 def _cmd_wallach(args):
@@ -256,7 +256,7 @@ def _cmd_wallach(args):
         },
     )
     lines = [f"{dom.spec_string}, lambda={lam:g}: member={member}"]
-    return 0, report, lines, None
+    return report, lines, None
 
 
 def _cmd_gram(args):
@@ -270,13 +270,8 @@ def _cmd_gram(args):
         seed=args.seed,
     )
     closed = wallach_contains(dom, lam)
-    if result.found:
-        agreement = not closed
-        code = 0 if agreement else 2
-    else:
-        # Absence of a witness never contradicts the closed form.
-        agreement = True if closed else None
-        code = 0
+    # Absence of a witness never contradicts the closed form.
+    agreement = (not closed) if result.found else (True if closed else None)
     verdicts = {
         "wallach_member": closed,
         "witness_found": result.found,
@@ -311,7 +306,7 @@ def _cmd_gram(args):
         payload = gram.witness_payload(dom, result)
         args.witness_out.write_text(to_json(payload))
         lines.append(f"  witness written to {args.witness_out}")
-    return code, report, lines, None
+    return report, lines, None
 
 
 def _cmd_ch_check(args):
@@ -337,14 +332,12 @@ def _cmd_ch_check(args):
     ]
     agreement = None
     per_block: list = []
-    code = 0
     if args.cutoff is not None:
         verdict = ch_truncated_verdict(ch, args.c, args.cutoff)
         verdicts["truncated_psd"] = verdict.psd
         verdicts["certainty"] = verdict.certainty
         per_block = _block_dicts(verdict)
         agreement = verdict.psd == cf.induced
-        code = 0 if agreement else 2
         lines.append(
             f"  truncated verdict (cutoff {args.cutoff}): "
             f"{'PSD' if verdict.psd else 'not PSD'}; agreement: {agreement}"
@@ -357,7 +350,7 @@ def _cmd_ch_check(args):
         per_block=per_block,
         agreement=agreement,
     )
-    return code, report, lines, None
+    return report, lines, None
 
 
 def _cmd_einstein(args):
@@ -389,7 +382,7 @@ def _cmd_einstein(args):
     for i, (k, res) in enumerate(zip(ks, residuals)):
         lines.append(f"  point {i}: k={k:.10g} residual={res:.3e}")
     lines.append(f"  k spread (relative): {spread:.3e}, max residual: {max(residuals):.3e}")
-    return 0, report, lines, None
+    return report, lines, None
 
 
 def _scan_grid(lam_from: float, lam_to: float, step: float) -> list[float]:
@@ -412,9 +405,12 @@ def _cmd_scan(args):
     dom = parse_domain(args.domain)
     lams = _scan_grid(args.lam_from, args.lam_to, args.step)
     rows = calabi.scan_lambdas(dom, lams, args.cutoff)
+    # Each lambda's PSD flag and smallest block eigenvalue, in one pass.
     per_lambda_psd: dict[float, bool] = {}
+    worst: dict[float, float] = {}
     for row in rows:
         per_lambda_psd[row.lam] = per_lambda_psd.get(row.lam, True) and row.psd
+        worst[row.lam] = min(worst.get(row.lam, row.min_eig), row.min_eig)
     disagreements = [
         lam for lam in lams if per_lambda_psd[lam] != wallach_contains(dom, lam)
     ]
@@ -446,15 +442,14 @@ def _cmd_scan(args):
     )
     lines = [f"{dom.spec_string}: scan lambda in [{args.lam_from:g}, {args.lam_to:g}]"]
     for lam in lams:
-        worst = min(r.min_eig for r in rows if r.lam == lam)
         lines.append(
             f"  lambda={lam:g}: {'PSD' if per_lambda_psd[lam] else 'not PSD'}"
-            f" (min_eig={worst:.6g})"
+            f" (min_eig={worst[lam]:.6g})"
         )
     if disagreements:
         lines.append(f"  DISAGREEMENTS at lambda: {disagreements}")
     payload = scan_csv(rows) if args.format == "csv" else None
-    return (0 if not disagreements else 2), report, lines, payload
+    return report, lines, payload
 
 
 def _cmd_immersion(args):
@@ -494,7 +489,7 @@ def _cmd_immersion(args):
             for exps, coeff in sorted(comp.coeffs.items())
         )
         lines.append(f"  f_{j} (degree {comp.degree}): {terms}")
-    return 0, report, lines, None
+    return report, lines, None
 
 
 def _cmd_replay(args):
@@ -519,7 +514,7 @@ def _cmd_replay(args):
         f"recomputed={format_float(fresh.min_eigenvalue)} drift={drift:.3e}",
         f"  within {REPLAY_TOL:g}: {ok}",
     ]
-    return (0 if ok else 2), report, lines, None
+    return report, lines, None
 
 
 # --- entry point ----------------------------------------------------------------
@@ -549,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     start = time.perf_counter()
     try:
-        code, report, lines, payload = args.func(args)
+        report, lines, payload = args.func(args)
     except (UsageError, MemoryLimitError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
@@ -563,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     report.duration_s = time.perf_counter() - start
     _emit_output(args, report, lines, payload)
-    return code
+    return 2 if report.agreement is False else 0
 
 
 if __name__ == "__main__":

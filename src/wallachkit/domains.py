@@ -3,9 +3,9 @@
 Each :class:`DomainModel` carries the numerical invariants (complex dimension
 d, rank r, the positive invariant a, genus gamma), the generic norm N both as
 an exact polynomial kernel (a :class:`~wallachkit.series.HermitianSeries`) and
-as a direct two-point evaluator (on I and III a pivot-free elimination of
-I - Z W*, see norm_matrix), plus membership (on I and III a pivot test of
-I - Z Z*, see contains), sampling, and the closed-form Wallach set
+as a direct two-point evaluator, plus membership (on I and III both read the
+pivots of one pivot-free elimination, of I - Z W* and of I - Z Z*), sampling,
+and the closed-form Wallach set
 
     W = {0, a/2, ..., (r-1)a/2}  union  ((r-1)a/2, infinity).
 
@@ -35,6 +35,7 @@ membership against the truncated positivity verdict on a lambda grid.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -170,12 +171,31 @@ def _entry_matrix(dom: DomainModel) -> np.ndarray:
     return entry
 
 
-def _as_matrix(dom: DomainModel, x: np.ndarray) -> np.ndarray:
-    """Type I and III points (..., d) as their matrices (..., p, q) or (..., n, n)."""
-    x = _coordinates(dom, x)
-    if dom.kind == "I":
-        return x.reshape(x.shape[:-1] + dom.params)
-    return x[..., _entry_matrix(dom)]
+def _entries_first(dom: DomainModel, x: np.ndarray) -> np.ndarray:
+    """Z of type I and III points (..., d), entries first and the batch axes
+    reversed after them, so each _pivots step runs over the whole batch; .T
+    restores the batch order."""
+    return _coordinates(dom, x).T[_entry_matrix(dom)]
+
+
+def _pivots(g: np.ndarray) -> list[np.ndarray]:
+    """The p pivots, each of shape (...), of I - g for g of shape (p, p, ...), from
+    one Gaussian elimination without pivoting, a vectorized step per column; g
+    is overwritten.
+
+    Step k eliminates column k of I - g: the pivot is 1 - g_kk, and
+    (I - g)_ij -= (I - g)_ik (I - g)_kj / pivot for i, j > k.  Where
+    ||g||_2 < 1, I - g has a positive definite Hermitian part, so every pivot
+    has a positive real part and none vanishes (Golub and Van Loan, 1979);
+    for Hermitian g that holds iff I - g is positive definite.  After a zero
+    or non-finite pivot the later ones are non-finite, with no warning.
+    """
+    pivots = []
+    with np.errstate(all="ignore"):
+        for k in range(len(g)):
+            pivots.append(1.0 - g[k, k])
+            g[k + 1 :, k + 1 :] += g[k + 1 :, k, None] * (g[k, k + 1 :] / pivots[k])[None]
+    return pivots
 
 
 def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -183,28 +203,17 @@ def norm_matrix(dom: DomainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Leading axes are batch axes, as many on xs as on ys.  Types I and III
     form every g = Z_a Z_b* (Z_a Zbar_b for symmetric Z_b) and take
-    det(I - g) as the product of the pivots of one Gaussian elimination
-    without pivoting over every pair, laid out as in contains.  Inside the
-    domain ||g||_2 < 1, so I - g has a positive definite Hermitian part and
-    no pivot vanishes (Golub and Van Loan, 1979); outside, a zero pivot
-    before the last makes N non-finite, with no warning.  IV and CH are
-    closed forms in the inner products <x_a, ybar_b>.  The contractions use
-    einsum: on stacks this small a threaded BLAS matmul is far slower.
+    det(I - g) as the product of its _pivots, one elimination over every
+    pair; outside the domain N may be non-finite, with no warning.  IV and
+    CH are closed forms in the inner products <x_a, ybar_b>.  The
+    contractions use einsum: on stacks this small a threaded BLAS matmul is
+    far slower.
     """
     if dom.kind in ("I", "III"):
-        # As in contains: Z's entries first, then the batch axes reversed (.T undoes it).
-        zx = _coordinates(dom, xs).T[_entry_matrix(dom)]
-        zy = _coordinates(dom, ys).T[_entry_matrix(dom)]
+        zx, zy = _entries_first(dom, xs), _entries_first(dom, ys)
         g = np.einsum("ica...,jcb...->ijba...", zx, zy.conj())
-        det = 1.0
         with np.errstate(all="ignore"):
-            # Step k eliminates column k of I - g: the pivot is 1 - g_kk, and
-            # (I - g)_ij -= (I - g)_ik (I - g)_kj / pivot for i, j > k.
-            for k in range(len(g)):
-                pivot = 1.0 - g[k, k]
-                det = det * pivot
-                g[k + 1 :, k + 1 :] += g[k + 1 :, k, None] * (g[k, k + 1 :] / pivot)[None]
-        return det.T
+            return math.prod(_pivots(g)).T
     x = _coordinates(dom, xs)
     yb = _coordinates(dom, ys).conj()
     inner = np.einsum("...ai,...bi->...ab", x, yb)
@@ -230,7 +239,8 @@ def spectral_radius(dom: DomainModel, x: np.ndarray) -> float | np.ndarray:
     read it on I and III; sample scales by it.
     """
     if dom.kind in ("I", "III"):
-        gauge = np.linalg.svd(_as_matrix(dom, x), compute_uv=False)[..., 0]
+        z = _coordinates(dom, x)[..., _entry_matrix(dom)]
+        gauge = np.linalg.svd(z, compute_uv=False)[..., 0]
     else:
         z = _coordinates(dom, x)
         t = np.einsum("...i,...i->...", z.conj(), z).real  # ||z||^2
@@ -245,29 +255,17 @@ def contains(dom: DomainModel, x: np.ndarray) -> bool | np.ndarray:
     """Interior membership, per point for a (k, d) stack.
 
     I and III: Z is inside iff I - Z Z* (p x p, the smaller side) is positive
-    definite, i.e. iff every pivot of its square-root-free Cholesky
-    factorisation L D L* is > 0: exact in exact arithmetic, and defined for
-    every input.  One elimination runs over the whole stack, a vectorized
-    step per column; once a point has a pivot that is not > 0, the
-    arithmetic that follows on it is discarded.  IV and CH compare their
-    closed-form gauge with 1.  A NaN or infinite coordinate gives False on
-    every kind, without a warning.
+    definite, i.e. iff every one of its _pivots has a positive real part:
+    exact in exact arithmetic, defined for every input, and the elimination
+    norm_matrix runs.  IV and CH compare their closed-form gauge with 1.  A
+    NaN or infinite coordinate gives False on every kind, without a warning.
     """
     with np.errstate(all="ignore"):
         if dom.kind not in ("I", "III"):
             return spectral_radius(dom, x) < 1.0
-        # Z's entries first and the batch axes reversed after them, so each
-        # step runs over the whole batch; .T restores the batch order.
-        z = _coordinates(dom, x).T[_entry_matrix(dom)]
-        g = np.einsum("ik...,jk...->ij...", z, z.conj())  # Z Z*
-        inside = np.ones(z.shape[2:], dtype=bool)
-        # Step k eliminates column k of I - g in place: the pivot is 1 - g_kk,
-        # and (I - g)_ij -= (I - g)_ik conj((I - g)_jk) / pivot for i, j > k.
-        for k in range(len(g)):
-            pivot = 1.0 - g[k, k].real
-            inside &= pivot > 0.0
-            col = g[k + 1 :, k]
-            g[k + 1 :, k + 1 :] += col[:, None] * (col.conj() / pivot)[None, :]
+        z = _entries_first(dom, x)
+        pivots = _pivots(np.einsum("ik...,jk...->ij...", z, z.conj()))
+        inside = np.logical_and.reduce([pivot.real > 0.0 for pivot in pivots])
     return inside.T if inside.ndim else bool(inside)
 
 

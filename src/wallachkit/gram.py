@@ -24,12 +24,11 @@ short local descent does the rest.  Pure random restarts stay in the mix
 so the search remains honest on domains where no guidance is available.
 
 Evaluations are batched: a configuration is one (k, d) array, and a stack
-of them gets its norm matrices from one evaluation (domains.norm_matrix; on
-I and III the pivots of one elimination of every I - Z_a Z_b*), its
-membership from one domains.contains call (on I and III the pivots of one
-stacked L D L* elimination of I - Z Z*, no SVD) and its spectra from one
-eigvalsh.  The random points of a configuration come from one sample_points
-call, which gauges them together.
+of them gets its norm matrices from one domains.norm_matrix call, its
+membership from one domains.contains call (on I and III both read the pivots
+of one stacked elimination, of every I - Z_a Z_b* and of I - Z Z*, with no
+SVD) and its spectra from one eigvalsh.  The random points of a
+configuration come from one sample_points call, which gauges them together.
 With degree-2 guidance restart 0, which then starts from a structured
 proposal, runs alone first; the restarts then advance in lockstep chunks of
 at most 64, each step evaluating every restart still running in the chunk

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
+from wallachkit import cartan_hartogs
 from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.cartan_hartogs import (
     CHDomain,
@@ -60,6 +61,14 @@ def test_fiber_membership():
     outside = np.array([0.5, 0.76], dtype=complex)
     assert wk.ch_contains(ch, inside)
     assert not wk.ch_contains(ch, outside)
+
+
+def test_base_point_outside_the_domain_is_outside_and_has_no_potential():
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=1)")
+    outside = np.array([1.5, 0.0, 0.0, 0.0, 0.0], dtype=complex)
+    assert not wk.ch_contains(ch, outside)
+    with pytest.raises(ValueError, match="outside"):
+        wk.ch_potential_eval(ch, outside)
 
 
 def test_sample_inside():
@@ -406,3 +415,11 @@ def test_einstein_rejects_outside_point():
     ch = CHDomain(wk.catalog("CH", 1), 1.0)
     with pytest.raises(StencilError, match="outside"):
         wk.einstein_residual(ch, np.array([0.9, 0.9], dtype=complex))
+
+
+def test_einstein_rejects_an_ill_conditioned_metric(monkeypatch):
+    # The near-edge point above has a metric condition number of about 320.
+    monkeypatch.setattr(cartan_hartogs, "CONDITION_LIMIT", 100.0)
+    ch = CHDomain(wk.catalog("CH", 1), 1.0)
+    with pytest.raises(StencilError, match="condition number"):
+        wk.einstein_residual(ch, np.array([0.703, 0.709], dtype=complex))

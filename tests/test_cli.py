@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from wallachkit.cli import main
+from wallachkit import calabi
+from wallachkit.cli import _scan_grid, main
+from wallachkit.domains import parse_domain, wallach_contains
 
 
 def run(capsys, *argv):
@@ -152,6 +154,32 @@ def test_scan_csv_output(capsys):
     assert dim == 10
     assert eig == pytest.approx(-0.25, rel=1e-12)
     assert psd == "false"
+
+
+def test_scan_text_reads_each_lambda_from_all_its_rows(capsys):
+    # Every lambda has rows at degrees 1, 2 and 3, so the degrees interleave.
+    argv = ["III:2", "--lambda-from", "0.125", "--lambda-to", "1.5", "--step", "0.125"]
+    code, out, _ = run(capsys, "scan", *argv, "--cutoff", "3")
+    assert code == 0
+    dom, lams = parse_domain("III:2"), _scan_grid(0.125, 1.5, 0.125)
+    rows = calabi.scan_lambdas(dom, lams, 3)
+    assert [r.degree for r in rows[:6]] == [1, 2, 3, 1, 2, 3]
+    expected = ["III:2: scan lambda in [0.125, 1.5]"]
+    for lam in lams:
+        own = [r for r in rows if r.lam == lam]
+        psd = all(r.psd for r in own)
+        assert psd == wallach_contains(dom, lam)
+        worst = min(r.min_eig for r in own)
+        expected.append(f"  lambda={lam:g}: {'PSD' if psd else 'not PSD'} (min_eig={worst:.6g})")
+    assert out == "\n".join(expected) + "\n"
+
+
+def test_scan_disagreement_exits_two_and_names_the_lambdas(capsys):
+    # At cutoff 1 only the degree-1 block is read, and a gap scale passes it.
+    argv = ["I:2,2", "--lambda-from", "0.5", "--lambda-to", "0.5", "--step", "0.1"]
+    code, out, _ = run(capsys, "scan", *argv, "--cutoff", "1")
+    assert code == 2
+    assert out.endswith("  DISAGREEMENTS at lambda: [0.5]\n")
 
 
 def test_ch_check_threshold(capsys):

@@ -310,6 +310,23 @@ def test_min_gram_eigenvalue_consistent_with_report():
     assert rep.branch_ok == ok
 
 
+def test_structured_points_stop_packing_at_the_first_atom_that_does_not_fit():
+    dom = wk.catalog("I", 2, 2)
+    scale, rng = 0.5, np.random.default_rng(0)
+    # The off-diagonal atom needs three points, so with two the diagonal pair
+    # after it is not packed either: an origin and one small sample remain.
+    pts = gram._structured_points(dom, [(0, 3, 0.7), (1, 1, 0.7)], 2, rng, scale, (1.0, 1.0))
+    assert pts.shape == (2, 4) and not pts[0].any()
+    assert 0.0 < spectral_radius(dom, pts[1]) <= 0.25 * scale * (1 + 1e-12)
+    # A diagonal pair fits in four points; the off-diagonal atom after it does not.
+    pts = gram._structured_points(dom, [(1, 1, 0.7), (0, 3, 0.7)], 4, rng, scale, (1.0, 1.0))
+    assert pts.shape == (4, 4)
+    assert np.count_nonzero(pts[0]) == 1 and abs(pts[0, 1]) == pytest.approx(scale)
+    np.testing.assert_array_equal(pts[1], -pts[0])
+    assert not pts[2].any()
+    assert 0.0 < spectral_radius(dom, pts[3]) <= 0.25 * scale * (1 + 1e-12)
+
+
 def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
     # Sign draws that all agree give the plus configuration up to a symmetry,
     # so only mixed draws earn a second structured proposal.
