@@ -15,9 +15,10 @@ values (float64) hold the nonzero canonical entries (j <= k) sorted by
 structural.  Every series comes out of :func:`from_entries`, which mirrors
 j > k, drops positions past the basis, sums duplicates (np.unique and
 bincount) and drops zeros; sums, embeddings and products all feed it arrays.
-The one exception is :func:`inverse_norm_power`, whose recurrence sums each
-level the same way and emits the levels in order, already in that form once
-its exact zeros are dropped.
+The one exception is :func:`inverse_norm_power`, whose recurrence emits
+each level's entries in that form (the canonical pairs inside the level's
+weight components, in order) and sums each one with a bincount, so only its
+exact zeros need dropping.
 
 :func:`product` never builds a table of index sums.  It groups the entries
 of both factors by bidegree (|m_j|, |m_k|), forms only the pairs whose
@@ -44,7 +45,11 @@ on N's few terms (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2,
 sec. 4.7), and one function forms its pairs: only the recurrence's weights
 -n (a - g + lam g) depend on lam, so :func:`compile_recurrence` records the
 pairs once and a :class:`RecurrencePlan` replays them for any lam, one
-gather, product and bincount per level, exact zeros kept.
+gather, product and bincount per level, exact zeros kept.  The compile
+sorts no pairs: a term maps an entry to one of the same weight component
+(a coset of the lattice spanned by N's gamma - delta), so each level's
+entries are the canonical pairs inside its components and the entry a pair
+feeds is arithmetic in its positions' ranks there.
 :func:`inverse_norm_power` is one compile and one replay with the zeros
 dropped; a scan over many lam (:func:`wallachkit.calabi.scan_lambdas`) and
 the Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, each replay
@@ -53,7 +58,9 @@ one plan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,10 +72,10 @@ from .multiindex import Basis, basis, check_memory
 PAIR_BYTES = 128
 # compile_recurrence charges each pair it keeps at what it holds (int64 src
 # and slot) and each pair the next level forms at PLAN_PAIR_BYTES.  Single
-# verdicts peaked at 37-39 B per pair formed on top of the kept pairs: the
-# estimate is 1.6-1.7x the traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
+# verdicts peaked at 19-22 B per pair formed on top of the kept pairs: the
+# estimate is 1.55-1.7x the traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
 KEPT_PAIR_BYTES = 16
-PLAN_PAIR_BYTES = 64
+PLAN_PAIR_BYTES = 36
 # Entry pairs compile_recurrence forms at once before it drops the non-canonical ones.
 _BATCH_PAIRS = 2**13
 
@@ -330,14 +337,17 @@ def inverse_power(q: HermitianSeries, lam: float) -> HermitianSeries:
     return linear_combination(powers, weights)
 
 
-def _norm_terms(n: HermitianSeries) -> list[tuple]:
-    """N's terms (gamma, delta) != 0 by degree g: [(g, distinct gammas, each
-    term's gamma and delta as rows among them, coefficients)], after checking
-    that N has constant term 1 and only (g, g) entries."""
+def _norm_terms(n: HermitianSeries) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
+    """N's terms (gamma, delta) != 0 in order of degree g: [(g, distinct
+    gammas, each term's gamma and delta as rows among them, coefficients)]
+    per degree, and every term's -c, g and gamma - delta, after checking that
+    N has constant term 1 and only (g, g) entries."""
     degrees = n.basis.degrees
     if n.constant_term() != 1.0 or (degrees[n.rows] != degrees[n.cols]).any():
         raise ValueError("inverse_norm_power needs constant term 1 and only (g, g) entries")
     gamma, delta, coef = (x[1:] for x in n.mirrored())  # x[0] is the constant term
+    order = np.argsort(degrees[gamma], kind="stable")
+    gamma, delta, coef = gamma[order], delta[order], coef[order]
     g = degrees[gamma]
     # The deltas are the gammas again, as the terms come with their mirrors.
     by_degree = []
@@ -345,7 +355,8 @@ def _norm_terms(n: HermitianSeries) -> list[tuple]:
         at = g == level_g
         es, gamma_row = np.unique(gamma[at], return_inverse=True)
         by_degree.append((level_g, es, gamma_row, np.searchsorted(es, delta[at]), coef[at]))
-    return by_degree
+    exps = n.basis.exponents
+    return by_degree, -coef, g.astype(np.float64), exps[gamma] - exps[delta]
 
 
 def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
@@ -373,11 +384,13 @@ class RecurrencePlan:
     per level, the pairs it sums, in the order it sums them.
 
     rows and cols are the canonical entries of every level a >= 1, sorted by
-    (row, col).  levels[a - 1] is (coef, g, counts, src, slot, size): per
-    term of N of degree g <= a, its -c, g and the number of pairs it forms;
-    pair i, taken term by term, adds its term's scale -c (a - g + lam g)
-    times f[src[i]] to the level's sum number slot[i] of size, where f is 1
-    (the constant term) followed by the values at rows, cols.
+    (row, col): the canonical pairs inside the level's weight components, or
+    none if no pair reaches the level.  levels[a - 1] is (coef, g, counts,
+    src, slot, size): per term of N of degree g <= a, its -c, g and the
+    number of pairs it forms; pair i, taken term by term, adds its term's
+    scale -c (a - g + lam g) times f[src[i]] to the level's sum number
+    slot[i] of size, where f is 1 (the constant term) followed by the values
+    at rows, cols.
     """
 
     n_vars: int
@@ -407,62 +420,178 @@ class RecurrencePlan:
         return _frozen(self.n_vars, self.cutoff, self.rows[keep], self.cols[keep], values[keep])
 
 
+def _echelon(rows: np.ndarray) -> list[np.ndarray]:
+    """An echelon basis of the integer lattice the rows span: the first
+    nonzero entry of each basis row is positive and lies right of the
+    previous row's.  Euclid's algorithm on one column at a time."""
+    rows = rows[rows.any(axis=1)]
+    out = []
+    for c in range(rows.shape[1]):
+        live = np.flatnonzero(rows[:, c])
+        while len(live) > 1:
+            k = live[np.argmin(np.abs(rows[live, c]))]
+            q = rows[:, c] // rows[k, c]
+            q[k] = 0
+            rows = rows - q[:, None] * rows[k]
+            live = np.flatnonzero(rows[:, c])
+        if len(live):
+            out.append(rows[live[0]] * np.sign(rows[live[0], c]))
+            rows = np.delete(rows, live[0], axis=0)
+    return out
+
+
+def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cosets of the lattice spanned by the rows of diffs, on the basis.
+    The rows of diffs sum to 0, so each coset lies in one degree.
+
+    Per position: its rank in its coset and the coset's size, both by
+    position; the positions of each degree ordered by (coset, position), and
+    each one's index in that order, both counted from the degree's first.
+    """
+    # Reduced by an echelon basis, with 0 <= rep[c] < row[c] at each row's
+    # pivot c, two exponent vectors are equal exactly when their cosets are.
+    rep = bas.exponents.T.copy()  # one row per variable
+    for row in _echelon(diffs):
+        nonzero = np.flatnonzero(row).tolist()
+        q = rep[nonzero[0]] // row[nonzero[0]]
+        for k in nonzero:
+            rep[k] -= q * row[k]
+    rep = np.vstack((bas.degrees, rep))
+    rep -= rep.min(axis=1, keepdims=True)
+    span = rep.max(axis=1) + 1
+    if prod(span.tolist()) < 2**63:
+        label = np.append(np.cumprod(span[:0:-1])[::-1], 1) @ rep  # mixed radix
+    else:
+        label = np.unique(rep, axis=1, return_inverse=True)[1].ravel()
+    order = np.argsort(label, kind="stable")
+    start = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(start, append=len(order))
+    rank, size, inv = (np.empty_like(order) for _ in range(3))
+    rank[order] = np.arange(len(order)) - np.repeat(start, sizes)
+    size[order] = np.repeat(sizes, sizes)
+    inv[order] = np.arange(len(order))
+    first = np.searchsorted(bas.degrees, bas.degrees)  # each degree's first position
+    return rank, size, order - first, inv - first
+
+
+def _largest_level(n_vars: int, cutoff: int, g, diffs, degrees, size) -> tuple[int, int, int]:
+    """(a, pairs formed, pairs kept before it) of the level of
+    compile_recurrence whose memory estimate is largest, before any is built.
+
+    A level that some pair reaches has every pair (p, q) in its components as
+    an entry, mirrors included: the sum of its component sizes squared.  A
+    term pairs each entry (alpha, beta) of level a - g with (alpha + gamma,
+    beta + delta), and (delta, gamma) is a term too, pairing (beta, alpha)
+    with the transposed target; so of those two pairs one has a canonical
+    target, both when alpha + gamma = beta + delta.  That happens for the
+    alphas of level a - g at or above (delta - gamma)^+ componentwise.
+    """
+    entries = np.bincount(degrees, weights=size).astype(np.int64).tolist()
+    up = np.maximum(-diffs, 0).sum(axis=1)  # |(delta - gamma)^+|
+    terms = Counter(zip(g.astype(np.int64).tolist(), up.tolist()))
+    reached = [1]  # entries of each level built so far
+    kept = 0
+    best = (-1, 0, 0, 0)
+    for a in range(1, cutoff + 1):
+        active = [(k, reached[a - t], a - t - u) for (t, u), k in terms.items() if t <= a]
+        forms = sum(k * e for k, e, _ in active)
+        need = KEPT_PAIR_BYTES * kept + PLAN_PAIR_BYTES * forms
+        if need > best[0]:
+            best = (need, a, forms, kept)
+        kept += sum(k * (e + (comb(s + n_vars - 1, s) if e and s >= 0 else 0)) for k, e, s in active) // 2
+        reached.append(entries[a] if forms else 0)
+    return best[1:]
+
+
 def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     """The RecurrencePlan of N^(-lam) for a series N with constant term 1
     whose entries all sit on bidegrees (g, g); a ValueError for any other N.
 
-    Graded-lex order is translation invariant, so a term maps the positions
-    of a level to sorted positions of a higher one: one rank table per
-    distinct gamma and source level turns the target positions into gathers.
-    Pairs are formed a small batch of terms at a time, and only those with
+    A term (gamma, delta) maps an entry (alpha, beta) to (alpha + gamma,
+    beta + delta), so the two sides of every entry differ by a sum of N's
+    gamma - delta: both lie in one weight component (_weight_components).
+    A level that some pair reaches takes as entries every canonical pair
+    (p, q) inside its components, in (p, q) order; on the catalog's norms
+    those are exactly the pairs reached, and any other is an exact zero.  So
+    the sum a pair feeds is arithmetic in the ranks of p and q within their
+    component, with no sort, and the memory guard sees every level's pair
+    counts before any is built.  Graded-lex order is translation invariant,
+    so a term maps the positions of a level to sorted positions of a higher
+    one: one rank table per degree of N's terms, over the distinct gammas
+    and every source level, turns the target positions into gathers.  Pairs
+    are formed a small batch of terms at a time, and only those with
     canonical targets (p <= q) are kept; the source of a pair on a mirror
     entry is its canonical entry.
     """
     bas = n.basis
     exps = bas.exponents
-    by_degree = _norm_terms(n)
+    # -c, g and gamma - delta of every term; the terms of degree <= a are a prefix.
+    by_degree, coef, g, diffs = _norm_terms(n)
+    rank, width, order, inv = _weight_components(bas, diffs)
+
+    def charge(a: int, forms: int, kept: int) -> None:
+        need = KEPT_PAIR_BYTES * kept + PLAN_PAIR_BYTES * forms
+        check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {kept} kept)")
+
+    charge(*_largest_level(n.n_vars, n.cutoff, g, diffs, bas.degrees, width))
+    # Per degree g of N's terms: [row of gamma, position of alpha] -> position
+    # of alpha + gamma within its level, for every alpha of degree <= cutoff - g.
+    first = np.searchsorted(bas.degrees, np.arange(n.cutoff + 1))
+    shifts = []
+    for level_g, es, *_ in by_degree:
+        alpha = exps[: bas.degree_slice(n.cutoff - level_g).stop]
+        shifts.append(bas.rank(alpha, exps[es][:, None]) - first[bas.degrees[: len(alpha)] + level_g])
     # levels[s]: level s's entries, mirrors expanded, at positions local to the
     # level, and the index in f of each one's canonical value.
     levels = [(np.zeros(1, dtype=np.int64),) * 3]
-    # -c and g of every term; the terms of degree <= a are a prefix.
-    coef = -np.concatenate([c for *_, c in by_degree])
-    g = np.concatenate([np.full(len(c), float(level_g)) for level_g, *_, c in by_degree])
+    empty = np.zeros(0, dtype=np.int64)
     rows, cols, plan = [], [], []
     at = 1  # f's index of the level's first entry
     total = 0  # pairs kept so far
     for a in range(1, n.cutoff + 1):
         active = [terms for terms in by_degree if terms[0] <= a]
+        terms = sum(len(c) for *_, c in active)
         forms = sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
-        need = KEPT_PAIR_BYTES * total + PLAN_PAIR_BYTES * forms
-        check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {total} kept)")
+        charge(a, forms, total)
+        if not forms:  # no pair reaches the level
+            plan.append((coef[:terms], g[:terms], np.zeros(terms, dtype=np.int64), empty, empty, 0))
+            levels.append((empty,) * 3)
+            continue
         sl = bas.degree_slice(a)
-        dim = sl.stop - sl.start
-        keys, srcs, counts = [], [], []
-        for level_g, es, gamma_row, delta_row, c in active:
+        # Row p's targets are the positions of its component from p on.
+        level_rank = rank[sl]
+        count = width[sl] - level_rank
+        rowstart = np.cumsum(count) - count
+        base = rowstart - level_rank  # target (p, q) is number base[p] + rank[q]
+        slots, srcs, counts = [], [], []
+        for (level_g, _, gamma_row, delta_row, c), shift in zip(active, shifts):
             i, j, src = levels[a - level_g]
-            # [row of gamma, index of level a - g] -> position of their sum in level a
-            shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None]) - sl.start
+            if not len(i):  # an empty level forms no pairs
+                counts.append(np.zeros(len(c), dtype=np.int64))
+                continue
+            shift = shift[:, bas.degree_slice(a - level_g)]
             step = max(1, _BATCH_PAIRS // len(i))  # terms per batch
             for lo in range(0, len(c), step):
                 b = slice(lo, lo + step)
                 p, q = shift[gamma_row[b]].take(i, axis=1), shift[delta_row[b]].take(j, axis=1)
                 keep = p <= q
                 kept = np.flatnonzero(keep)  # row-major: term by term
-                keys.append((p * dim + q).ravel()[kept])
+                slots.append(base[p.ravel()[kept]] + level_rank[q.ravel()[kept]])
                 srcs.append(src[kept % len(src)])
                 counts.append(keep.sum(axis=1))
-        targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        del keys
-        p, q = np.divmod(targets, dim)
-        terms = sum(len(c) for *_, c in active)
-        counts, srcs = np.concatenate(counts), np.concatenate(srcs)
-        plan.append((coef[:terms], g[:terms], counts, srcs, slot, len(targets)))
+        size = int(rowstart[-1] + count[-1])
+        slot, src = np.concatenate(slots), np.concatenate(srcs)
+        del slots, srcs
+        plan.append((coef[:terms], g[:terms], np.concatenate(counts), src, slot, size))
         total += len(slot)
+        p = np.repeat(np.arange(len(count)), count)
+        q = order[sl][np.repeat(inv[sl] - rowstart, count) + np.arange(size)]
         rows.append(p + sl.start)
         cols.append(q + sl.start)
-        levels.append(_mirror(p, q, np.arange(at, at + len(targets))))
-        at += len(targets)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+        levels.append(_mirror(p, q, np.arange(at, at + size)))
+        at += size
+    rows = np.concatenate(rows) if rows else empty
+    cols = np.concatenate(cols) if cols else empty
     return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wallachkit.domains import spectral_radius
+from wallachkit.series import _BATCH_PAIRS, RecurrencePlan, _mirror, _norm_terms
 
 
 def _dense_blocks(s):
@@ -46,3 +47,49 @@ def _pointwise_sample_points(dom, count, rng, radius_cap=0.7):
 @pytest.fixture
 def pointwise_sample_points():
     return _pointwise_sample_points
+
+
+def _sorting_compile(n):
+    """The RecurrencePlan of N^(-lam) with each level's targets found by
+    np.unique over the keys of the pairs formed, so a level holds exactly the
+    entries some pair reaches: the reference compile_recurrence, which takes
+    its targets from the weight components, is checked against."""
+    bas = n.basis
+    exps = bas.exponents
+    by_degree, coef, g, _ = _norm_terms(n)
+    levels = [(np.zeros(1, dtype=np.int64),) * 3]
+    rows, cols, plan = [], [], []
+    at = 1
+    for a in range(1, n.cutoff + 1):
+        active = [terms for terms in by_degree if terms[0] <= a]
+        sl = bas.degree_slice(a)
+        dim = sl.stop - sl.start
+        keys, srcs, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+        for level_g, es, gamma_row, delta_row, c in active:
+            i, j, src = levels[a - level_g]
+            shift = bas.rank(exps[bas.degree_slice(a - level_g)], exps[es][:, None]) - sl.start
+            step = max(1, _BATCH_PAIRS // max(1, len(i)))
+            for lo in range(0, len(c), step):
+                b = slice(lo, lo + step)
+                p, q = shift[gamma_row[b]].take(i, axis=1), shift[delta_row[b]].take(j, axis=1)
+                keep = p <= q
+                kept = np.flatnonzero(keep)
+                keys.append((p * dim + q).ravel()[kept])
+                srcs.append(src[kept % max(1, len(src))])
+                counts.append(keep.sum(axis=1))
+        targets, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        p, q = np.divmod(targets, dim)
+        terms = sum(len(c) for *_, c in active)
+        counts = np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+        plan.append((coef[:terms], g[:terms], counts, np.concatenate(srcs), slot, len(targets)))
+        rows.append(p + sl.start)
+        cols.append(q + sl.start)
+        levels.append(_mirror(p, q, np.arange(at, at + len(targets))))
+        at += len(targets)
+    rows, cols = (np.concatenate(x) if x else np.zeros(0, dtype=np.int64) for x in (rows, cols))
+    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan))
+
+
+@pytest.fixture
+def sorting_compile():
+    return _sorting_compile

@@ -177,9 +177,10 @@ def _plan_estimates(monkeypatch, stop=None):
 
 
 def test_i33_cutoff11_plan_estimate_is_under_the_limit(monkeypatch):
-    # The compile runs levels 1-10 (about 1.3 s and 450 MiB) and stops at
-    # level 11's guard call: each pair kept holds two int64 indices, and the
-    # level forms 27.6 M more, so the estimate is about 1.8 GiB.
+    # The compile's first guard call, before any level is built, charges
+    # level 11's estimate, the largest, and stops: each pair kept holds two
+    # int64 indices, and the level forms 27.6 M more, so the estimate is
+    # about 1.1 GB.
     calls = _plan_estimates(monkeypatch, stop=11)
     with pytest.raises(_StopAtLevel):
         hs.compile_recurrence(norm_series(wk.parse_domain("I:3,3"), 11))
@@ -187,6 +188,17 @@ def test_i33_cutoff11_plan_estimate_is_under_the_limit(monkeypatch):
     assert what == "a recurrence plan's level 11 (27577944 pairs formed, 9061065 kept)"
     assert need == hs.KEPT_PAIR_BYTES * 9061065 + hs.PLAN_PAIR_BYTES * 27577944
     assert need < multiindex.MEMORY_LIMIT_BYTES
+
+
+def test_i33_cutoff12_is_refused_before_any_level_is_built(monkeypatch):
+    # Level 12 would form 64.9 M pairs on top of 23.4 M kept, about 2.7 GB:
+    # the pair counts of every level follow from the weight components, so
+    # the first guard call refuses, with the message level 12's own would give.
+    calls = _plan_estimates(monkeypatch)
+    refusal = r"level 12 \(64905660 pairs formed, 23397012 kept\) needs about 2\.7 GB"
+    with pytest.raises(MemoryLimitError, match=refusal):
+        hs.compile_recurrence(norm_series(wk.parse_domain("I:3,3"), 12))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec, cutoff", [("I:3,3", 9), ("IV:6", 8)])
@@ -442,7 +454,7 @@ def test_scan_plan_path_refuses_bad_tolerances_and_overflow():
 
 def test_scan_plan_is_charged_to_the_memory_guard(monkeypatch):
     # III:3 at cutoff 7 forms 64 254 pairs at level 7 with 18 854 kept: about
-    # 4.4 MB at 64 bytes a pair formed and 16 a pair kept.
+    # 2.6 MB at 36 bytes a pair formed and 16 a pair kept.
     monkeypatch.setattr(calabi, "_SCAN_PLAN_CACHE", {})
     monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 2 * 10**6)
     refusal = r"recurrence plan's level 7 \(64254 pairs formed, 18854 kept\)"

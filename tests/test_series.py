@@ -7,11 +7,15 @@ Fraction arithmetic and compared coefficientwise.
 """
 
 from fractions import Fraction
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wallachkit as wk
+from wallachkit import series as hs
 from wallachkit.calabi import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -250,6 +254,20 @@ def test_inverse_norm_power_unit_disk(lam):
     want = binomial_series_oracle(lam, 9)
     for k in range(1, 9):
         assert got[k] == pytest.approx(float(want[k]), rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(-3, 4)])
+def test_inverse_norm_power_without_degree_one_terms(lam):
+    # N = 1 - |z|^4: no pair reaches an odd level, so those levels are empty,
+    # and (1 - x^2)^(-lam) = sum C(lam + k - 1, k) x^(2k).
+    n = from_terms(1, 9, {((0,), (0,)): 1.0, ((2,), (2,)): -1.0})
+    plan = compile_recurrence(n)
+    assert [level[-1] for level in plan.levels] == [0, 1] * 4 + [0]
+    got = inverse_norm_power(n, float(lam))
+    assert got.rows.tolist() == got.cols.tolist() == [2, 4, 6, 8]
+    want = binomial_series_oracle(lam, 5)
+    for k in range(1, 5):
+        assert got.coefficient((2 * k,), (2 * k,)) == pytest.approx(float(want[k]), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -521,3 +539,103 @@ def test_recurrence_plan_keeps_exact_zeros_and_inverse_norm_power_drops_them(lam
     assert len(s.values) == np.count_nonzero(keep) < len(values)
     assert np.array_equal(s.rows, plan.rows[keep]) and np.array_equal(s.cols, plan.cols[keep])
     assert s.values.tobytes() == values[keep].tobytes()
+
+
+def _hartogs_norm(spec, cutoff):
+    """N^mu - |w|^2 of a Cartan-Hartogs spec, the series ch_series expands."""
+    ch = parse_ch_spec(spec)
+    nmu = inverse_norm_power(norm_series(ch.base, cutoff), -ch.mu)
+    z, w = (0,) * ch.n_vars, (0,) * ch.base.d + (1,)
+    one_minus_w2 = from_terms(ch.n_vars, cutoff, {(z, z): 1.0, (w, w): -1.0})
+    return add(embed(nmu, ch.n_vars), one_minus_w2)
+
+
+def _assert_same_plan(got, want):
+    assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+    assert len(got.levels) == len(want.levels)
+    for a, (level, ref) in enumerate(zip(got.levels, want.levels), 1):
+        for x, y in zip(level, ref):
+            assert np.array_equal(x, y), a
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [
+        ("I:2,2", 8), ("I:2,3", 7), ("I:2,4", 5), ("I:3,3", 6), ("I:3,3", 9),
+        ("III:2", 8), ("III:3", 7), ("III:4", 6), ("IV:3", 8), ("IV:5", 6), ("IV:6", 8),
+        ("CH:1", 30), ("CH:2", 10),
+        ("CH:32", 3),  # 4^33 component labels overflow int64: labelled by np.unique
+        ("CHD(I:2,2;mu=einstein)", 6), ("CHD(IV:3;mu=0.7)", 6),
+        ("CHD(III:2;mu=0.5)", 6), ("CHD(CH:2;mu=1)", 8),
+    ],
+)
+def test_recurrence_plan_equals_the_sorting_compile(spec, cutoff, sorting_compile):
+    # Every weight component of a level is reached whole on these norms, so
+    # taking the targets from the components adds none: the plans are equal.
+    if spec.startswith("CHD("):
+        n = _hartogs_norm(spec, cutoff)
+    else:
+        n = norm_series(wk.parse_domain(spec), cutoff)
+    _assert_same_plan(compile_recurrence(n), sorting_compile(n))
+
+
+def test_recurrence_compile_sorts_nothing_longer_than_the_basis(monkeypatch):
+    # The targets come from the weight components, so the only sorts are
+    # over N's terms and over basis positions, never over a level's pairs.
+    n = norm_series(wk.parse_domain("I:3,3"), 6)
+    sorted_lengths = []
+    for name in ("unique", "argsort", "sort", "lexsort"):
+        def wrapped(a, *args, _f=getattr(np, name), **kwargs):
+            sorted_lengths.append(np.size(a))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapped)
+    plan = compile_recurrence(n)
+    monkeypatch.undo()
+    assert sorted_lengths and max(sorted_lengths) <= len(n.basis) < len(plan.levels[-1][3])
+
+
+def _exponents(n_vars, degree):
+    return [e for e in cartesian(range(degree + 1), repeat=n_vars) if sum(e) == degree]
+
+
+@st.composite
+def _norm_like(draw):
+    """A random N with constant term 1 and real Hermitian (g, g) entries,
+    g <= 3, with or without the diagonal degree-1 entries."""
+    n_vars, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from([-1.0, -0.5, 0.25, 1.0]), st.floats(-1.0, 1.0))
+    zero = (0,) * n_vars
+    terms = {(zero, zero): 1.0}
+    if draw(st.booleans()):
+        for e in _exponents(n_vars, 1):
+            terms[(e, e)] = draw(values)
+    for _ in range(draw(st.integers(1, 5))):
+        exps = _exponents(n_vars, draw(st.integers(1, 3)))
+        pair = tuple(sorted((draw(st.sampled_from(exps)), draw(st.sampled_from(exps)))))
+        terms[pair] = draw(values)
+    return from_terms(n_vars, cutoff, terms)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # sorting_compile returns a pure function, so sharing it across examples is safe.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(n=_norm_like(), lam=st.one_of(st.integers(-8, 24).map(lambda k: k / 4), st.floats(-2.0, 4.0)))
+def test_inverse_norm_power_equals_the_sorting_compile_on_random_norms(n, lam, sorting_compile):
+    # Where a component is not reached whole, its other pairs are exact
+    # zeros, which inverse_norm_power drops.  The up-front memory charge is
+    # the largest of the levels' own, message and all.
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hs, "check_memory", lambda need, what: calls.append((need, what)))
+        got = inverse_norm_power(n, lam)
+    assert calls[0] == max(calls[1:], key=lambda call: call[0])
+    plan = sorting_compile(n)
+    want = plan.series(plan.values(lam))
+    assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+    assert got.values.tobytes() == want.values.tobytes()
