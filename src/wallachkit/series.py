@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -456,15 +456,10 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
         q = rep[nonzero[0]] // row[nonzero[0]]
         for k in nonzero:
             rep[k] -= q * row[k]
-    rep = np.vstack((bas.degrees, rep))
-    rep -= rep.min(axis=1, keepdims=True)
-    span = rep.max(axis=1) + 1
-    if prod(span.tolist()) < 2**63:
-        label = np.append(np.cumprod(span[:0:-1])[::-1], 1) @ rep  # mixed radix
-    else:
-        label = np.unique(rep, axis=1, return_inverse=True)[1].ravel()
-    order = np.argsort(label, kind="stable")
-    start = np.flatnonzero(np.diff(label[order], prepend=-1))
+    rep = np.vstack((bas.degrees, rep[rep.any(axis=1)]))  # rows all 0 split nothing
+    order = np.lexsort(rep[::-1])  # by degree, then reduced vector; stable
+    rep = rep.take(order, axis=1)
+    start = np.flatnonzero(np.r_[True, (rep[:, 1:] != rep[:, :-1]).any(axis=0)])
     sizes = np.diff(start, append=len(order))
     rank, size, inv = (np.empty_like(order) for _ in range(3))
     rank[order] = np.arange(len(order)) - np.repeat(start, sizes)

@@ -212,6 +212,8 @@ def test_plan_estimate_bounds_the_traced_peak_within_2x(monkeypatch, spec, cutof
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # The up-front call charges the largest level with that level's message.
+    assert calls[0] == max(calls[1:], key=lambda c: c[0])
     estimate = max(need for need, _ in calls)
     assert peak <= estimate <= 2 * peak
 

@@ -582,11 +582,12 @@ def test_recurrence_plan_equals_the_sorting_compile(spec, cutoff, sorting_compil
 def test_recurrence_compile_sorts_nothing_longer_than_the_basis(monkeypatch):
     # The targets come from the weight components, so the only sorts are
     # over N's terms and over basis positions, never over a level's pairs.
+    # lexsort's keys are stacked on the first axis and sorted along the last.
     n = norm_series(wk.parse_domain("I:3,3"), 6)
     sorted_lengths = []
     for name in ("unique", "argsort", "sort", "lexsort"):
-        def wrapped(a, *args, _f=getattr(np, name), **kwargs):
-            sorted_lengths.append(np.size(a))
+        def wrapped(a, *args, _f=getattr(np, name), _keys=name == "lexsort", **kwargs):
+            sorted_lengths.append(np.shape(a)[-1] if _keys else np.size(a))
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np, name, wrapped)
