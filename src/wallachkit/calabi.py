@@ -10,8 +10,8 @@ truncated immersion components when the verdict is positive.
 
 The expansion is the Euler-operator recurrence on N's terms, compiled with
 lambda left open and replayed at lambda (series.compile_recurrence).  One
-lambda (bergman_diastasis_series, and through it calabi_matrix and the Gram
-guidance) compiles and replays it once and caches nothing.  A grid of
+lambda (bergman_diastasis_series, and through it calabi_matrix) compiles
+and replays it once and caches nothing.  A grid of
 lambdas (scan_lambdas) compiles it once per (domain, cutoff), together with
 the spectral layout of its pattern, and replays it per lambda: the same
 numbers as the single verdicts, bit for bit.

@@ -112,12 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_wallach)
 
-    p = sub.add_parser("gram", help="search for a non-PSD Gram configuration")
+    p = sub.add_parser(
+        "gram", help="search symmetric point designs for a non-PSD Gram configuration"
+    )
     p.add_argument("domain")
     _add_lambda_or_c(p)
-    p.add_argument("--points", type=int, default=6)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=2000,
+        help="largest design, in points, that is tried; larger ones are skipped",
+    )
     p.add_argument("--witness-out", type=Path, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_gram)
@@ -262,13 +267,7 @@ def _cmd_wallach(args):
 def _cmd_gram(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
-    result = gram.search_violation(
-        dom,
-        lam,
-        n_points=args.points,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    result = gram.search_violation(dom, lam, budget=args.budget)
     closed = wallach_contains(dom, lam)
     # Absence of a witness never contradicts the closed form.
     agreement = (not closed) if result.found else (True if closed else None)
@@ -284,12 +283,7 @@ def _cmd_gram(args):
     report = RunReport(
         command="gram",
         domain=dom.spec_string,
-        parameters={
-            "lambda": lam,
-            "points": args.points,
-            "budget": args.budget,
-            "seed": args.seed,
-        },
+        parameters={"lambda": lam, "budget": args.budget},
         verdicts=verdicts,
         agreement=agreement,
     )
@@ -301,7 +295,10 @@ def _cmd_gram(args):
             f"({result.evals_used} evaluations)"
         )
     else:
-        lines.append(f"  no witness within budget ({result.evals_used} evaluations)")
+        lines.append(
+            f"  no witness from designs of at most {args.budget} points "
+            f"({result.evals_used} evaluations)"
+        )
     if args.witness_out is not None and result.found:
         payload = gram.witness_payload(dom, result)
         args.witness_out.write_text(to_json(payload))

@@ -1,72 +1,71 @@
-"""Point-sampling positivity tests for the kernels N(x, y)^(-lambda).
+"""Gram-matrix positivity tests for the kernels N(x, y)^(-lambda).
 
 A kernel is positive definite iff every finite Gram matrix of evaluations is
 positive semidefinite, so a single configuration with a negative eigenvalue
 is a certificate that the scaled metric is not projectively induced.  This
-module builds those Gram matrices on sampled interior points and runs a
-random-restart local search for violating configurations.
+module builds those Gram matrices and searches symmetric point designs for
+violating configurations.
 
 Powers N^(-lambda) use the principal logarithm; that is only single-valued
 while N stays in the right half-plane, so every evaluation tracks a
 branch_ok flag instead of failing silently.
 
-Random configurations are almost never witnesses: a negative eigenvalue
-needs the point moments concentrated on a negative eigendirection of the
-degree-2 coefficient block, which a generic cloud misses.  The search
-therefore derives candidate configurations from that block.  Each negative
-eigenvector decomposes into coordinate atoms; a diagonal atom (i, i) maps
-to an antipodal pair {x, -x} with x on coordinate i, and an off-diagonal
-atom (i, j) maps to a cube-root triple {w^k u + conj(w)^k v : k = 0, 1, 2}
-with u on coordinate i and v on coordinate j.  Both constructions cancel
-the constant-term and degree-1 moments while keeping the targeted degree-2
-moment, so the configuration starts inside or near the negative cone and a
-short local descent does the rest.  Pure random restarts stay in the mix
-so the search remains honest on domains where no guidance is available.
+By Faraut and Koranyi (J. Funct. Anal. 88, 1990), N^(-lambda) is the sum
+over partitions m of (lambda)_m K_m, with the generalized Pochhammer symbol
+(lambda)_m = prod_i (lambda - (i - 1) a/2)_{m_i}.  In the Wallach gap
+((k - 2) a/2, (k - 1) a/2) the first negative coefficient is that of
+m = (1^k), whose space holds the k-minors of Z (z.z on IV).  A generic
+point cloud hides that term under the positive ones of lower degree.  An
+orbit of a finite group that fixes N does not: by the projection formula
+(Serre, Linear Representations of Finite Groups, 2.6) its Gram matrix
+splits along the group's characters, and along the character used here
+(det S on I, prod z_i^2 on III, (-1)^m on IV) every polynomial of degree
+below k sums to zero, so at a small scale the terms of degree k, (1^k)
+among them, lead.
 
-Evaluations are batched: a configuration is one (k, d) array, and a stack
-of them gets its norm matrices from one domains.norm_matrix call, its
-membership from one domains.contains call (on I and III both read the pivots
-of one stacked elimination, of every I - Z_a Z_b* and of I - Z Z*, with no
-SVD) and its spectra from one eigvalsh.  The random points of a
-configuration come from one sample_points call, which gauges them together.
-With degree-2 guidance restart 0, which then starts from a structured
-proposal, runs alone first; the restarts then advance in lockstep chunks of
-at most 64, each step evaluating every restart still running in the chunk
-in one stacked objective.  Each restart keeps its own generator.  Every
-descent step reads one record of 1 + k + 2kd standard normals from it (k
-points in C^d): the first below Phi^-1(0.7) moves the whole configuration,
-else the argmax of the next k picks the one point that moves, and the last
-2kd, read in pairs, are the real and imaginary parts of the step.  A
-restart draws its records _DRAW_STEPS steps at a time in one call; a record
-is still the next stretch of the restart's own stream, so a restart makes
-the same draws as it would alone, and the result, the first restart in
-order that finds a witness, depends neither on the grouping nor on
-_DRAW_STEPS.
+The designs, base points of unit size moved by their group and then
+scaled by t < 1, are
+
+  I:p,q   the k x k identity block in the top-left corner of Z under the
+          2^k k! signed permutations of its first k rows;
+  III:n   (P_s + P_s^T)/2 for the permutation matrices P_s of S_k in the
+          top-left corner, under Z -> D Z D with D = diag(z_1..z_k, 1..1)
+          and z_i^4 = 1, distinct points only (8 at k = 2, 64 at k = 3,
+          608 at k = 4);
+  IV:n    the 4n points i^m e_j, at k = 2, the rank;
+  CH:d    none: rank 1 has no gap.
+
+search_violation evaluates each design at the scales _SCALES, largest
+first, so no search is random and no seed steers it.  Its
+budget (the CLI's --budget) is the largest design, in points, that it
+tries, which bounds its work; every Gram evaluation is also charged to the
+memory guard before it gathers its point pairs.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .domains import DomainModel, contains, norm_matrix, parse_domain, sample_points, upper_triangle
+from .domains import DomainModel, norm_matrix, parse_domain, upper_triangle
+from .multiindex import check_memory
 
 DEFAULT_WITNESS_TOL = 1e-6
+# Gauge cap for sampled configurations (domains.sample_points); the design search samples none.
 DEFAULT_RADIUS_CAP = 0.7
 
-_DESCENT_STEPS = 50
-_SIGMA_INITIAL = 0.04
-_SIGMA_GROW = 1.3
-_SIGMA_SHRINK = 0.93
-_SIGMA_MAX = 0.15
-_SIGMA_MIN = 0.002
-_ATOM_CUT = 1e-6
-_CHUNK = 64  # restarts per lockstep group, apart from a guided restart 0
-_DRAW_STEPS = 16  # descent step records each restart draws at a time
-_WHOLE_MOVE = NormalDist().inv_cdf(0.7)  # a step record's first normal below it moves every point
+# Scales t of each design, largest first; the largest that gives a witness wins.
+_SCALES = (0.6, 0.5, 0.4, 0.3, 0.2)
+_FOURTH_ROOTS = np.array([1.0, 1j, -1.0, -1j])
+# Bytes per coordinate of a point pair that a Gram evaluation holds at its
+# peak: ten complex words, for the two gathered points and, on I and III,
+# their matrices of entries and the elimination's temporaries (traced at
+# 3d to 9d words a pair).
+_PAIR_BYTES_PER_COORD = 160
 
 
 class BranchError(Exception):
@@ -107,10 +106,16 @@ def gram_matrix(
     Hermitian symmetry is exact and the diagonal is real.  A pair whose
     N is NaN or has Re N <= 0 violates the branch; with require_branch that
     raises BranchError naming the first offending pair in row-major order
-    (of the first offending configuration).
+    (of the first offending configuration).  The evaluation is charged to
+    check_memory before anything is gathered.
     """
     pts = np.asarray(points, dtype=np.complex128)
     k = pts.shape[-2]
+    configs = math.prod(pts.shape[:-2])
+    what = f"a Gram matrix of {k} points"
+    if pts.ndim > 2:
+        what = f"{configs} Gram matrices of {k} points"
+    check_memory(_PAIR_BYTES_PER_COORD * dom.d * configs * (k * (k + 1) // 2), what)
     rows, cols = upper_triangle(k)
     nv = norm_matrix(dom, pts[..., rows, None, :], pts[..., cols, None, :])[..., 0, 0]
     bad = ~(nv.real > 0.0)
@@ -179,81 +184,6 @@ def gram_report(
     )
 
 
-def _quadratic_atoms(dom: DomainModel, lam: float) -> list[tuple[int, int, float]] | None:
-    """Coordinate atoms of the most negative degree-2 eigendirection.
-
-    Returns [(i, j, coef), ...] sorted by |coef| descending, ties by (i, j),
-    where the eigenvector reads sum coef * z_i z_j, or None when the degree-2
-    block is positive semidefinite, not finite or too large to build (no
-    guidance to offer).  The direction is the Calabi verdict's degree-2 witness.
-    """
-    from .calabi import calabi_matrix, psd_verdict
-    from .multiindex import MemoryLimitError, basis
-
-    try:
-        direction = psd_verdict(calabi_matrix(dom, lam, 2)).per_block[1].witness
-    except (MemoryLimitError, RuntimeError):  # too large, or not finite
-        return None
-    if direction is None:
-        return None
-    bas = basis(dom.d, 2)
-    sl = bas.degree_slice(2)
-    atoms: list[tuple[int, int, float]] = []
-    for pos in range(sl.start, sl.stop):
-        coef = float(direction[pos - sl.start])
-        if abs(coef) < _ATOM_CUT:
-            continue
-        nonzero = np.flatnonzero(bas.exponents[pos])
-        atoms.append((int(nonzero[0]), int(nonzero[-1]), coef))
-    atoms.sort(key=lambda a: -abs(a[2]))
-    # Equal |coef| differ by rounding: ties within 1e-12 relative go by position (i, j).
-    tie, keys = np.inf, []
-    for i, j, coef in atoms:
-        tie = tie if abs(coef) >= tie * (1.0 - 1e-12) else abs(coef)
-        keys.append((-tie, i, j))
-    return [atom for _, atom in sorted(zip(keys, atoms))] or None
-
-
-_OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))  # primitive cube root of unity
-
-
-def _structured_points(
-    dom: DomainModel,
-    atoms: Sequence[tuple[int, int, float]],
-    n_points: int,
-    rng: np.random.Generator,
-    scale: float,
-    signs: Sequence[float],
-) -> np.ndarray:
-    """Moment-cancelling (n_points, d) configuration aimed at the negative eigendirection.
-
-    Atoms are packed greedily: antipodal pairs for diagonal atoms, cube-root
-    triples for off-diagonal ones.  Leftover slots get one origin point and
-    small random samples; the eigensolver can assign them zero weight.
-    """
-    points: list[np.ndarray] = []
-    for (i, j, _), sign in zip(atoms, signs):
-        need = 2 if i == j else 3
-        if len(points) + need > n_points:
-            break
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        if i == j:
-            x = np.zeros(dom.d, dtype=np.complex128)
-            x[i] = scale * phase
-            points.extend([x, -x])
-        else:
-            u = np.zeros(dom.d, dtype=np.complex128)
-            v = np.zeros(dom.d, dtype=np.complex128)
-            u[i] = scale * phase
-            v[j] = scale * np.conj(phase) * sign
-            for k in range(3):
-                points.append(_OMEGA**k * u + np.conj(_OMEGA) ** k * v)
-    if len(points) < n_points:
-        points.append(np.zeros(dom.d, dtype=np.complex128))
-    points.extend(sample_points(dom, n_points - len(points), rng, 0.25 * scale))
-    return np.array(points)
-
-
 def _objective(
     dom: DomainModel, lam: float, configs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,116 +199,18 @@ def _objective(
     return valid, low, threshold
 
 
-def _lockstep(
-    dom: DomainModel,
-    lam: float,
-    n_points: int,
-    seeds: Sequence[np.random.SeedSequence],
-    guidance: Sequence[Sequence[tuple[int, int, float]] | None],
-    eval_cap: int,
-) -> tuple[np.ndarray, int | None, np.ndarray | None]:
-    """Seeded restarts advanced together: propose, then descend on the minimum eigenvalue.
-
-    Restart j draws from its own generator on seeds[j], with atoms
-    guidance[j] (None: random start), and spends at most eval_cap
-    evaluations; its draws and decisions do not depend on the others.  Each
-    stage and each descent step evaluates every restart's configuration in
-    one stacked objective.  Descent step t reads record t of each live
-    restart's step records (see the module docstring), which every live
-    restart draws into its row of one buffer of _DRAW_STEPS records per
-    restart when t is a multiple of _DRAW_STEPS: restarts live at step t
-    have all taken t steps, so one index addresses every row, and the step
-    itself is stack arithmetic.  A restart finishes when its cap is spent, its
-    best value is below its threshold (a witness), an objective is invalid
-    or its steps run out; restarts after the first one holding a witness are
-    dropped, since they can no longer win.  Returns (evals per restart,
-    index of the first restart with a witness or None, its points).
-    """
-    n = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    evals = np.zeros(n, dtype=np.int64)
-    points = np.empty((n, n_points, dom.d), dtype=np.complex128)
-    best = np.full(n, np.nan)  # nan until a restart holds a valid configuration
-    threshold = np.full(n, np.nan)
-    live = np.ones(n, dtype=bool)
-
-    # Structured proposals, in order per restart: plus, then flipped signs.
-    owners: list[int] = []
-    proposals: list[np.ndarray] = []
-    for j, (rng, atoms) in enumerate(zip(rngs, guidance)):
-        if atoms is None:
-            continue
-        scale = DEFAULT_RADIUS_CAP * rng.uniform(0.25, 0.72)
-        plus = tuple(1.0 for _ in atoms)
-        flipped = tuple(float(rng.choice((-1.0, 1.0))) for _ in atoms)
-        # Draws that all agree give plus again, up to a symmetry of the domain.
-        for signs in (plus,) if len(set(flipped)) == 1 else (plus, flipped):
-            owners.append(j)
-            proposals.append(_structured_points(dom, atoms, n_points, rng, scale, signs))
-    stack = np.array(proposals).reshape(-1, n_points, dom.d)
-    inside = contains(dom, stack).all(axis=-1)
-    due = []
-    for c, j in enumerate(owners):
-        if inside[c] and evals[j] < eval_cap:
-            evals[j] += 1
-            due.append(c)
-    if due:
-        valid, low, thr = _objective(dom, lam, stack[due])
-        for c, ok, val, t in zip(due, valid, low, thr):
-            j = owners[c]
-            if ok and (np.isnan(best[j]) or val < best[j]):
-                points[j], best[j], threshold[j] = stack[c], val, t
-
-    # Random starts where no structured proposal was valid.
-    start = np.flatnonzero(np.isnan(best))
-    for j in start:
-        points[j] = sample_points(dom, n_points, rngs[j], DEFAULT_RADIUS_CAP)
-    start = start[evals[start] < eval_cap]
-    if len(start):
-        evals[start] += 1
-        valid, best[start], threshold[start] = _objective(dom, lam, points[start])
-        live[start[~valid]] = False
-
-    sigma = np.full(n, _SIGMA_INITIAL)
-    steps = 4 * _DESCENT_STEPS
-    width = 1 + n_points + 2 * n_points * dom.d  # one step record, see the module docstring
-    block = min(_DRAW_STEPS, steps)
-    records = np.empty((n, block, width))
-    for t in range(steps):
-        witness = best < threshold
-        live &= (evals < eval_cap) & ~witness
-        if witness.any():  # restarts after the first witness can no longer win
-            live[np.argmax(witness) :] = False
-        owners_now = np.flatnonzero(live)
-        if not len(owners_now):
-            break
-        if t % block == 0:  # every live restart has read the records it drew
-            for j in owners_now:
-                rngs[j].standard_normal(out=records[j])
-        record = records[owners_now, t % block]
-        pick = np.argmax(record[:, 1 : 1 + n_points], axis=1)
-        moves = (record[:, :1] < _WHOLE_MOVE) | (np.arange(n_points) == pick[:, None])
-        noise = (sigma[owners_now, None] * record[:, 1 + n_points :]).view(np.complex128)
-        current = points[owners_now]
-        candidates = np.where(moves[..., None], current + noise.reshape(current.shape), current)
-        inside = contains(dom, candidates).all(axis=-1)
-        owners_now, candidates = owners_now[inside], candidates[inside]
-        if not len(owners_now):
-            continue
-        evals[owners_now] += 1
-        valid, low, thr = _objective(dom, lam, candidates)
-        live[owners_now[~valid]] = False
-        better = valid & (low < best[owners_now])
-        worse = valid & ~better
-        gain = owners_now[better]
-        points[gain], best[gain], threshold[gain] = candidates[better], low[better], thr[better]
-        sigma[gain] = np.minimum(sigma[gain] * _SIGMA_GROW, _SIGMA_MAX)
-        sigma[owners_now[worse]] = np.maximum(sigma[owners_now[worse]] * _SIGMA_SHRINK, _SIGMA_MIN)
-    witness = best < threshold
-    if not witness.any():
-        return evals, None, None
-    first = int(np.argmax(witness))
-    return evals, first, points[first]
+def _drop_thresholds(h: np.ndarray) -> np.ndarray:
+    """_witness_threshold of h without row and column i, for each i.  Dropping
+    i lowers the largest |entry| only when i is on every entry that attains
+    it, which at most two indices are."""
+    thresholds = np.full(len(h), _witness_threshold(h))
+    size = np.abs(h)
+    at = np.argwhere(size == size.max())
+    for i in set(at[0]):
+        if (at == i).any(axis=1).all():
+            rest = np.delete(np.arange(len(h)), i)
+            thresholds[i] = _witness_threshold(h[np.ix_(rest, rest)])
+    return thresholds
 
 
 def _minimize_witness(
@@ -386,26 +218,64 @@ def _minimize_witness(
     lam: float,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Greedily drop points while the configuration stays a witness.
+    """Greedily drop points while the configuration stays a witness: the
+    first point in order whose drop keeps one is dropped, until none does.
 
     The Gram matrix is evaluated once; each trial drop reads its principal
     submatrix, whose entries are exactly those a fresh evaluation would give.
     The search keeps only branch-valid configurations, and every subset of
-    one is branch-valid too.
+    one is branch-valid too.  One eigh per drop decides every trial: for
+    the Gram matrix H of the current points, a trial's threshold t and
+    M = H - tI, Haynsworth's inertia additivity gives M without row and
+    column i one negative eigenvalue fewer than M exactly when (M^-1)_ii < 0.
+    So the trial stays a witness iff M has two negative eigenvalues, or one
+    and (M^-1)_ii = sum_j |V_ij|^2 / (w_j - t) > 0, for the eigenpairs
+    (w_j, V_:j) of H.
     """
     h, _ = gram_matrix(dom, lam, points)
-    keep = list(range(len(points)))
-    changed = True
-    while changed and len(keep) > 2:
-        changed = False
-        for i in range(len(keep)):
-            trial = keep[:i] + keep[i + 1 :]
-            sub = h[np.ix_(trial, trial)]
-            if np.linalg.eigvalsh(sub)[0] < _witness_threshold(sub):
-                keep = trial
-                changed = True
-                break
+    keep = np.arange(len(points))
+    while len(keep) > 2:
+        sub = h[np.ix_(keep, keep)]
+        values, vectors = np.linalg.eigh(sub)
+        thresholds = _drop_thresholds(sub)
+        inverse_diagonal = (np.abs(vectors) ** 2 / (values - thresholds[:, None])).sum(axis=1)
+        stays = (values[1] < thresholds) | ((values[0] < thresholds) & (inverse_diagonal > 0.0))
+        if not stays.any():
+            break
+        keep = np.delete(keep, np.argmax(stays))
     return points[keep]
+
+
+def _design(dom: DomainModel, k: int, budget: int) -> np.ndarray | None:
+    """The unscaled orbit design for (1^k) as a (points, d) array (see the
+    module docstring), or None when the domain has no design at k or the
+    design has more than budget points.  Designs only grow with k."""
+    if dom.kind == "IV" and k == 2 and 4 * dom.d <= budget:
+        return (_FOURTH_ROOTS[:, None, None] * np.eye(dom.d)).reshape(-1, dom.d)
+    if dom.kind == "I" and 2**k * math.factorial(k) <= budget:
+        perms = np.array(list(itertools.permutations(range(k))))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+        z = np.zeros((len(perms), len(signs)) + dom.params, dtype=np.complex128)
+        which = np.arange(len(perms))[:, None, None], np.arange(len(signs))[:, None]
+        z[which + (perms[:, None], np.arange(k))] = signs  # column c's sign in row perm[c]
+        return z.reshape(-1, dom.d)
+    if dom.kind == "III":
+        n = dom.params[0]
+        rows, cols = upper_triangle(n)
+        scale = np.ones((4**k, n), dtype=np.complex128)
+        scale[:, :k] = _FOURTH_ROOTS[list(itertools.product(range(4), repeat=k))]
+        distinct: dict[bytes, np.ndarray] = {}
+        for perm in itertools.permutations(range(k)):
+            z = np.zeros((n, n))
+            z[perm, range(k)] += 0.5
+            z[range(k), perm] += 0.5
+            # + 0.0 turns -0.0 into 0.0, so equal points have equal bytes
+            for point in scale[:, rows] * z[rows, cols] * scale[:, cols] + 0.0:
+                distinct.setdefault(point.tobytes(), point)
+            if len(distinct) > budget:
+                return None
+        return np.array(list(distinct.values()))
+    return None
 
 
 def search_violation(
@@ -415,53 +285,38 @@ def search_violation(
     budget: int = 2000,
     seed: int = 0,
 ) -> SearchResult:
-    """Guided random-restart search for a non-PSD Gram configuration.
+    """Deterministic design search for a non-PSD Gram configuration.
 
-    budget counts Gram evaluations across all restarts; each restart spends
-    at most min(2 + 50, budget) of them.  Two out of three restarts start
-    from a configuration aimed at a negative degree-2 eigendirection when
-    one exists; the rest start from random samples.  Each restart draws
-    from its own spawned seed, one fixed-length record per descent step,
-    read from blocks of _DRAW_STEPS records (see _lockstep), so its path
-    does not depend on the other restarts.  With guidance restart 0 runs
-    alone first, since its structured start often finds the witness at once; the
-    restarts run in lockstep chunks of at most 64, one stacked objective per
-    step (see _lockstep), spawning their seeds chunk by chunk and stopping
-    after the first chunk that holds a witness, so a large budget costs
-    nothing before it is spent.  The result
-    is the first restart in order that finds a witness, and the evaluations
-    and restarts counted are those up to and including it, so a
-    (seed, budget) pair always gives the same result.  Absence of a witness
-    is a valid outcome.
+    For k = 2..r, the design for (1^k) (see the module docstring) is
+    evaluated at the scales of _SCALES, largest first, one objective each;
+    the first that gives a witness wins, and the witness returned is that
+    configuration after _minimize_witness.  budget is the largest
+    design, in points, that is tried: the first design over it ends the
+    search, since the later ones are larger still.  evals_used counts the
+    configurations evaluated (one dense Gram matrix each) and
+    restarts_used the values of k tried.  n_points and seed do nothing;
+    they stay for callers that pass budget positionally, and seed is echoed
+    in the result.  Absence of a witness is a valid outcome.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    per_restart = 2 + _DESCENT_STEPS
-    n_restarts = max(1, budget // per_restart)
-    root = np.random.SeedSequence(seed)
-    atoms = _quadratic_atoms(dom, lam)
-
-    evals_total = lo = 0
-    while lo < n_restarts:
-        hi = 1 if lo == 0 and atoms is not None else min(lo + _CHUNK, n_restarts)
-        # Successive spawns continue the same children, so chunks draw as one spawn would.
-        chunk = root.spawn(hi - lo)
-        guidance = [atoms if i % 3 != 2 else None for i in range(lo, hi)]
-        # Gram entries that overflow make a configuration invalid, not a warning.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            evals, first, winner = _lockstep(
-                dom, lam, n_points, chunk, guidance, min(per_restart, budget)
-            )
-        if first is not None:
-            evals_total += int(evals[: first + 1].sum())
-            winner = _minimize_witness(dom, lam, winner)
-            report = gram_report(dom, lam, winner)
-            return SearchResult(True, report, seed, lo + first + 1, evals_total)
-        evals_total += int(evals.sum())
-        lo = hi
-    return SearchResult(False, None, seed, n_restarts, evals_total)
+    tried = evals = 0
+    for k in range(2, dom.r + 1):
+        design = _design(dom, k, budget)
+        if design is None:
+            break
+        tried += 1
+        # One scale per evaluation: stacking all five would multiply the
+        # memory by five, and 608 points on III:5 would then need 2.2 GB.
+        for t in _SCALES:
+            evals += 1
+            # Gram entries that overflow make a configuration invalid, not a warning.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                valid, low, threshold = _objective(dom, lam, t * design[None])
+            if valid[0] and low[0] < threshold[0]:
+                points = _minimize_witness(dom, lam, t * design)
+                return SearchResult(True, gram_report(dom, lam, points), seed, tried, evals)
+    return SearchResult(False, None, seed, tried, evals)
 
 
 # --- witness serialization ----------------------------------------------------

@@ -3,14 +3,17 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from wallachkit import calabi
+from wallachkit import calabi, multiindex
 from wallachkit.cli import _scan_grid, main
 from wallachkit.domains import parse_domain, wallach_contains
 
@@ -76,8 +79,6 @@ def test_gram_witness_file_and_replay(capsys, tmp_path):
         "0.5",
         "--budget",
         "2000",
-        "--seed",
-        "1",
         "--witness-out",
         str(wpath),
     )
@@ -112,11 +113,44 @@ def test_replay_of_an_overflowing_witness_names_the_gram_matrix(capsys, tmp_path
 
 
 def test_gram_no_witness_in_wallach_set(capsys):
-    code, d, _ = run_json(
-        capsys, "gram", "I:2,2", "--lambda", "1.5", "--budget", "300", "--seed", "0"
-    )
+    code, d, _ = run_json(capsys, "gram", "I:2,2", "--lambda", "1.5", "--budget", "300")
     assert code == 0
     assert d["verdicts"]["witness_found"] is False
+    assert d["parameters"] == {"lambda": 1.5, "budget": 300}
+
+
+def test_gram_design_witness_round_trips(capsys, tmp_path):
+    # The rank-3 gap of I:3,3, which no sampled search had found: the k = 3
+    # design of 48 points gives the witness.
+    wpath = tmp_path / "w.json"
+    code, d, _ = run_json(
+        capsys, "gram", "I:3,3", "--lambda", "1.5", "--witness-out", str(wpath)
+    )
+    assert code == 0 and d["agreement"] is True
+    assert d["verdicts"]["witness_found"] is True
+    assert d["verdicts"]["witness_size"] <= 48
+    code, r, _ = run_json(capsys, "replay", str(wpath))
+    assert code == 0
+    assert r["verdicts"]["drift"] <= 1e-12
+    assert r["verdicts"]["min_eig_replayed"] == pytest.approx(
+        d["verdicts"]["min_eigenvalue"], abs=1e-12
+    )
+
+
+def test_replay_is_charged_to_the_memory_guard(capsys, tmp_path, monkeypatch):
+    # 400 points on I:3,3 make 80 200 pairs of 9 coordinates at 160 bytes
+    # each, about 0.115 GB: refused under a 0.1 GB limit before anything is
+    # gathered, answered under 0.2 GB.
+    wpath = tmp_path / "w.json"
+    points = [[[0.001 * a, 0.0]] + [[0.0, 0.0]] * 8 for a in range(400)]
+    payload = {"domain": "I:3,3", "lambda": 1.5, "points": points, "min_eig": -1.0, "seed": 0}
+    wpath.write_text(json.dumps(payload))
+    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 10**8)
+    code, out, err = run(capsys, "replay", str(wpath))
+    assert code == 1 and out == ""
+    assert "a Gram matrix of 400 points needs about 0.1 GB" in err
+    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 2 * 10**8)
+    assert run(capsys, "replay", str(wpath))[0] == 2  # answered: the stored -1.0 drifts
 
 
 def test_gram_overflowing_lambda_answers_without_witness(capsys):
@@ -124,6 +158,54 @@ def test_gram_overflowing_lambda_answers_without_witness(capsys):
     assert code == 0
     assert d["verdicts"]["witness_found"] is False
     assert d["agreement"] is True
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise _Hang
+
+
+GRAM_SECONDS = 10
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    spec=st.sampled_from(["I:2,2", "I:2,3", "I:3,3", "III:2", "III:3", "IV:3", "IV:5", "CH:2"]),
+    lam=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-4.0, 4.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    ),
+    budget=st.integers(1, 10**12),
+)
+def test_gram_answers_every_input_without_a_false_witness(capsys, spec, lam, budget):
+    # Every run ends in exit 0 or 1 with a JSON report or error object and no
+    # traceback, within GRAM_SECONDS; a closed-form Wallach member never gets
+    # a witness.
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(GRAM_SECONDS)
+    try:
+        code = main(["gram", spec, f"--lambda={lam!r}", f"--budget={budget}", "--format", "json"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code in (0, 1), (code, err)
+    assert "Traceback" not in out + err
+    d = json.loads(out)
+    if code == 0:
+        assert d["verdicts"]["wallach_member"] == wallach_contains(parse_domain(spec), lam)
+        if d["verdicts"]["wallach_member"]:
+            assert d["verdicts"]["witness_found"] is False, (spec, lam)
 
 
 def test_scan_csv_output(capsys):
@@ -368,6 +450,8 @@ def test_usage_errors_exit_one(capsys):
         ("calabi", "I:2,2", "--lambda", "1", "--c", "1", "--cutoff", "3"),
         ("ch-check", "CHD(I:2,2)", "--c", "1"),
         ("gram", "I:2,2", "--lambda", "0.5", "--threads", "2"),
+        ("gram", "I:2,2", "--lambda", "0.5", "--seed", "1"),
+        ("gram", "I:2,2", "--lambda", "0.5", "--points", "6"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

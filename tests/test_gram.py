@@ -1,4 +1,4 @@
-"""Gram matrices of kernel powers and the violation search."""
+"""Gram matrices of kernel powers and the design search for violations."""
 
 import time
 import warnings
@@ -8,7 +8,7 @@ import pytest
 
 import wallachkit as wk
 from wallachkit import gram
-from wallachkit.domains import norm_matrix, spectral_radius, upper_triangle
+from wallachkit.domains import norm_matrix, upper_triangle
 from wallachkit.gram import BranchError, _minimize_witness, _witness_threshold, min_gram_eigenvalue
 
 
@@ -149,7 +149,9 @@ def test_no_witness_for_wallach_members_with_large_entries(spec, lam):
     assert wk.wallach_contains(dom, lam)
     res = wk.search_violation(dom, lam, 6, 2000, seed=0)
     assert not res.found
-    assert res.evals_used > 1900
+    # every design is evaluated at every scale; rank 1 has none
+    assert res.restarts_used == dom.r - 1
+    assert res.evals_used == len(gram._SCALES) * res.restarts_used
 
 
 def test_witness_rule_is_relative_to_largest_entry():
@@ -185,14 +187,15 @@ def test_search_deterministic():
 @pytest.mark.parametrize(
     "spec, lam, seed, expected",
     [
-        # (found, evals_used, restarts_used, min_eigenvalue of a witness)
-        ("IV:3", 0.3, 4, (True, 9, 1, -1.0070986232477216e-03)),  # found after a short descent
-        ("I:2,2", 1.0, 5, (False, 468, 9, None)),  # Wallach members spend the budget
-        ("III:3", 1.0, 5, (False, 468, 9, None)),
-        ("IV:5", 3.0, 5, (False, 468, 9, None)),
-        ("I:3,3", 1.5, 5, (False, 468, 9, None)),  # a gap the search misses
-        ("III:2", 0.25, 5, (True, 1, 1, -2.5096333323175175e-04)),  # found by the first proposal
-        ("CH:2", 0.5, 5, (False, 468, 9, None)),
+        # (found, evals_used, restarts_used, min_eigenvalue of a witness);
+        # the seed steers nothing
+        ("IV:3", 0.3, 4, (True, 1, 1, -1.7555190288506362e-03)),  # at t = 0.6
+        ("I:2,2", 1.0, 5, (False, 5, 1, None)),  # Wallach members evaluate every design
+        ("III:3", 1.0, 5, (False, 10, 2, None)),
+        ("IV:5", 3.0, 5, (False, 5, 1, None)),
+        ("I:3,3", 1.5, 5, (True, 8, 2, -2.481402011043293e-03)),  # k = 3, t = 0.4
+        ("III:2", 0.25, 5, (True, 1, 1, -5.141287403247683e-03)),
+        ("CH:2", 0.5, 5, (False, 0, 0, None)),  # rank 1: no design
     ],
 )
 def test_search_decisions_pinned(spec, lam, seed, expected):
@@ -203,46 +206,69 @@ def test_search_decisions_pinned(spec, lam, seed, expected):
 
 
 def test_minimize_witness_matches_reevaluation(monkeypatch):
-    # reference: re-evaluate every trial configuration from scratch
-    def reference(dom, lam, points, tol):
+    # reference: re-evaluate every trial configuration from scratch and
+    # apply the witness rule to it
+    def reference(dom, lam, points):
         current = list(points)
         changed = True
         while changed and len(current) > 2:
             changed = False
             for i in range(len(current)):
                 trial = current[:i] + current[i + 1 :]
-                val, ok = min_gram_eigenvalue(dom, lam, trial, require_branch=False)
-                if ok and val < -tol:
+                h, ok = wk.gram_matrix(dom, lam, trial, require_branch=False)
+                if ok and np.linalg.eigvalsh(h)[0] < _witness_threshold(h):
                     current, changed = trial, True
                     break
         return np.array(current)
 
-    for spec, lam, seed in (("I:2,2", 0.5, 2), ("III:2", 0.25, 1), ("IV:3", 0.3, 4)):
+    cases = []
+    searches = (("I:2,2", 0.5, 2), ("III:2", 0.25, 1), ("IV:3", 0.3, 4), ("I:3,3", 1.5, 5))
+    for spec, lam, seed in searches:
         dom = wk.parse_domain(spec)
         res = wk.search_violation(dom, lam, budget=2000, seed=seed)
         assert res.found
         # interleave extra points: the configuration stays a witness by interlacing
         extra = wk.sample_points(dom, 3, seed, 0.5)
-        pts = np.array(list(res.report.points[:2]) + extra + list(res.report.points[2:]))
-        for tol in (1e-6, 1e-5, 1e-4):
+        points = list(res.report.points[:2]) + extra + list(res.report.points[2:])
+        cases.append((dom, lam, np.array(points)))
+    for dom, lam, pts in cases:
+        # at tolerance 1 it is no witness, and no point may go
+        for tol in (1e-6, 1e-5, 1e-4, 1.0):
             monkeypatch.setattr(gram, "DEFAULT_WITNESS_TOL", tol)
             got = _minimize_witness(dom, lam, pts)
-            assert np.array_equal(got, reference(dom, lam, list(pts), tol))
+            assert np.array_equal(got, reference(dom, lam, list(pts)))
+            assert tol < 1.0 or len(got) == len(pts)
+    # Dropping point 0 lowers the largest |entry|, and so relaxes the
+    # threshold: that drop leaves a witness under the trial's own threshold
+    # (with a 21 % margin), not under the whole configuration's.
+    disc = wk.catalog("CH", 1)
+    pts = np.array(wk.sample_points(disc, 3, 186, 0.9))
+    monkeypatch.setattr(gram, "DEFAULT_WITNESS_TOL", 0.1)
+    got = _minimize_witness(disc, -1.0, pts)
+    assert np.array_equal(got, reference(disc, -1.0, list(pts)))
+    assert np.array_equal(got, pts[1:])
 
 
 def test_search_argument_validation():
     dom = wk.catalog("I", 2, 2)
-    with pytest.raises(ValueError):
-        wk.search_violation(dom, 0.5, n_points=1)
-    with pytest.raises(ValueError):
-        wk.search_violation(dom, 0.5, budget=0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            wk.search_violation(dom, 0.5, budget=budget)
+    # n_points and seed steer nothing
+    plain = _record(wk.search_violation(dom, 0.5))
+    assert _record(wk.search_violation(dom, 0.5, n_points=1, seed=99)) == plain
 
 
 def test_witness_minimization_keeps_at_least_two_points():
     dom = wk.catalog("I", 2, 2)
     res = wk.search_violation(dom, 0.5, budget=2000, seed=2)
     assert res.found
-    assert 2 <= len(res.report.points) <= 6
+    assert 2 <= len(res.report.points) < 8  # the design has 8 points
+    # At lambda = -1 on the disc every two distinct points are a witness:
+    # det [N(x_a, x_b)] = -|x - y|^2.  Minimization stops at two.
+    disc = wk.catalog("CH", 1)
+    points = np.array([[0.1], [0.3j], [-0.2], [0.4 + 0.1j], [0.0]])
+    assert len(_minimize_witness(disc, -1.0, points)) == 2
 
 
 def test_witness_payload_schema_and_replay():
@@ -267,39 +293,6 @@ def test_witness_payload_requires_success():
         wk.witness_payload(dom, res)
 
 
-def test_structured_proposals_skip_psd_blocks():
-    # at a Wallach point the degree-2 guidance must be absent
-    from wallachkit.gram import _quadratic_atoms
-
-    dom = wk.catalog("I", 2, 2)
-    assert _quadratic_atoms(dom, 1.0) is None
-    assert _quadratic_atoms(dom, 1.5) is None
-    atoms = _quadratic_atoms(dom, 0.5)
-    assert atoms is not None
-    pairs = {(i, j) for i, j, _ in atoms}
-    assert pairs == {(0, 3), (1, 2)}  # the determinant direction
-
-
-def test_structured_proposals_skip_non_finite_blocks():
-    # lambda = 1e300 overflows the degree-2 block to inf: no guidance, and no
-    # atom read off an inf eigendecomposition
-    from wallachkit.gram import _quadratic_atoms
-
-    assert _quadratic_atoms(wk.catalog("I", 2, 2), 1e300) is None
-
-
-def test_tied_atoms_go_in_position_order():
-    # On IV:5 at lambda = 1 the degree-2 witness is (z.z) / sqrt(5): five
-    # atoms of |coef| 1/sqrt(5), equal up to rounding, so position decides.
-    from wallachkit.gram import _quadratic_atoms
-
-    atoms = _quadratic_atoms(wk.catalog("IV", 5), 1.0)
-    assert [(i, j) for i, j, _ in atoms] == [(k, k) for k in range(5)]
-    assert all(abs(abs(c) - 5**-0.5) <= 1e-12 for _, _, c in atoms)
-    # Untied atoms keep the |coef| order: on III:2 the z1 z3 atom leads.
-    assert [(i, j) for i, j, _ in _quadratic_atoms(wk.catalog("III", 2), 0.25)] == [(0, 2), (1, 1)]
-
-
 def test_min_gram_eigenvalue_consistent_with_report():
     dom = wk.catalog("IV", 3)
     pts = wk.sample_points(dom, 5, 11, 0.6)
@@ -310,58 +303,20 @@ def test_min_gram_eigenvalue_consistent_with_report():
     assert rep.branch_ok == ok
 
 
-def test_structured_points_stop_packing_at_the_first_atom_that_does_not_fit():
-    dom = wk.catalog("I", 2, 2)
-    scale, rng = 0.5, np.random.default_rng(0)
-    # The off-diagonal atom needs three points, so with two the diagonal pair
-    # after it is not packed either: an origin and one small sample remain.
-    pts = gram._structured_points(dom, [(0, 3, 0.7), (1, 1, 0.7)], 2, rng, scale, (1.0, 1.0))
-    assert pts.shape == (2, 4) and not pts[0].any()
-    assert 0.0 < spectral_radius(dom, pts[1]) <= 0.25 * scale * (1 + 1e-12)
-    # A diagonal pair fits in four points; the off-diagonal atom after it does not.
-    pts = gram._structured_points(dom, [(1, 1, 0.7), (0, 3, 0.7)], 4, rng, scale, (1.0, 1.0))
-    assert pts.shape == (4, 4)
-    assert np.count_nonzero(pts[0]) == 1 and abs(pts[0, 1]) == pytest.approx(scale)
-    np.testing.assert_array_equal(pts[1], -pts[0])
-    assert not pts[2].any()
-    assert 0.0 < spectral_radius(dom, pts[3]) <= 0.25 * scale * (1 + 1e-12)
-
-
-def test_restart_skips_a_flipped_proposal_equal_to_plus(monkeypatch):
-    # Sign draws that all agree give the plus configuration up to a symmetry,
-    # so only mixed draws earn a second structured proposal.
-    proposals = []
-    real = gram._structured_points
-
-    def spy(dom, atoms, n_points, rng, scale, signs):
-        proposals.append(signs)
-        return real(dom, atoms, n_points, rng, scale, signs)
-
-    monkeypatch.setattr(gram, "_structured_points", spy)
-    dom = wk.catalog("I", 2, 2)
-    atoms = [(0, 3, 0.7), (1, 2, -0.7)]
-    seconds = []
-    for seed in range(8):
-        proposals.clear()
-        gram._lockstep(dom, 0.5, 6, [np.random.SeedSequence(seed)], [atoms], 2)
-        assert proposals[0] == (1.0, 1.0)
-        seconds.append(proposals[1:])
-    assert [] in seconds and any(seconds)
-    assert all(len(set(s[0])) == 2 for s in seconds if s)
-
-
 @pytest.mark.parametrize("budget", [1, 10, 51])
 def test_search_honours_a_budget_below_one_restart(budget):
-    res = wk.search_violation(wk.catalog("I", 2, 2), 1.5, budget=budget, seed=0)
+    # budget is the largest design tried; I:2,2 has one, of 8 points
+    dom = wk.catalog("I", 2, 2)
+    res = wk.search_violation(dom, 1.5, budget=budget, seed=0)
     assert not res.found
-    assert 1 <= res.evals_used <= budget
+    tried = int(budget >= 8)
+    assert (res.restarts_used, res.evals_used) == (tried, len(gram._SCALES) * tried)
+    assert wk.search_violation(dom, 0.5, budget=budget).found == bool(tried)
 
 
 def test_member_search_makes_one_stacked_eigensolve_per_step(monkeypatch):
-    # 1976 evaluations in 38 restarts.  A Wallach member gives no degree-2
-    # guidance, so restart 0 does not run alone: all 38 advance in one
-    # lockstep chunk, about 52 steps plus those of restarts whose candidates
-    # left the domain, so about a hundred eigvalsh calls
+    # One step per scale of each design: on III:3 the 8 points of k = 2,
+    # then the 64 of k = 3, each at five scales, one eigvalsh apiece.
     calls = []
     real = np.linalg.eigvalsh
 
@@ -370,9 +325,9 @@ def test_member_search_makes_one_stacked_eigensolve_per_step(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    res = wk.search_violation(wk.catalog("I", 2, 2), 1.0, budget=2000, seed=5)
-    assert (res.found, res.evals_used, res.restarts_used) == (False, 1976, 38)
-    assert len(calls) < 110
+    res = wk.search_violation(wk.catalog("III", 3), 1.0, budget=2000, seed=5)
+    assert (res.found, res.evals_used, res.restarts_used) == (False, 10, 2)
+    assert calls == [(1, 8, 8)] * 5 + [(1, 64, 64)] * 5
 
 
 @pytest.mark.parametrize("spec", ["I:2,2", "I:2,3", "I:3,3", "III:2", "III:3", "IV:3", "CH:2"])
@@ -435,62 +390,97 @@ def _record(res):
     return res.found, res.evals_used, res.restarts_used, min_eig, points
 
 
-@pytest.mark.parametrize(
-    "spec, lam, seeds",
-    # witnesses found by restarts 5 to 8, a miss, and a Wallach member
-    [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2", 1.0, (0,))],
-)
-def test_chunked_restarts_match_one_lockstep_group(spec, lam, seeds, monkeypatch):
-    # Chunks of 1 and 2 restarts give what one group of all of them gives.
+# The two tests below keep the names of the descent's grouping tests and
+# check the design path on their (spec, lambda) rows: a gap found at k = 2,
+# a second gap, and a Wallach member.
+GROUPING_ROWS = [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2", 1.0, (0,))]
+
+
+@pytest.mark.parametrize("spec, lam, seeds", GROUPING_ROWS)
+def test_chunked_restarts_match_one_lockstep_group(spec, lam, seeds):
+    # The search evaluates a design one scale at a time; that gives, bit for
+    # bit, what one stacked objective and chunks of two give.
     dom = wk.parse_domain(spec)
-    monkeypatch.setattr(gram, "_CHUNK", 10**6)
-    whole = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
-    assert all(r[2] > 4 for r in whole)
+    configs = np.multiply.outer(gram._SCALES, gram._design(dom, 2, 2000))
+    whole = valid, low, threshold = gram._objective(dom, lam, configs)
+    assert valid.all()
+    assert (low < threshold).any() == (lam < 1.0)  # only I:2,2 at 1 is a member
     for chunk in (1, 2):
-        monkeypatch.setattr(gram, "_CHUNK", chunk)
-        assert [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds] == whole
+        parts = [gram._objective(dom, lam, configs[i : i + chunk]) for i in range(0, 5, chunk)]
+        for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+            assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "spec, lam, seeds",
-    # the cases of test_chunked_restarts_match_one_lockstep_group
-    [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2", 1.0, (0,))],
-)
-def test_step_records_do_not_depend_on_the_draw_block(spec, lam, seeds, monkeypatch):
-    # A step record is the next stretch of its restart's stream however many
-    # records are drawn at a time: one per step, 5, or all of them at once.
+@pytest.mark.parametrize("spec, lam, seeds", GROUPING_ROWS)
+def test_step_records_do_not_depend_on_the_draw_block(spec, lam, seeds):
+    # The design search draws no random numbers: every seed gives the
+    # record of the default seed, and numpy's global generator is untouched.
     dom = wk.parse_domain(spec)
-    default = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
-    for steps in (1, 5, 10**6):
-        monkeypatch.setattr(gram, "_DRAW_STEPS", steps)
-        records = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
-        assert records == default
+    state = np.random.get_state()[1].copy()
+    default = _record(wk.search_violation(dom, lam, budget=500))
+    records = [_record(wk.search_violation(dom, lam, budget=500, seed=s)) for s in seeds]
+    assert records == [default] * len(seeds)
+    assert np.array_equal(np.random.get_state()[1], state)
 
 
 def test_huge_budget_stops_after_the_chunk_with_a_witness():
-    # Restart 0 finds the witness; a budget of 1e9 (19 million restarts)
-    # spawns no seeds beyond the first chunk.
-    dom = wk.parse_domain("I:2,2")
+    # The k = 2 design of I:3,3 holds the witness at lambda = 0.5 at its
+    # first scale, so a budget of 1e9 points builds no larger design.
+    dom = wk.parse_domain("I:3,3")
     start = time.perf_counter()
     huge = wk.search_violation(dom, 0.5, budget=10**9, seed=3)
     elapsed = time.perf_counter() - start
     assert huge.found and elapsed < 2.0
+    assert (huge.restarts_used, huge.evals_used) == (1, 1)
     assert _record(huge) == _record(wk.search_violation(dom, 0.5, budget=2000, seed=3))
 
 
 @pytest.mark.parametrize(
-    "spec, lam, found",
-    # a gap the search finds, a gap it misses, and a Wallach member
-    [("I:2,2", 0.5, True), ("III:3", 0.75, False), ("I:2,3", 1.0, False)],
+    "spec, sizes",
+    # points of the design at k = 2, 3, ...: 2^k k! on I, 8, 64, 608 on III,
+    # 4n on IV at k = 2, none on CH
+    [
+        ("I:2,3", [8]),
+        ("I:4,4", [8, 48, 384]),
+        ("III:4", [8, 64, 608]),
+        ("IV:5", [20]),
+        ("CH:3", []),
+    ],
 )
-def test_search_decisions_match_the_gauge_and_pointwise_sampling(
-    spec, lam, found, monkeypatch, pointwise_sample_points
-):
-    # The search as it was: membership from the SVD gauge, and random points
-    # drawn and gauged one at a time.
+def test_designs_have_their_orbit_sizes(spec, sizes):
     dom = wk.parse_domain(spec)
-    record = _record(wk.search_violation(dom, lam, budget=2000, seed=9901))
-    assert record[0] == found
-    monkeypatch.setattr(gram, "contains", lambda dom, x: spectral_radius(dom, x) < 1.0)
-    monkeypatch.setattr(gram, "sample_points", pointwise_sample_points)
-    assert _record(wk.search_violation(dom, lam, budget=2000, seed=9901)) == record
+    designs = [gram._design(dom, k, 10**6) for k in range(2, dom.r + 1)]
+    assert [len(x) for x in designs if x is not None] == sizes
+    for design in designs[: len(sizes)]:
+        assert len({p.tobytes() for p in design}) == len(design)  # distinct points
+        assert wk.contains(dom, max(gram._SCALES) * design).all()
+    if sizes:  # a design over the budget is not built
+        assert gram._design(dom, dom.r, sizes[-1] - 1) is None
+        assert len(gram._design(dom, dom.r, sizes[-1])) == sizes[-1]
+
+
+# Gaps of every Wallach set up to rank 3, and its members: each discrete
+# point, the threshold plus 0.25 and plus 2, and lambda = 10.
+DESIGN_GAPS = {
+    "I:2,2": (0.5, 0.75),
+    "I:2,3": (0.5, 0.75),
+    "I:3,3": (0.5, 1.5, 1.75),
+    "III:2": (0.25, 0.375),
+    "III:3": (0.25, 0.75, 0.875),
+    "IV:3": (0.25, 0.375),
+    "IV:5": (0.75, 1.125),
+    "IV:6": (1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DESIGN_GAPS))
+def test_design_search_finds_every_gap_and_no_member(spec):
+    dom = wk.parse_domain(spec)
+    for lam in DESIGN_GAPS[spec]:
+        res = wk.search_violation(dom, lam)
+        assert res.found, (spec, lam)
+        assert not res.report.psd and res.report.branch_ok
+    ws = wk.wallach_set(dom)
+    for lam in ws.discrete + (ws.continuous_from + 0.25, ws.continuous_from + 2.0, 10.0):
+        assert wk.wallach_contains(dom, lam)
+        assert not wk.search_violation(dom, lam).found, (spec, lam)
