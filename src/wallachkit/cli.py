@@ -542,6 +542,10 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report, lines, payload = args.func(args)
+        report.duration_s = time.perf_counter() - start
+        # Writing is part of the run: an unwritable --out or a report that
+        # cannot be serialized is an error like any other.
+        _emit_output(args, report, lines, payload)
     except (UsageError, MemoryLimitError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
@@ -553,8 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    report.duration_s = time.perf_counter() - start
-    _emit_output(args, report, lines, payload)
     return 2 if report.agreement is False else 0
 
 

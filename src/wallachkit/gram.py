@@ -36,10 +36,12 @@ scaled by t < 1, are
   CH:d    none: rank 1 has no gap.
 
 search_violation evaluates each design at the scales _SCALES, largest
-first, so no search is random and no seed steers it.  Its
-budget (the CLI's --budget) is the largest design, in points, that it
-tries, which bounds its work; every Gram evaluation is also charged to the
-memory guard before it gathers its point pairs.
+first, so no search is random and no seed steers it.  Its evals_used
+counts Gram evaluations, one per scale tried, and restarts_used designs
+tried, one per k; a witness is shrunk on, and reported from, the Gram
+matrix already evaluated.  The budget (the CLI's --budget) is the largest
+design, in points, that is tried, which bounds the work; every Gram
+evaluation is also charged to the memory guard before it gathers its pairs.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ _FOURTH_ROOTS = np.array([1.0, 1j, -1.0, -1j])
 # their matrices of entries and the elimination's temporaries (traced at
 # 3d to 9d words a pair).
 _PAIR_BYTES_PER_COORD = 160
+# One configuration: a (k, d) array or a sequence of k points.
+_Points = Sequence[np.ndarray] | np.ndarray
 
 
 class BranchError(Exception):
@@ -91,84 +95,62 @@ class SearchResult:
 
 
 def gram_matrix(
-    dom: DomainModel,
-    lam: float,
-    points: Sequence[np.ndarray] | np.ndarray,
-    require_branch: bool = True,
-) -> tuple[np.ndarray, bool | np.ndarray]:
+    dom: DomainModel, lam: float, points: _Points, require_branch: bool = True
+) -> tuple[np.ndarray, bool]:
     """Hermitian matrix of N(x_a, x_b)^(-lambda) values and the branch flag.
 
-    points is a (k, d) array or a sequence of k points; a (..., k, d) stack
-    of configurations gives (..., k, k) matrices and one flag per
-    configuration.  Entries come from one evaluation of the principal power
-    |N|^(-lambda) e^(-i lambda Arg N), in real arithmetic, on the upper
-    triangle of the stacked norm matrix, mirrored by conjugation, so
-    Hermitian symmetry is exact and the diagonal is real.  A pair whose
-    N is NaN or has Re N <= 0 violates the branch; with require_branch that
-    raises BranchError naming the first offending pair in row-major order
-    (of the first offending configuration).  The evaluation is charged to
-    check_memory before anything is gathered.
+    points of any shape but (k, d) are a ValueError.  Entries come from one
+    evaluation of the principal power |N|^(-lambda) e^(-i lambda Arg N), in
+    real arithmetic, on the upper triangle of the norm matrix, mirrored by
+    conjugation, so Hermitian symmetry is exact and the diagonal is real.  A
+    pair whose N is NaN or has Re N <= 0 violates the branch; with
+    require_branch that raises BranchError naming the first offending pair
+    in row-major order.  The evaluation is charged to check_memory first.
     """
     pts = np.asarray(points, dtype=np.complex128)
-    k = pts.shape[-2]
-    configs = math.prod(pts.shape[:-2])
-    what = f"a Gram matrix of {k} points"
-    if pts.ndim > 2:
-        what = f"{configs} Gram matrices of {k} points"
-    check_memory(_PAIR_BYTES_PER_COORD * dom.d * configs * (k * (k + 1) // 2), what)
+    if pts.ndim != 2 or pts.shape[1] != dom.d:
+        raise ValueError(f"{dom.spec_string} needs (k, {dom.d}) points, got shape {pts.shape}")
+    k = len(pts)
+    check_memory(_PAIR_BYTES_PER_COORD * dom.d * k * (k + 1) // 2, f"a Gram matrix of {k} points")
     rows, cols = upper_triangle(k)
-    nv = norm_matrix(dom, pts[..., rows, None, :], pts[..., cols, None, :])[..., 0, 0]
+    nv = norm_matrix(dom, pts[rows, None, :], pts[cols, None, :])[:, 0, 0]
     bad = ~(nv.real > 0.0)
-    branch_ok = ~bad.any(axis=-1)
-    if require_branch and not branch_ok.all():
-        config, i = divmod(int(np.argmax(bad)), len(rows))
-        where = f" of configuration {config}" if pts.ndim > 2 else ""
-        raise BranchError(
-            f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}){where}: "
-            f"N = {complex(nv.reshape(-1, len(rows))[config, i])}"
-        )
+    if require_branch and bad.any():
+        i = int(np.argmax(bad))
+        raise BranchError(f"Re N <= 0 at point pair ({rows[i]}, {cols[i]}): N = {complex(nv[i])}")
     # exp(-lambda Log N) without complex exp and log: the same branch, to rounding
     modulus = np.abs(nv) ** -lam
     theta = -lam * np.arctan2(nv.imag, nv.real)
     values = np.empty_like(nv)
     values.real = modulus * np.cos(theta)
     values.imag = modulus * np.sin(theta)
-    h = np.empty(pts.shape[:-2] + (k, k), dtype=np.complex128)
-    h[..., cols, rows] = values.conj()
-    h[..., rows, cols] = values
+    h = np.empty((k, k), dtype=np.complex128)
+    h[cols, rows] = values.conj()
+    h[rows, cols] = values
     # mathematically real; drop evaluation noise in the imaginary part
-    diag = np.arange(k)
-    h[..., diag, diag] = values[..., rows == cols].real
-    return h, (bool(branch_ok) if branch_ok.ndim == 0 else branch_ok)
+    h[np.diag_indices(k)] = values[rows == cols].real
+    return h, not bad.any()
 
 
 def min_gram_eigenvalue(
-    dom: DomainModel,
-    lam: float,
-    points: Sequence[np.ndarray] | np.ndarray,
-    require_branch: bool = True,
+    dom: DomainModel, lam: float, points: _Points, require_branch: bool = True
 ) -> tuple[float, bool]:
     h, branch_ok = gram_matrix(dom, lam, points, require_branch)
     return float(np.linalg.eigvalsh(h)[0]), branch_ok
 
 
-def _witness_threshold(h: np.ndarray) -> float | np.ndarray:
+def _witness_threshold(h: np.ndarray) -> float:
     """A configuration is a witness when its min eigenvalue is below
     -DEFAULT_WITNESS_TOL * max(1, max |H_ab|): the eigensolver's rounding grows with
     the entries, which N^(-lambda) can push far past 1.  Non-finite entries
-    give a non-finite threshold.  A (..., k, k) stack gives one per matrix."""
-    return -DEFAULT_WITNESS_TOL * np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
+    give a non-finite threshold."""
+    return -DEFAULT_WITNESS_TOL * np.maximum(np.abs(h).max(), 1.0)
 
 
-def gram_report(
-    dom: DomainModel,
-    lam: float,
-    points: Sequence[np.ndarray] | np.ndarray,
+def _report(
+    dom: DomainModel, lam: float, points: _Points, h: np.ndarray, branch_ok: bool
 ) -> GramReport:
-    """Min eigenvalue and verdict of one configuration; a ValueError if the
-    Gram matrix has non-finite entries (N^(-lambda) overflowed)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+    """gram_report of points from their Gram matrix h."""
     if not np.isfinite(h).all():
         raise ValueError(
             f"Gram matrix of N^(-lambda) at lambda = {float(lam)!r} has non-finite entries "
@@ -184,19 +166,12 @@ def gram_report(
     )
 
 
-def _objective(
-    dom: DomainModel, lam: float, configs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(valid, min eigenvalue, witness threshold) of each configuration in an
-    (m, k, d) stack.  A branch violation or an overflow makes a configuration
-    invalid; the valid ones share one stacked eigvalsh."""
-    h, branch_ok = gram_matrix(dom, lam, configs, require_branch=False)
-    threshold = _witness_threshold(h)
-    valid = branch_ok & np.isfinite(threshold)
-    low = np.full(len(configs), np.nan)
-    if valid.any():
-        low[valid] = np.linalg.eigvalsh(h[valid])[:, 0]
-    return valid, low, threshold
+def gram_report(dom: DomainModel, lam: float, points: _Points) -> GramReport:
+    """Min eigenvalue and verdict of one configuration; a ValueError if the
+    Gram matrix has non-finite entries (N^(-lambda) overflowed)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+    return _report(dom, lam, points, h, branch_ok)
 
 
 def _drop_thresholds(h: np.ndarray) -> np.ndarray:
@@ -213,27 +188,22 @@ def _drop_thresholds(h: np.ndarray) -> np.ndarray:
     return thresholds
 
 
-def _minimize_witness(
-    dom: DomainModel,
-    lam: float,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Greedily drop points while the configuration stays a witness: the
-    first point in order whose drop keeps one is dropped, until none does.
+def _minimize_witness(h: np.ndarray) -> np.ndarray:
+    """Indices of the points kept when points are greedily dropped from the
+    witness whose Gram matrix is h while the rest stay a witness: the first
+    point in order whose drop keeps one is dropped, until none does.
 
-    The Gram matrix is evaluated once; each trial drop reads its principal
-    submatrix, whose entries are exactly those a fresh evaluation would give.
-    The search keeps only branch-valid configurations, and every subset of
-    one is branch-valid too.  One eigh per drop decides every trial: for
-    the Gram matrix H of the current points, a trial's threshold t and
-    M = H - tI, Haynsworth's inertia additivity gives M without row and
-    column i one negative eigenvalue fewer than M exactly when (M^-1)_ii < 0.
-    So the trial stays a witness iff M has two negative eigenvalues, or one
-    and (M^-1)_ii = sum_j |V_ij|^2 / (w_j - t) > 0, for the eigenpairs
-    (w_j, V_:j) of H.
+    Each trial reads its principal submatrix of h, whose entries are exactly
+    those a fresh evaluation would give; the search keeps only branch-valid
+    configurations, and every subset of one is branch-valid too.  One eigh
+    per drop decides every trial: for the Gram matrix H of the current
+    points, a trial's threshold t and M = H - tI, Haynsworth's inertia
+    additivity gives M without row and column i one negative eigenvalue
+    fewer than M exactly when (M^-1)_ii < 0.  So the trial stays a witness
+    iff M has two negative eigenvalues, or one and (M^-1)_ii =
+    sum_j |V_ij|^2 / (w_j - t) > 0, for the eigenpairs (w_j, V_:j) of H.
     """
-    h, _ = gram_matrix(dom, lam, points)
-    keep = np.arange(len(points))
+    keep = np.arange(len(h))
     while len(keep) > 2:
         sub = h[np.ix_(keep, keep)]
         values, vectors = np.linalg.eigh(sub)
@@ -243,7 +213,7 @@ def _minimize_witness(
         if not stays.any():
             break
         keep = np.delete(keep, np.argmax(stays))
-    return points[keep]
+    return keep
 
 
 def _design(dom: DomainModel, k: int, budget: int) -> np.ndarray | None:
@@ -288,15 +258,13 @@ def search_violation(
     """Deterministic design search for a non-PSD Gram configuration.
 
     For k = 2..r, the design for (1^k) (see the module docstring) is
-    evaluated at the scales of _SCALES, largest first, one objective each;
-    the first that gives a witness wins, and the witness returned is that
-    configuration after _minimize_witness.  budget is the largest
-    design, in points, that is tried: the first design over it ends the
-    search, since the later ones are larger still.  evals_used counts the
-    configurations evaluated (one dense Gram matrix each) and
-    restarts_used the values of k tried.  n_points and seed do nothing;
-    they stay for callers that pass budget positionally, and seed is echoed
-    in the result.  Absence of a witness is a valid outcome.
+    evaluated at the scales of _SCALES, largest first, one Gram matrix
+    each; the first that gives a witness wins, shrunk by _minimize_witness
+    and reported from the same matrix.  budget is the largest design, in
+    points, that is tried: the first design over it ends the search, since
+    the later ones are larger still.  n_points and seed do nothing; they
+    stay for callers that pass budget positionally, and seed is echoed in
+    the result.  Absence of a witness is a valid outcome.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -306,16 +274,18 @@ def search_violation(
         if design is None:
             break
         tried += 1
-        # One scale per evaluation: stacking all five would multiply the
-        # memory by five, and 608 points on III:5 would then need 2.2 GB.
+        # One scale per evaluation: all five at once would need 2.2 GB on III:5 (608 points).
         for t in _SCALES:
             evals += 1
+            points = t * design
             # Gram entries that overflow make a configuration invalid, not a warning.
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                valid, low, threshold = _objective(dom, lam, t * design[None])
-            if valid[0] and low[0] < threshold[0]:
-                points = _minimize_witness(dom, lam, t * design)
-                return SearchResult(True, gram_report(dom, lam, points), seed, tried, evals)
+                h, branch_ok = gram_matrix(dom, lam, points, require_branch=False)
+            threshold = _witness_threshold(h)
+            if branch_ok and np.isfinite(threshold) and np.linalg.eigvalsh(h)[0] < threshold:
+                keep = _minimize_witness(h)
+                report = _report(dom, lam, points[keep], h[np.ix_(keep, keep)], branch_ok)
+                return SearchResult(True, report, seed, tried, evals)
     return SearchResult(False, None, seed, tried, evals)
 
 
@@ -340,13 +310,21 @@ def witness_payload(dom: DomainModel, result: SearchResult) -> dict:
 
 
 def replay_witness(payload: dict) -> tuple[DomainModel, GramReport, float]:
-    """Recompute a stored witness; returns (domain, fresh report, |stored - fresh|)."""
+    """Recompute a stored witness; returns (domain, fresh report, |stored - fresh|).
+    A non-finite min_eig and empty or ragged points are ValueErrors naming the field."""
     dom = parse_domain(payload["domain"])
     lam = float(payload["lambda"])
+    stored = float(payload["min_eig"])
+    if not math.isfinite(stored):
+        raise ValueError(f"witness field 'min_eig' is {stored!r}, not a finite number")
     points = [
         np.array([complex(re, im) for re, im in point], dtype=np.complex128)
         for point in payload["points"]
     ]
+    if not points:
+        raise ValueError("witness field 'points' is empty")
+    lengths = sorted({len(p) for p in points})
+    if len(lengths) > 1:
+        raise ValueError(f"witness field 'points' holds points of unequal lengths {lengths}")
     report = gram_report(dom, lam, points)
-    drift = abs(report.min_eigenvalue - float(payload["min_eig"]))
-    return dom, report, drift
+    return dom, report, abs(report.min_eigenvalue - stored)

@@ -208,6 +208,60 @@ def test_gram_answers_every_input_without_a_false_witness(capsys, spec, lam, bud
             assert d["verdicts"]["witness_found"] is False, (spec, lam)
 
 
+# Numbers a witness file may hold where a float is read: finite, signed
+# infinities, NaN and values near the largest double.
+_WITNESS_NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1.7976931348623157e308]),
+)
+_REPLAY_DIMS = {"I:2,2": 4, "III:2": 3, "IV:3": 3, "CH:2": 2}
+
+
+@st.composite
+def _witness_payloads(draw):
+    # Points of the domain's length mostly, some of other lengths (none,
+    # ragged or all wrong), and now and then a non-finite coordinate.
+    spec = draw(st.sampled_from(sorted(_REPLAY_DIMS)))
+    d = _REPLAY_DIMS[spec]
+    lengths = draw(st.lists(st.one_of(st.just(d), st.integers(0, d + 2)), max_size=5))
+    pair = st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)
+    points = [draw(st.lists(pair, min_size=n, max_size=n)) for n in lengths]
+    if any(points) and draw(st.booleans()):
+        first = next(point for point in points if point)
+        first[0][draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, 1e300]))
+    return {
+        "domain": spec,
+        "lambda": draw(_WITNESS_NUMBERS),
+        "points": points,
+        "min_eig": draw(_WITNESS_NUMBERS),
+        "seed": 0,
+    }
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_witness_payloads())
+def test_replay_answers_every_witness_file(capsys, tmp_path, payload):
+    # A witness file comes from outside the program: whatever it holds,
+    # replay exits 0, 1 or 2 in text and JSON, and the JSON output parses.
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(payload))
+    for fmt in ("text", "json"):
+        code = main(["replay", str(wpath), "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in out + err
+        if fmt == "json":
+            d = json.loads(out)
+            assert ("error" in d) == (code == 1)
+
+
 def test_scan_csv_output(capsys):
     code, out, _ = run(
         capsys,
@@ -440,6 +494,34 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     d = json.loads(path.read_text())
     assert d["domain"] == "CH:2"
+
+
+def test_unwritable_out_exits_one(capsys, tmp_path):
+    # The report is written inside main's error handling, so an --out in a
+    # missing directory is an error report, not a traceback.
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "info", "I:2,2", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError:") and "Traceback" not in err
+    code, d, _ = run_json(capsys, "info", "I:2,2", "--out", str(path))
+    assert code == 1 and d["error"]["type"] == "FileNotFoundError"
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("min_eig", [math.nan, math.inf, -math.inf])
+def test_replay_of_a_non_finite_min_eig_exits_one(capsys, tmp_path, min_eig):
+    # JSON has no NaN or infinity, but Python's json module reads and writes
+    # the NaN and Infinity tokens, so a witness file can hold them.
+    wpath = tmp_path / "w.json"
+    points = [[[0.1, 0.0]] * 4, [[0.0, 0.0]] * 4]
+    payload = {"domain": "I:2,2", "lambda": 0.5, "points": points, "min_eig": min_eig}
+    wpath.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "replay", str(wpath))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: witness field 'min_eig'")
+    code, d, _ = run_json(capsys, "replay", str(wpath))
+    assert code == 1 and d["error"]["type"] == "ValueError"
+    assert "'min_eig'" in d["error"]["message"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -233,9 +233,10 @@ def test_minimize_witness_matches_reevaluation(monkeypatch):
         cases.append((dom, lam, np.array(points)))
     for dom, lam, pts in cases:
         # at tolerance 1 it is no witness, and no point may go
+        h, _ = wk.gram_matrix(dom, lam, pts)
         for tol in (1e-6, 1e-5, 1e-4, 1.0):
             monkeypatch.setattr(gram, "DEFAULT_WITNESS_TOL", tol)
-            got = _minimize_witness(dom, lam, pts)
+            got = pts[_minimize_witness(h)]
             assert np.array_equal(got, reference(dom, lam, list(pts)))
             assert tol < 1.0 or len(got) == len(pts)
     # Dropping point 0 lowers the largest |entry|, and so relaxes the
@@ -244,7 +245,7 @@ def test_minimize_witness_matches_reevaluation(monkeypatch):
     disc = wk.catalog("CH", 1)
     pts = np.array(wk.sample_points(disc, 3, 186, 0.9))
     monkeypatch.setattr(gram, "DEFAULT_WITNESS_TOL", 0.1)
-    got = _minimize_witness(disc, -1.0, pts)
+    got = pts[_minimize_witness(wk.gram_matrix(disc, -1.0, pts)[0])]
     assert np.array_equal(got, reference(disc, -1.0, list(pts)))
     assert np.array_equal(got, pts[1:])
 
@@ -268,7 +269,7 @@ def test_witness_minimization_keeps_at_least_two_points():
     # det [N(x_a, x_b)] = -|x - y|^2.  Minimization stops at two.
     disc = wk.catalog("CH", 1)
     points = np.array([[0.1], [0.3j], [-0.2], [0.4 + 0.1j], [0.0]])
-    assert len(_minimize_witness(disc, -1.0, points)) == 2
+    assert len(points[_minimize_witness(wk.gram_matrix(disc, -1.0, points)[0])]) == 2
 
 
 def test_witness_payload_schema_and_replay():
@@ -291,6 +292,22 @@ def test_witness_payload_requires_success():
     res = wk.search_violation(dom, 1.5, budget=200, seed=1)
     with pytest.raises(ValueError):
         wk.witness_payload(dom, res)
+
+
+@pytest.mark.parametrize(
+    "points, min_eig, field",
+    [
+        ([[[0.1, 0.0]] * 4], float("nan"), "min_eig"),
+        ([[[0.1, 0.0]] * 4], float("inf"), "min_eig"),
+        ([[[0.1, 0.0]] * 4], float("-inf"), "min_eig"),
+        ([], -1.0, "points"),
+        ([[[0.1, 0.0]] * 4, [[0.0, 0.0]] * 3], -1.0, "points"),
+    ],
+)
+def test_replay_refuses_a_malformed_witness(points, min_eig, field):
+    payload = {"domain": "I:2,2", "lambda": 0.5, "points": points, "min_eig": min_eig, "seed": 0}
+    with pytest.raises(ValueError, match=f"witness field '{field}'"):
+        wk.replay_witness(payload)
 
 
 def test_min_gram_eigenvalue_consistent_with_report():
@@ -327,27 +344,48 @@ def test_member_search_makes_one_stacked_eigensolve_per_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     res = wk.search_violation(wk.catalog("III", 3), 1.0, budget=2000, seed=5)
     assert (res.found, res.evals_used, res.restarts_used) == (False, 10, 2)
-    assert calls == [(1, 8, 8)] * 5 + [(1, 64, 64)] * 5
+    assert calls == [(8, 8)] * 5 + [(64, 64)] * 5
+
+
+@pytest.mark.parametrize(
+    "spec, lam, evals",
+    # a witness at k = 3 and t = 0.4; one at the first scale; a Wallach member
+    [("I:3,3", 1.5, 8), ("IV:5", 1.0, 1), ("III:3", 1.0, 10)],
+)
+def test_search_makes_one_gram_evaluation_per_scale(monkeypatch, spec, lam, evals):
+    # The shrink and the report read the Gram matrix of the scale that gave
+    # the witness; neither evaluates the norm again.
+    calls = []
+    real = gram.norm_matrix
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(gram, "norm_matrix", counting)
+    res = wk.search_violation(wk.parse_domain(spec), lam)
+    assert res.evals_used == len(calls) == evals
 
 
 @pytest.mark.parametrize("spec", ["I:2,2", "I:2,3", "I:3,3", "III:2", "III:3", "IV:3", "CH:2"])
-def test_stacked_gram_matrix_matches_single_configurations(spec):
+def test_gram_matrix_refuses_a_stack_of_configurations(spec):
+    # One evaluation is one (k, d) configuration: a (3, 6, d) stack, a lone
+    # point and points of the wrong length are refused before any work.
     dom = wk.parse_domain(spec)
     stack = np.array([wk.sample_points(dom, 6, seed, 0.9) for seed in range(3)])
     if spec == "I:2,2":  # one configuration violates the branch condition
         a = 0.975 * np.exp(1j * np.pi / 6)
         b = 0.975 * np.exp(-1j * np.pi / 6)
         stack[1, :2] = [[a, 0, 0, a], [b, 0, 0, b]]
-    h, ok = wk.gram_matrix(dom, 0.7, stack, require_branch=False)
-    assert h.shape == (3, 6, 6) and ok.shape == (3,)
-    for config, (hc, okc) in enumerate(zip(h, ok)):
-        single, single_ok = wk.gram_matrix(dom, 0.7, stack[config], require_branch=False)
-        assert hc.tobytes() == single.tobytes()
-        assert okc == single_ok and isinstance(single_ok, bool)
-    assert list(ok) == [True, spec != "I:2,2", True]
+    for bad in (stack, stack[0, 0], stack[0, :, :-1]):
+        with pytest.raises(ValueError, match=rf"needs \(k, {dom.d}\) points, got shape"):
+            wk.gram_matrix(dom, 0.7, bad, require_branch=False)
+    flags = [wk.gram_matrix(dom, 0.7, config, require_branch=False)[1] for config in stack]
+    assert flags == [True, spec != "I:2,2", True]
+    assert all(isinstance(flag, bool) for flag in flags)
     if spec == "I:2,2":
-        with pytest.raises(BranchError, match=r"pair \(0, 1\) of configuration 1"):
-            wk.gram_matrix(dom, 0.7, stack)
+        with pytest.raises(BranchError, match=r"pair \(0, 1\): N"):
+            wk.gram_matrix(dom, 0.7, stack[1])
 
 
 @pytest.mark.parametrize("spec", ["I:2,3", "III:3", "IV:4", "CH:2"])
@@ -365,9 +403,9 @@ def test_real_power_matches_the_complex_logarithm(spec):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log = np.log(nv)
             reference = np.exp(-lam * log)
-            h, ok = wk.gram_matrix(dom, lam, stack, require_branch=False)
-        got = h[:, rows, cols]
-        assert list(ok) == [True, False, False]
+            evaluated = [wk.gram_matrix(dom, lam, c, require_branch=False) for c in stack]
+        got = np.array([h[rows, cols] for h, _ in evaluated])
+        assert [ok for _, ok in evaluated] == [True, False, False]
         finite = np.isfinite(reference)
         assert np.array_equal(np.isfinite(got), finite)
         assert np.count_nonzero(~finite) == 7  # the NaN point's six pairs and the zero pair
@@ -398,17 +436,18 @@ GROUPING_ROWS = [("IV:3", 0.45, (4, 7, 12)), ("I:2,2", 0.75, (4, 14)), ("I:2,2",
 
 @pytest.mark.parametrize("spec, lam, seeds", GROUPING_ROWS)
 def test_chunked_restarts_match_one_lockstep_group(spec, lam, seeds):
-    # The search evaluates a design one scale at a time; that gives, bit for
-    # bit, what one stacked objective and chunks of two give.
+    # The search reports a witness from the rows and columns of the Gram
+    # matrix it already evaluated; that gives, bit for bit, the report of a
+    # fresh evaluation of the witness points.
     dom = wk.parse_domain(spec)
-    configs = np.multiply.outer(gram._SCALES, gram._design(dom, 2, 2000))
-    whole = valid, low, threshold = gram._objective(dom, lam, configs)
-    assert valid.all()
-    assert (low < threshold).any() == (lam < 1.0)  # only I:2,2 at 1 is a member
-    for chunk in (1, 2):
-        parts = [gram._objective(dom, lam, configs[i : i + chunk]) for i in range(0, 5, chunk)]
-        for got, want in zip(map(np.concatenate, zip(*parts)), whole):
-            assert got.tobytes() == want.tobytes()
+    res = wk.search_violation(dom, lam, budget=2000, seed=seeds[0])
+    assert res.found == (lam < 1.0)  # only I:2,2 at 1 is a member
+    if res.found:
+        got, fresh = res.report, wk.gram_report(dom, lam, res.report.points)
+        assert np.array(got.points).tobytes() == np.array(fresh.points).tobytes()
+        min_eigs = np.array([got.min_eigenvalue, fresh.min_eigenvalue])
+        assert min_eigs[0].tobytes() == min_eigs[1].tobytes()
+        assert (got.psd, got.branch_ok) == (fresh.psd, fresh.branch_ok) == (False, True)
 
 
 @pytest.mark.parametrize("spec, lam, seeds", GROUPING_ROWS)

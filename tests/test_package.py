@@ -18,3 +18,21 @@ def test_all_is_sorted_unique_and_matches_the_imports():
     assert wk.__all__ == sorted(wk.__all__)
     assert len(set(wk.__all__)) == len(wk.__all__)
     assert set(wk.__all__) == public
+
+
+def test_gram_path_uses_neither_the_blocks_nor_the_closed_form():
+    # The Gram verdict is one of three independent answers: gram.py must not
+    # reach the series or the Calabi blocks, nor the closed-form Wallach set.
+    tree = ast.parse((Path(wk.__file__).parent / "gram.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "domains" in used  # the walk sees gram's own imports
+    assert not used & {"calabi", "series", "wallach_set", "wallach_contains"}
