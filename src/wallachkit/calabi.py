@@ -9,18 +9,18 @@ graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
 The expansion is the Euler-operator recurrence on N's terms, compiled with
-lambda left open and replayed at lambda (series.compile_recurrence).  One
-lambda (bergman_diastasis_series, and through it calabi_matrix) compiles
-and replays it once and caches nothing.  A grid of
-lambdas (scan_lambdas) compiles it once per (domain, cutoff), together with
-the spectral layout of its pattern, and replays it per lambda: the same
-numbers as the single verdicts, bit for bit.
+lambda left open and replayed at lambda (series.compile_recurrence), whose
+entries, exact zeros included, are the matrix's pattern: its components do
+not depend on lambda.  One lambda (calabi_matrix) compiles and replays the
+plan once and caches nothing; a grid (scan_lambdas) compiles it once per
+(domain, cutoff), with the spectral layout of its pattern, and replays it
+per lambda: the same numbers as the single verdicts, bit for bit.
 
-The matrix keeps the series' sorted COO entries on its graded blocks, never
-a dense array.  The kernel is invariant under the maximal torus of K
+The matrix keeps sorted COO entries on its graded blocks, never a dense
+array.  The kernel is invariant under the maximal torus of K
 (z -> D1 z D2 on type I), so each block is a direct sum of small weight
 spaces: permuted, the matrix is block diagonal, with blocks given by the
-connected components of its nonzero pattern, none of which crosses degrees.
+connected components of its pattern, none of which crosses degrees.
 K also holds coordinate permutations (domains.symmetries) that commute with
 the matrix, so components they map onto each other share a spectrum.  One
 spectral pass labels the components once, groups them into these orbits and
@@ -42,7 +42,7 @@ finite cutoff is only "consistent-to-cutoff".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Sequence
 
@@ -93,8 +93,9 @@ def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> b
 @dataclass(frozen=True, eq=False)
 class CalabiMatrix:
     """The graded coefficient matrix: its on-grade entries of positive degree
-    as canonical COO (rows <= cols, at basis positions), sorted by (row, col)
-    like the series they come from; the mirrors are implied."""
+    as canonical COO (rows <= cols, at basis positions), sorted by (row, col);
+    the mirrors are implied.  calabi_matrix keeps the exact zeros of its
+    recurrence's pattern, graded_blocks only the series' nonzero entries."""
 
     domain_spec: str
     lam: float | None
@@ -139,13 +140,14 @@ def graded_blocks(
 
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
-    """bergman_diastasis_series + graded_blocks with metadata attached."""
-    return _domain_matrix(dom, lam, bergman_diastasis_series(dom, lam, cutoff))
-
-
-def _domain_matrix(dom: DomainModel, lam: float, s: HermitianSeries) -> CalabiMatrix:
-    """graded_blocks of dom's series s at lam with dom's symmetries attached."""
-    return replace(graded_blocks(s, dom.spec_string, lam), symmetries=symmetries(dom))
+    """N^(-lambda) - 1 on its compiled recurrence's pattern, exact zeros
+    included (all on grade, of positive degree), with dom's symmetries."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    plan = hs.compile_recurrence(norm_series(dom, cutoff))
+    values = plan.values(lam)
+    return CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values,
+                        0.0, float(np.abs(values).max(initial=0.0)), symmetries(dom))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +158,7 @@ class BlockVerdict:
     rank: int           # eigenvalues above the block tolerance
     tol: float
     witness: np.ndarray | None  # eigenvector of the minimum eigenvalue if negative
-    components: int  # connected components of the block's nonzero pattern
+    components: int  # connected components of the block's pattern
     largest_component: int
     solved_components: int  # representatives of their orbits, the components eigensolved
 
@@ -431,8 +433,6 @@ def _scan_plan(dom: DomainModel, cutoff: int) -> tuple[hs.RecurrencePlan, Spectr
     key = (dom.spec_string, cutoff)
     if key not in _SCAN_PLAN_CACHE:
         plan = hs.compile_recurrence(norm_series(dom, cutoff))
-        # The recurrence's entries are on grade and of positive degree, so
-        # graded_blocks keeps every one of them.
         layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols, symmetries(dom))
         _SCAN_PLAN_CACHE[key] = plan, layout
     return _SCAN_PLAN_CACHE[key]
@@ -448,12 +448,10 @@ def scan_lambdas(
     """Per-(lambda, degree) block eigen-data; one row per block, in grid order.
 
     The rows are those of psd_verdict(calabi_matrix(dom, lambda, cutoff)),
-    bit for bit.  The recurrence's plan and the spectral layout of its
-    pattern are built once per (domain, cutoff) and cached, so a scale costs
-    one replay of the recurrence and the stacked eigensolves.  A scale at
-    which the replay holds an exact zero (lambda = 0, say), an entry a single
-    verdict drops, builds the single verdict's matrix from the replay with
-    the zeros dropped and labels that smaller pattern, with no second compile.
+    bit for bit: both solve the recurrence's pattern.  The plan and the
+    spectral layout of its pattern are built once per (domain, cutoff) and
+    cached, so a scale costs one replay of the recurrence and the stacked
+    eigensolves.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -461,13 +459,8 @@ def scan_lambdas(
     rows = []
     for lam in lams:
         lam = float(lam)
-        values = plan.values(lam)
-        if not values.all():
-            m = _domain_matrix(dom, lam, plan.series(values))
-            per_block = psd_verdict(m, tol_abs, tol_rel).per_block
-        else:
-            # A scan row reads no witness, so none is solved for.
-            per_block, _ = _spectral_pass(layout, values, tol_abs, tol_rel, witnesses=False)
+        # A scan row reads no witness, so none is solved for.
+        per_block, _ = _spectral_pass(layout, plan.values(lam), tol_abs, tol_rel, witnesses=False)
         rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
             for bv in per_block

@@ -500,7 +500,7 @@ def _cmd_replay(args):
         verdicts={
             "min_eig_stored": float(payload["min_eig"]),
             "min_eig_replayed": fresh.min_eigenvalue,
-            "drift": drift,
+            "drift": drift if math.isfinite(drift) else None,  # JSON has no inf
             "within_tolerance": ok,
             "branch_ok": fresh.branch_ok,
         },

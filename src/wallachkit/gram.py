@@ -311,12 +311,15 @@ def witness_payload(dom: DomainModel, result: SearchResult) -> dict:
 
 def replay_witness(payload: dict) -> tuple[DomainModel, GramReport, float]:
     """Recompute a stored witness; returns (domain, fresh report, |stored - fresh|).
-    A non-finite min_eig and empty or ragged points are ValueErrors naming the field."""
+    A non-finite min_eig, a seed other than an integer or absent, and empty
+    or ragged points are ValueErrors naming the field."""
     dom = parse_domain(payload["domain"])
     lam = float(payload["lambda"])
     stored = float(payload["min_eig"])
     if not math.isfinite(stored):
         raise ValueError(f"witness field 'min_eig' is {stored!r}, not a finite number")
+    if type(payload.get("seed", 0)) is not int:  # nor a bool
+        raise ValueError(f"witness field 'seed' is {payload['seed']!r}, not an integer")
     points = [
         np.array([complex(re, im) for re, im in point], dtype=np.complex128)
         for point in payload["points"]

@@ -49,11 +49,13 @@ gather, product and bincount per level, exact zeros kept.  The compile
 sorts no pairs: a term maps an entry to one of the same weight component
 (a coset of the lattice spanned by N's gamma - delta), so each level's
 entries are the canonical pairs inside its components and the entry a pair
-feeds is arithmetic in its positions' ranks there.
+feeds is arithmetic in its positions' ranks there, and every level's pair
+counts follow from the components before any level is built: one schedule
+sizes both the memory charge and each level's arrays.
 :func:`inverse_norm_power` is one compile and one replay with the zeros
-dropped; a scan over many lam (:func:`wallachkit.calabi.scan_lambdas`) and
-the Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, each replay
-one plan.
+dropped.  The Calabi matrix (:mod:`wallachkit.calabi`, one lam or a scan
+over many) and the Cartan-Hartogs assembly, N^(-lam) at a ladder of scales,
+replay one plan each, zeros kept.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ from .multiindex import Basis, basis, check_memory
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
 # compile_recurrence charges each pair it keeps at what it holds (int64 src
-# and slot) and each pair the next level forms at PLAN_PAIR_BYTES.  Single
-# verdicts peaked at 19-22 B per pair formed on top of the kept pairs: the
-# estimate is 1.55-1.7x the traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
+# and slot) and each pair the next level forms at PLAN_PAIR_BYTES.  On top of
+# the kept pairs, the compile peaked at 15-20 B per pair formed, and a single
+# verdict, whose replay then peaks, at 18-21 B: the estimate is 1.6-1.75x a
+# single verdict's traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
 KEPT_PAIR_BYTES = 16
 PLAN_PAIR_BYTES = 36
 # Entry pairs compile_recurrence forms at once before it drops the non-canonical ones.
@@ -469,9 +472,9 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
     return rank, size, order - first, inv - first
 
 
-def _largest_level(n_vars: int, cutoff: int, g, diffs, degrees, size) -> tuple[int, int, int]:
-    """(a, pairs formed, pairs kept before it) of the level of
-    compile_recurrence whose memory estimate is largest, before any is built.
+def _schedule(n_vars: int, cutoff: int, g, diffs, degrees, size) -> list[tuple[int, int]]:
+    """Per level a = 1..cutoff of compile_recurrence, before any is built:
+    (pairs formed, pairs kept).
 
     A level that some pair reaches has every pair (p, q) in its components as
     an entry, mirrors included: the sum of its component sizes squared.  A
@@ -485,17 +488,14 @@ def _largest_level(n_vars: int, cutoff: int, g, diffs, degrees, size) -> tuple[i
     up = np.maximum(-diffs, 0).sum(axis=1)  # |(delta - gamma)^+|
     terms = Counter(zip(g.astype(np.int64).tolist(), up.tolist()))
     reached = [1]  # entries of each level built so far
-    kept = 0
-    best = (-1, 0, 0, 0)
+    schedule = []
     for a in range(1, cutoff + 1):
         active = [(k, reached[a - t], a - t - u) for (t, u), k in terms.items() if t <= a]
         forms = sum(k * e for k, e, _ in active)
-        need = KEPT_PAIR_BYTES * kept + PLAN_PAIR_BYTES * forms
-        if need > best[0]:
-            best = (need, a, forms, kept)
-        kept += sum(k * (e + (comb(s + n_vars - 1, s) if e and s >= 0 else 0)) for k, e, s in active) // 2
+        kept = sum(k * (e + (comb(s + n_vars - 1, s) if e and s >= 0 else 0)) for k, e, s in active)
+        schedule.append((forms, kept // 2))
         reached.append(entries[a] if forms else 0)
-    return best[1:]
+    return schedule
 
 
 def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
@@ -509,8 +509,10 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     (p, q) inside its components, in (p, q) order; on the catalog's norms
     those are exactly the pairs reached, and any other is an exact zero.  So
     the sum a pair feeds is arithmetic in the ranks of p and q within their
-    component, with no sort, and the memory guard sees every level's pair
-    counts before any is built.  Graded-lex order is translation invariant,
+    component, with no sort, and every level's pair counts are known before
+    any is built (_schedule): the memory guard is charged once, and each
+    level fills arrays of its scheduled size, raising if it fills a different
+    count.  Graded-lex order is translation invariant,
     so a term maps the positions of a level to sorted positions of a higher
     one: one rank table per degree of N's terms, over the distinct gammas
     and every source level, turns the target positions into gathers.  Pairs
@@ -524,11 +526,15 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     by_degree, coef, g, diffs = _norm_terms(n)
     rank, width, order, inv = _weight_components(bas, diffs)
 
-    def charge(a: int, forms: int, kept: int) -> None:
-        need = KEPT_PAIR_BYTES * kept + PLAN_PAIR_BYTES * forms
-        check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {kept} kept)")
-
-    charge(*_largest_level(n.n_vars, n.cutoff, g, diffs, bas.degrees, width))
+    schedule = _schedule(n.n_vars, n.cutoff, g, diffs, bas.degrees, width)
+    # One charge, before any level is built: the level that needs the most,
+    # holding what the levels below it keep while it forms its pairs.
+    charges, before = [], 0
+    for a, (forms, kept) in enumerate(schedule, 1):
+        charges.append((KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms, a, forms, before))
+        before += kept
+    need, a, forms, before = max(charges, key=lambda c: c[0], default=(0, 0, 0, 0))
+    check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {before} kept)")
     # Per degree g of N's terms: [row of gamma, position of alpha] -> position
     # of alpha + gamma within its level, for every alpha of degree <= cutoff - g.
     first = np.searchsorted(bas.degrees, np.arange(n.cutoff + 1))
@@ -542,27 +548,21 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, plan = [], [], []
     at = 1  # f's index of the level's first entry
-    total = 0  # pairs kept so far
-    for a in range(1, n.cutoff + 1):
+    for a, (_, level_kept) in enumerate(schedule, 1):
         active = [terms for terms in by_degree if terms[0] <= a]
-        terms = sum(len(c) for *_, c in active)
-        forms = sum(len(c) * len(levels[a - level_g][0]) for level_g, *_, c in active)
-        charge(a, forms, total)
-        if not forms:  # no pair reaches the level
-            plan.append((coef[:terms], g[:terms], np.zeros(terms, dtype=np.int64), empty, empty, 0))
-            levels.append((empty,) * 3)
-            continue
+        counts = np.zeros(sum(len(c) for *_, c in active), dtype=np.int64)
+        slot, src = np.empty(level_kept, dtype=np.int64), np.empty(level_kept, dtype=np.int64)
         sl = bas.degree_slice(a)
         # Row p's targets are the positions of its component from p on.
         level_rank = rank[sl]
         count = width[sl] - level_rank
         rowstart = np.cumsum(count) - count
         base = rowstart - level_rank  # target (p, q) is number base[p] + rank[q]
-        slots, srcs, counts = [], [], []
+        filled = t = 0
         for (level_g, _, gamma_row, delta_row, c), shift in zip(active, shifts):
-            i, j, src = levels[a - level_g]
+            group, t = counts[t : t + len(c)], t + len(c)  # the counts of this degree's terms
+            i, j, value_at = levels[a - level_g]
             if not len(i):  # an empty level forms no pairs
-                counts.append(np.zeros(len(c), dtype=np.int64))
                 continue
             shift = shift[:, bas.degree_slice(a - level_g)]
             step = max(1, _BATCH_PAIRS // len(i))  # terms per batch
@@ -571,14 +571,16 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
                 p, q = shift[gamma_row[b]].take(i, axis=1), shift[delta_row[b]].take(j, axis=1)
                 keep = p <= q
                 kept = np.flatnonzero(keep)  # row-major: term by term
-                slots.append(base[p.ravel()[kept]] + level_rank[q.ravel()[kept]])
-                srcs.append(src[kept % len(src)])
-                counts.append(keep.sum(axis=1))
-        size = int(rowstart[-1] + count[-1])
-        slot, src = np.concatenate(slots), np.concatenate(srcs)
-        del slots, srcs
-        plan.append((coef[:terms], g[:terms], np.concatenate(counts), src, slot, size))
-        total += len(slot)
+                end = filled + len(kept)
+                if end <= level_kept:  # else the count check below raises
+                    slot[filled:end] = base[p.ravel()[kept]] + level_rank[q.ravel()[kept]]
+                    src[filled:end] = value_at[kept % len(value_at)]
+                group[b], filled = keep.sum(axis=1), end
+        if filled != level_kept:
+            raise RuntimeError(f"level {a} kept {filled} pairs, not the {level_kept} scheduled")
+        count *= filled > 0  # a level that no pair reaches has no entries
+        size = int(count.sum())
+        plan.append((coef[: len(counts)], g[: len(counts)], counts, src, slot, size))
         p = np.repeat(np.arange(len(count)), count)
         q = order[sl][np.repeat(inv[sl] - rowstart, count) + np.arange(size)]
         rows.append(p + sl.start)

@@ -212,29 +212,52 @@ def test_plan_estimate_bounds_the_traced_peak_within_2x(monkeypatch, spec, cutof
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The up-front call charges the largest level with that level's message.
-    assert calls[0] == max(calls[1:], key=lambda c: c[0])
-    estimate = max(need for need, _ in calls)
+    # One charge per compile, before any level is built.
+    assert len(calls) == 1
+    estimate = calls[0][0]
     assert peak <= estimate <= 2 * peak
 
 
 def test_scan_matches_single_verdicts():
     # lambda = k/8 takes in 0, negative scales, the Wallach points, and on
-    # IV:6 the scale 1.5, where the recurrence sums to an exact zero.
+    # IV:6 the scale 1.5, where the recurrence sums to an exact zero.  A
+    # scale's pass on the scan's cached layout gives every field of the
+    # single verdict but the witness, which a scan does not solve for.
     lams = [k / 8 for k in range(-4, 33)]
     cases = [("III:3", 7), ("I:2,2", 6), ("IV:5", 5), ("IV:6", 6)]
     cases += [("I:2,3", 5), ("CH:2", 8), ("III:2", 6)]
+    fields = ("degree", "dim", "min_eigenvalue", "rank", "tol", "components",
+              "largest_component", "solved_components")
     for spec, cutoff in cases:
         dom = wk.parse_domain(spec)
         rows = scan_lambdas(dom, lams, cutoff)
+        plan, layout = calabi._scan_plan(dom, cutoff)
         for lam in lams:
             verdict = wk.psd_verdict(wk.calabi_matrix(dom, lam, cutoff))
+            scanned, _ = calabi._spectral_pass(layout, plan.values(lam), 1e-10, 1e-9, witnesses=False)
+            assert [[getattr(bv, f) for f in fields] for bv in scanned] == [
+                [getattr(bv, f) for f in fields] for bv in verdict.per_block
+            ], (spec, lam)
             got = [(r.degree, r.block_dim, r.min_eig, r.psd) for r in rows if r.lam == lam]
             want = [
                 (bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
                 for bv in verdict.per_block
             ]
             assert got == want, (spec, lam)
+
+
+def test_components_at_lambda_zero_are_the_plans():
+    # N^0 - 1 is all exact zeros, which stay in the matrix's pattern: lambda
+    # = 0 solves the components of every other scale, not one per position.
+    dom = wk.parse_domain("I:3,3")
+    fields = ("components", "largest_component", "solved_components")
+    zero = wk.calabi_matrix(dom, 0.0, 4)
+    at_zero, at_other = wk.psd_verdict(zero), wk.psd_verdict(wk.calabi_matrix(dom, 0.37, 4))
+    assert at_zero.psd and len(zero.values) and not zero.values.any()
+    assert [[getattr(bv, f) for f in fields] for bv in at_zero.per_block] == [
+        [getattr(bv, f) for f in fields] for bv in at_other.per_block
+    ]
+    assert [bv.components for bv in at_zero.per_block][1:] == [36, 100, 225]
 
 
 # --- normalization --------------------------------------------------------------
@@ -604,8 +627,6 @@ def test_values_only_and_eigenvector_passes_pick_the_same_witnesses():
         label = calabi._labels(plan.rows, plan.cols, len(b))
         for lam in lams:
             values = plan.values(lam)
-            if not values.all():
-                continue  # an exact zero leaves the plan's pattern
             by_values, _ = calabi._spectral_pass(layout, values, 1e-10, 1e-9)
             by_vectors, _ = calabi._spectral_pass(layout, values, 1e-10, 1e-9, vectors=True)
             for bv, bw in zip(by_values, by_vectors, strict=True):

@@ -230,13 +230,17 @@ def _witness_payloads(draw):
     if any(points) and draw(st.booleans()):
         first = next(point for point in points if point)
         first[0][draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, 1e300]))
-    return {
+    payload = {
         "domain": spec,
         "lambda": draw(_WITNESS_NUMBERS),
         "points": points,
         "min_eig": draw(_WITNESS_NUMBERS),
-        "seed": 0,
     }
+    # The seed is mostly an integer, sometimes NaN, a float or a list, or missing.
+    seeds = st.one_of(st.integers(), st.just(math.nan), st.floats(), st.lists(st.integers()))
+    if draw(st.booleans()):
+        payload["seed"] = draw(seeds)
+    return payload
 
 
 @settings(
@@ -249,17 +253,19 @@ def _witness_payloads(draw):
 @given(payload=_witness_payloads())
 def test_replay_answers_every_witness_file(capsys, tmp_path, payload):
     # A witness file comes from outside the program: whatever it holds,
-    # replay exits 0, 1 or 2 in text and JSON, and the JSON output parses.
+    # replay exits 0, 1 or 2, the same in text and JSON, and the JSON output parses.
     wpath = tmp_path / "w.json"
     wpath.write_text(json.dumps(payload))
+    codes = []
     for fmt in ("text", "json"):
-        code = main(["replay", str(wpath), "--format", fmt])
+        codes.append(main(["replay", str(wpath), "--format", fmt]))
         out, err = capsys.readouterr()
-        assert code in (0, 1, 2), (code, err)
+        assert codes[-1] in (0, 1, 2), (codes[-1], err)
         assert "Traceback" not in out + err
         if fmt == "json":
             d = json.loads(out)
-            assert ("error" in d) == (code == 1)
+            assert ("error" in d) == (codes[-1] == 1)
+    assert codes[0] == codes[1], (codes, payload)
 
 
 def test_scan_csv_output(capsys):
@@ -522,6 +528,41 @@ def test_replay_of_a_non_finite_min_eig_exits_one(capsys, tmp_path, min_eig):
     code, d, _ = run_json(capsys, "replay", str(wpath))
     assert code == 1 and d["error"]["type"] == "ValueError"
     assert "'min_eig'" in d["error"]["message"]
+
+
+def test_replay_of_an_overflowing_drift_exits_two_in_text_and_json(capsys, tmp_path):
+    # The stored 1.79e308 and the recomputed -1.18e307 are finite, but their
+    # distance is not: both formats answer "not within tolerance", and JSON,
+    # which has no infinity, writes the drift as null.
+    wpath = tmp_path / "w.json"
+    points = [[[0.99, 0.0], [0.0, 0.0]], [[-0.99, 0.0], [0.0, 0.0]]]
+    payload = {"domain": "CH:2", "lambda": -1035, "points": points, "min_eig": 1.79e308, "seed": 0}
+    wpath.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "replay", str(wpath))
+    assert code == 2 and "drift=inf" in out and "within 1e-12: False" in out
+    code, d, _ = run_json(capsys, "replay", str(wpath))
+    assert code == 2 and d["agreement"] is False
+    assert d["verdicts"]["drift"] is None and d["verdicts"]["within_tolerance"] is False
+    assert d["verdicts"]["min_eig_replayed"] < -1e307
+
+
+@pytest.mark.parametrize("seed", [math.nan, 1.5, [0], {"seed": 0}, True, None])
+def test_replay_of_a_seed_that_is_not_an_integer_exits_one(capsys, tmp_path, seed):
+    # replay echoes the seed in its report, so only an integer or none at all passes.
+    wpath = tmp_path / "w.json"
+    points = [[[0.1, 0.0]] * 4, [[0.0, 0.0]] * 4]
+    payload = {"domain": "I:2,2", "lambda": 0.5, "points": points, "min_eig": -1.0, "seed": seed}
+    wpath.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "replay", str(wpath))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: witness field 'seed'")
+    code, d, _ = run_json(capsys, "replay", str(wpath))
+    assert code == 1 and d["error"]["type"] == "ValueError"
+    assert "'seed'" in d["error"]["message"]
+    del payload["seed"]
+    wpath.write_text(json.dumps(payload))
+    code, d, _ = run_json(capsys, "replay", str(wpath))
+    assert code == 2 and d["parameters"]["seed"] is None  # answered: the stored -1.0 drifts
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,6 +1,9 @@
-"""The package's public surface: __all__ names exactly what __init__ imports."""
+"""The package's public surface: __all__ names exactly what __init__ imports;
+and the package's module-level state."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import wallachkit as wk
@@ -36,3 +39,27 @@ def test_gram_path_uses_neither_the_blocks_nor_the_closed_form():
             used.add(node.attr)
     assert "domains" in used  # the walk sees gram's own imports
     assert not used & {"calabi", "series", "wallach_set", "wallach_contains"}
+
+
+def test_every_cache_is_one_a_cold_clear_empties():
+    # perfbench's cold runs empty every module-level lru_cache and every
+    # module-level dict named *_CACHE; a cache kept in any other shape would
+    # survive that clear and let a "cold" verdict run warm.
+    caches, cached = set(), set()
+    for info in pkgutil.iter_modules(wk.__path__):
+        mod = importlib.import_module(f"wallachkit.{info.name}")
+        for attr, obj in vars(mod).items():
+            if isinstance(obj, (dict, list, set)) and not attr.startswith("__"):
+                assert attr.endswith("_CACHE") and isinstance(obj, dict), (info.name, attr)
+                caches.add(attr)
+        # Every function that caches is a module-level lru_cache.
+        tree = ast.parse(Path(mod.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for deco in node.decorator_list:
+                    name = ast.unparse(deco)
+                    if "cache" in name:
+                        assert "lru_cache" in name and node in tree.body, (info.name, name)
+                        cached.add(node.name)
+    assert {"_SCAN_PLAN_CACHE", "_RANK_TABLE_CACHE"} <= caches
+    assert {"basis", "norm_series"} <= cached

@@ -596,6 +596,26 @@ def test_recurrence_compile_sorts_nothing_longer_than_the_basis(monkeypatch):
     assert sorted_lengths and max(sorted_lengths) <= len(n.basis) < len(plan.levels[-1][3])
 
 
+@pytest.mark.parametrize("level, off", [(2, 1), (2, -1), (5, 1), (5, -1)])
+def test_a_level_that_misses_its_schedule_raises(monkeypatch, level, off):
+    # Each level fills arrays of the size its schedule gives: one pair more
+    # or fewer than scheduled is an error, not a short or garbled plan.
+    n = norm_series(wk.parse_domain("III:3"), 5)
+    schedule, kept = hs._schedule, []
+
+    def shifted(*args):
+        out = schedule(*args)
+        forms, level_kept = out[level - 1]
+        out[level - 1] = (forms, level_kept + off)
+        kept.append(level_kept)
+        return out
+
+    monkeypatch.setattr(hs, "_schedule", shifted)
+    with pytest.raises(RuntimeError) as err:
+        compile_recurrence(n)
+    assert str(err.value) == f"level {level} kept {kept[0]} pairs, not the {kept[0] + off} scheduled"
+
+
 def _exponents(n_vars, degree):
     return [e for e in cartesian(range(degree + 1), repeat=n_vars) if sum(e) == degree]
 
@@ -629,13 +649,13 @@ def _norm_like(draw):
 @given(n=_norm_like(), lam=st.one_of(st.integers(-8, 24).map(lambda k: k / 4), st.floats(-2.0, 4.0)))
 def test_inverse_norm_power_equals_the_sorting_compile_on_random_norms(n, lam, sorting_compile):
     # Where a component is not reached whole, its other pairs are exact
-    # zeros, which inverse_norm_power drops.  The up-front memory charge is
-    # the largest of the levels' own, message and all.
+    # zeros, which inverse_norm_power drops.  The compile charges the memory
+    # guard once, and a level whose pairs kept miss the schedule would raise.
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hs, "check_memory", lambda need, what: calls.append((need, what)))
         got = inverse_norm_power(n, lam)
-    assert calls[0] == max(calls[1:], key=lambda call: call[0])
+    assert len(calls) == 1
     plan = sorting_compile(n)
     want = plan.series(plan.values(lam))
     assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
