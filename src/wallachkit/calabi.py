@@ -8,32 +8,37 @@ the truncated matrix, checks its structural properties (vanishing pure terms,
 graded block form), renders a per-block PSD verdict, and extracts the
 truncated immersion components when the verdict is positive.
 
-The expansion is the Euler-operator recurrence on N's terms, compiled with
-lambda left open and replayed at lambda (series.compile_recurrence), whose
-entries, exact zeros included, are the matrix's pattern: its components do
-not depend on lambda.  One lambda (calabi_matrix) compiles and replays the
-plan once and caches nothing; a grid (scan_lambdas) compiles it once per
-(domain, cutoff), with the spectral layout of its pattern, and replays it
-per lambda: the same numbers as the single verdicts, bit for bit.
-
 The matrix keeps sorted COO entries on its graded blocks, never a dense
 array.  The kernel is invariant under the maximal torus of K
 (z -> D1 z D2 on type I), so each block is a direct sum of small weight
 spaces: permuted, the matrix is block diagonal, with blocks given by the
 connected components of its pattern, none of which crosses degrees.
 K also holds coordinate permutations (domains.symmetries) that commute with
-the matrix, so components they map onto each other share a spectrum.  One
-spectral pass labels the components once, groups them into these orbits and
-solves one per orbit, each size as one stacked eigenvalue problem for all
-degrees; each degree's verdict is read off its own components, weighted by
-orbit size, and is that of the dense block.  It computes eigenvalues only;
-a refuted degree's witness is an eigenvector of its minimising component
-alone, zero-padded to the block, where minima that tie to a few ulps of the
-block scale go to the first component in stack order; a scan, whose rows
-read no witness, solves none.  extract_immersion (every eigenvector) and
-graded_blocks of an arbitrary series solve every component.  The labels,
-orbits and scatter depend on the pattern alone (a SpectralLayout), which a
-scan shares across its lambdas.
+the matrix, so components they map onto each other share a spectrum.
+
+The expansion is the Euler-operator recurrence on N's terms, compiled with
+lambda left open and replayed at lambda (series.compile_recurrence).  Under
+the domain's permutations the compile keeps only the orbit representatives
+of its weight components, which are the components of its pattern: the
+matrix holds their entries, exact zeros included, and the orbit sizes and
+component counts come from the compile.  One lambda (calabi_matrix)
+compiles and replays the plan once and caches nothing; a grid
+(scan_lambdas) compiles it once per (domain, cutoff), with the spectral
+layout of its pattern, and replays it per lambda: the same numbers as the
+single verdicts, bit for bit.  graded_blocks of an arbitrary series keeps
+every entry, and a verdict labels the components of its pattern and groups
+them into orbits itself.
+
+One spectral pass solves one component per orbit, each size as one stacked
+eigenvalue problem for all degrees; each degree's verdict is read off its
+own components, weighted by orbit size, and is that of the dense block.  It
+computes eigenvalues only; a refuted degree's witness is an eigenvector of
+its minimising component alone, zero-padded to the block, where minima that
+tie to a few ulps of the block scale go to the first component in stack
+order; a scan, whose rows read no witness, solves none.  extract_immersion
+reads every eigenvector of every representative, and one per component of
+its orbit by permuting its exponents.  The orbits and scatter depend on the
+pattern alone (a SpectralLayout), which a scan shares across its lambdas.
 
 Verdicts carry an asymmetric certainty tag: a negative block is a rigorous
 refutation (a concrete principal submatrix fails), while an all-PSD result at
@@ -42,7 +47,7 @@ finite cutoff is only "consistent-to-cutoff".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import Iterable, Sequence
 
@@ -50,7 +55,7 @@ import numpy as np
 
 from . import series as hs
 from .multiindex import basis
-from .series import HermitianSeries
+from .series import HermitianSeries, _labels
 from .domains import DomainModel, norm_series, symmetries
 
 DEFAULT_TOL_ABS = 1e-10
@@ -94,8 +99,13 @@ def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> b
 class CalabiMatrix:
     """The graded coefficient matrix: its on-grade entries of positive degree
     as canonical COO (rows <= cols, at basis positions), sorted by (row, col);
-    the mirrors are implied.  calabi_matrix keeps the exact zeros of its
-    recurrence's pattern, graded_blocks only the series' nonzero entries."""
+    the mirrors are implied.  graded_blocks keeps the series' nonzero
+    entries, and a verdict groups the components of their pattern into
+    orbits under the coordinate permutations in symmetries.  calabi_matrix
+    keeps only the entries of its recurrence's orbit representatives
+    (orbits), exact zeros included; the others are the images of these
+    under symmetries, the generators that fix N.  sizes is what its
+    recurrence plan holds (RecurrencePlan.sizes)."""
 
     domain_spec: str
     lam: float | None
@@ -107,6 +117,8 @@ class CalabiMatrix:
     off_grade_max: float
     max_abs_coeff: float
     symmetries: tuple[tuple[int, ...], ...] = ()  # domains.symmetries of the kernel's domain
+    orbits: hs.Orbits | None = None
+    sizes: dict = field(default_factory=dict)
 
 
 def graded_blocks(
@@ -140,14 +152,16 @@ def graded_blocks(
 
 
 def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
-    """N^(-lambda) - 1 on its compiled recurrence's pattern, exact zeros
-    included (all on grade, of positive degree), with dom's symmetries."""
+    """N^(-lambda) - 1 on the pattern of its recurrence compiled under dom's
+    symmetries: the entries of the orbit representatives, exact zeros
+    included (all on grade, of positive degree)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    plan = hs.compile_recurrence(norm_series(dom, cutoff))
+    plan = hs.compile_recurrence(norm_series(dom, cutoff), symmetries(dom))
     values = plan.values(lam)
-    return CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values,
-                        0.0, float(np.abs(values).max(initial=0.0)), symmetries(dom))
+    return CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values, 0.0,
+                        float(np.abs(values).max(initial=0.0)), plan.orbits.generators,
+                        plan.orbits, plan.sizes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,43 +191,16 @@ class Verdict:
         return min((bv.min_eigenvalue for bv in self.per_block), default=0.0)
 
 
-def _labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Per position 0..n-1, the least position of its connected component in
-    the graph with edges rows[e] -- cols[e]."""
-    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    label = np.arange(n)
-    # Label propagation with pointer jumping; label[i] <= i stays a node of
-    # i's component, and at the fixpoint it is constant on each component.
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
-def _components(label: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
-    """The components given by label of the positions 1..n-1 where keep
-    holds, grouped by size: one (count, size) array of positions per size,
-    sizes ascending, each component's positions ascending and the components
-    in order of their least position."""
-    order = np.flatnonzero(keep[1:]) + 1
-    order = order[np.argsort(label[order], kind="stable")]
-    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    return [order[starts[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralLayout:
     """The value-free part of a spectral pass over a Calabi matrix's pattern.
 
     runs[d]:runs[d + 1] are degree d's entries.  Per size, sizes ascending:
-    the (count, size) positions of the orbit representatives (components of
-    least position) and the offset of their stack in one flat buffer, where
-    entries sel go to flat indices mine, their mirrors to mirror.  Per
-    representative, in stack order: degree, size, orbit size; per degree:
-    its components and representatives.
+    the (count, size) positions of the orbit representatives (hs.Orbits) and
+    the offset of their stack in one flat buffer, where entries sel go to
+    flat indices mine, their mirrors to mirror.  Per representative, in
+    stack order: degree, size, orbit size; per degree: its components and
+    representatives.
     """
 
     n_vars: int
@@ -230,48 +217,76 @@ class SpectralLayout:
     solved: np.ndarray
 
 
-def _spectral_layout(
+def _label_orbits(
     n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray, generators: Sequence = ()
+) -> hs.Orbits:
+    """The connected components of the pattern rows, cols of a CalabiMatrix
+    (every position of positive degree is in one) grouped into orbits under
+    the coordinate permutations in generators.  One that does not map every
+    component onto a component is ignored."""
+    b = basis(n_vars, cutoff)
+    n = len(b)
+    label = _labels(rows, cols, n)
+    maps = [b.rank(b.exponents[:, list(g)]) for g in generators]
+    # m permutes the positions, so one that maps each component into one maps it onto one.
+    used = [(g, m) for g, m in zip(generators, maps) if np.array_equal(label[m], label[m][label])]
+    # Per component label, the least label its images reach: its orbit's.
+    image = np.concatenate([label, *(label[m] for _, m in used)])
+    orbit = _labels(np.resize(label, image.size), image, n)
+    keep = orbit[label] == label
+    keep[0] = False  # the constant term
+    positions = np.flatnonzero(keep)
+    positions = positions[np.argsort(label[positions], kind="stable")]
+    _, starts, sizes = np.unique(label[positions], return_index=True, return_counts=True)
+    # An orbit's positions fill orbit-size components of the representative's size.
+    counts = np.bincount(orbit[label[1:]], minlength=n)[positions[starts]] // sizes
+    return hs.Orbits(tuple(g for g, _ in used), positions, sizes, counts)
+
+
+def _spectral_layout(
+    n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray, orbits: hs.Orbits
 ) -> SpectralLayout:
     """The layout of the entries rows, cols of a CalabiMatrix (canonical,
-    sorted, on grade and of positive degree), its components grouped into
-    orbits under the coordinate permutations in generators.  One that does
-    not map every component onto a component is ignored."""
+    sorted, on grade and of positive degree) over the orbit representatives
+    of orbits; entries outside them are not read."""
     b = basis(n_vars, cutoff)
     n, degrees = len(b), b.degrees
     # Rows are sorted and the order is graded, so each degree's entries are one run.
     runs = np.searchsorted(rows, np.searchsorted(degrees, np.arange(cutoff + 2)))
-    label = _labels(rows, cols, n)
-    maps = [b.rank(b.exponents[:, list(g)]) for g in generators]
-    # m permutes the positions, so one that maps each component into one maps it onto one.
-    maps = [m for m in maps if np.array_equal(label[m], label[m][label])]
-    # Per component label, the least label its images reach: its orbit's.
-    image = np.concatenate([label, *(label[m] for m in maps)])
-    orbit = _labels(np.resize(label, image.size), image, n)
+    starts = np.cumsum(orbits.sizes) - orbits.sizes
     # Per position: the size of its component (0 until its size comes up)
     # and its row in the stack of that size, flattened to (count * size, size).
     width = np.zeros(n, dtype=np.int64)
     place = np.empty(n, dtype=np.int64)
-    parts, sel, mine, mirror, offset = [], [], [], [], 0
-    for idx in _components(label, orbit[label] == label):
-        size = idx.shape[1]
+    parts, stack, sel, mine, mirror, offset = [], [], [], [], [], 0
+    for size in np.unique(orbits.sizes).tolist():
+        reps = np.flatnonzero(orbits.sizes == size)
+        idx = orbits.positions[starts[reps][:, None] + np.arange(size)]
         width[idx], place[idx.ravel()] = size, np.arange(idx.size)
         sel.append(np.flatnonzero(width[rows] == size))
         j, k = place[rows[sel[-1]]], place[cols[sel[-1]]]
         mine.append(offset + j * size + k % size)
         mirror.append(offset + k * size + j % size)
         parts.append((idx, offset))
+        stack.append(reps)
         offset += idx.size * size
-    lead = np.concatenate([idx[:, 0] for idx, _ in parts])
-    size = np.repeat([idx.shape[1] for idx, _ in parts], [len(idx) for idx, _ in parts])
-    # An orbit's positions fill orbit-size components of the representative's size.
-    weight = np.bincount(orbit[label[1:]], minlength=n)[lead] // size
-    degree = degrees[lead]
+    stack = np.concatenate(stack)
+    size, weight = orbits.sizes[stack], orbits.counts[stack]
+    degree = degrees[orbits.positions[starts[stack]]]
     return SpectralLayout(
         n_vars, cutoff, runs, tuple(parts), *map(np.concatenate, (sel, mine, mirror)),
         degree, size, weight, np.bincount(degree, weight, cutoff + 1).astype(np.int64),
         np.bincount(degree, minlength=cutoff + 1),
     )
+
+
+def _layout(m: CalabiMatrix, generators: Sequence) -> SpectralLayout:
+    """The spectral layout of m: over its own orbits if it has them, else
+    over the components of its pattern grouped under generators."""
+    orbits = m.orbits
+    if orbits is None:
+        orbits = _label_orbits(m.n_vars, m.cutoff, m.rows, m.cols, generators)
+    return _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, orbits)
 
 
 def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +364,7 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.symmetries)
-    per_block, _ = _spectral_pass(layout, m.values, tol_abs, tol_rel)
+    per_block, _ = _spectral_pass(_layout(m, m.symmetries), m.values, tol_abs, tol_rel)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
     return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
@@ -374,27 +388,51 @@ def extract_immersion(
     Each PSD block factors as B = L L^T through the eigen-decompositions of
     its components, taken per degree in decreasing eigenvalue order;
     eigenvalues at or below the block tolerance are clipped to zero, so the
-    component count per degree equals the block's reported rank.
+    component count per degree equals the block's reported rank.  A matrix
+    of orbit representatives (calabi_matrix) solves those, and each
+    eigenvector stands for one per component of its orbit, its exponents
+    permuted.
     """
-    # Every component's eigenvectors are needed, so the orbits stay trivial.
-    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols)
+    # Every component's eigenvectors are needed, so a pattern's orbits stay trivial.
+    layout = _layout(m, ())
     per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
     tol = np.array([0.0] + [bv.tol for bv in per_block])
+    weights = np.split(layout.weight, np.cumsum([len(idx) for idx, *_ in parts.values()])[:-1])
     kept = []
-    for idx, vals, vecs in parts.values():
+    for (idx, vals, vecs), weight in zip(parts.values(), weights):
         degree = b.degrees[idx[:, 0]]
-        for c, e in zip(*np.nonzero(vals > tol[degree][:, None])):
-            kept.append((int(degree[c]), -float(vals[c, e]), idx[c], vecs[c, :, e]))
+        keep = vals > tol[degree][:, None]
+        for c in np.flatnonzero(keep.any(axis=1)):
+            orbit = _orbit_exponents(b, idx[c], m.symmetries, weight[c])
+            for e in np.flatnonzero(keep[c]):
+                kept.extend((int(degree[c]), -float(vals[c, e]), exps, vecs[c, :, e]) for exps in orbit)
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]
-    for d, neg, positions, vec in sorted(kept, key=lambda t: t[:2]):
+    for d, neg, exps, vec in sorted(kept, key=lambda t: t[:2]):
         w = np.sqrt(-neg) * vec
-        exps = b.exponents[positions].tolist()
-        coeffs = {tuple(e): float(c) for e, c in zip(exps, w) if c != 0.0}
+        coeffs = {tuple(e): float(c) for e, c in zip(exps.tolist(), w) if c != 0.0}
         components.append(ImmersionComponent(d, coeffs))
     return components
+
+
+def _orbit_exponents(b, positions: np.ndarray, generators: Sequence, count: int) -> list:
+    """The exponent vectors of the count components in the orbit of the one
+    at positions under generators, each in the order of positions: the
+    component itself first, then its images, breadth first."""
+    exps = b.exponents[positions]
+    perms, seen = [np.arange(b.n_vars)], {int(positions[0])}
+    for perm in perms:  # grows while it is read, up to the orbit's count
+        for g in generators:
+            if len(perms) == count:
+                return [exps[:, p] for p in perms]
+            image = perm[list(g)]
+            least = int(b.rank(exps[:, image]).min())
+            if least not in seen:
+                seen.add(least)
+                perms.append(image)
+    return [exps[:, p] for p in perms]
 
 
 def immersion_reconstruction_error(
@@ -432,10 +470,15 @@ _SCAN_PLAN_CACHE: dict[tuple[str, int], tuple[hs.RecurrencePlan, SpectralLayout]
 def _scan_plan(dom: DomainModel, cutoff: int) -> tuple[hs.RecurrencePlan, SpectralLayout]:
     key = (dom.spec_string, cutoff)
     if key not in _SCAN_PLAN_CACHE:
-        plan = hs.compile_recurrence(norm_series(dom, cutoff))
-        layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols, symmetries(dom))
+        plan = hs.compile_recurrence(norm_series(dom, cutoff), symmetries(dom))
+        layout = _spectral_layout(dom.d, cutoff, plan.rows, plan.cols, plan.orbits)
         _SCAN_PLAN_CACHE[key] = plan, layout
     return _SCAN_PLAN_CACHE[key]
+
+
+def scan_sizes(dom: DomainModel, cutoff: int) -> dict[str, int]:
+    """RecurrencePlan.sizes of the plan scan_lambdas replays for (dom, cutoff)."""
+    return _scan_plan(dom, cutoff)[0].sizes()
 
 
 def scan_lambdas(

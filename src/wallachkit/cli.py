@@ -209,9 +209,8 @@ def _block_dicts(verdict: calabi.Verdict) -> list[dict]:
 def _cmd_calabi(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
-    verdict = calabi.psd_verdict(
-        calabi.calabi_matrix(dom, lam, args.cutoff), args.tol_abs, args.tol_rel
-    )
+    matrix = calabi.calabi_matrix(dom, lam, args.cutoff)
+    verdict = calabi.psd_verdict(matrix, args.tol_abs, args.tol_rel)
     closed = wallach_contains(dom, lam)
     agreement = verdict.psd == closed
     report = RunReport(
@@ -231,6 +230,7 @@ def _cmd_calabi(args):
         },
         per_block=_block_dicts(verdict),
         agreement=agreement,
+        sizes=matrix.sizes,
     )
     lines = [
         f"{dom.spec_string}, lambda={lam:g}, cutoff={args.cutoff}:",
@@ -436,6 +436,7 @@ def _cmd_scan(args):
             for r in rows
         ],
         agreement=not disagreements,
+        sizes=calabi.scan_sizes(dom, args.cutoff),
     )
     lines = [f"{dom.spec_string}: scan lambda in [{args.lam_from:g}, {args.lam_to:g}]"]
     for lam in lams:

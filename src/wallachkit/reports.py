@@ -75,10 +75,11 @@ class RunReport:
     per_block: list = field(default_factory=list)
     agreement: bool | None = None
     duration_s: float = 0.0
+    sizes: dict = field(default_factory=dict)  # what was solved; emitted when set
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
+    out = {
         "command": report.command,
         "domain": report.domain,
         "parameters": report.parameters,
@@ -87,6 +88,9 @@ def report_to_dict(report: RunReport) -> dict:
         "agreement": report.agreement,
         "duration_s": report.duration_s,
     }
+    if report.sizes:
+        out["sizes"] = report.sizes
+    return out
 
 
 def scan_csv(rows: Sequence) -> str:

@@ -51,35 +51,53 @@ sorts no pairs: a term maps an entry to one of the same weight component
 entries are the canonical pairs inside its components and the entry a pair
 feeds is arithmetic in its positions' ranks there, and every level's pair
 counts follow from the components before any level is built: one schedule
-sizes both the memory charge and each level's arrays.
+sizes both the memory charge and each level's arrays.  Given coordinate
+permutations that fix N, the compile keeps only the pairs into the orbit
+representatives of the weight components (the component of least position
+in each orbit), and a pair whose source lies in another component reads the
+source's image in its representative: N^(-lam) is invariant under those
+permutations, so the plan and its replay cover the representatives alone
+(:class:`Orbits`).  Without permutations every component represents itself.
 :func:`inverse_norm_power` is one compile and one replay with the zeros
 dropped.  The Calabi matrix (:mod:`wallachkit.calabi`, one lam or a scan
-over many) and the Cartan-Hartogs assembly, N^(-lam) at a ladder of scales,
-replay one plan each, zeros kept.
+over many) replays one plan reduced by its domain's permutations, and the
+Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, one unreduced plan;
+both keep the zeros.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .multiindex import Basis, basis, check_memory
+from . import multiindex
+from .multiindex import _INT64_MAX, Basis, basis, check_memory
 
 # Memory per entry pair a product forms (ranks, values, their concatenation
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
-# compile_recurrence charges each pair it keeps at what it holds (int64 src
-# and slot) and each pair the next level forms at PLAN_PAIR_BYTES.  On top of
-# the kept pairs, the compile peaked at 15-20 B per pair formed, and a single
-# verdict, whose replay then peaks, at 18-21 B: the estimate is 1.6-1.75x a
-# single verdict's traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
+# Without permutations, compile_recurrence charges each pair it keeps at what
+# it holds (int64 src and slot) and each pair the next level forms at
+# PLAN_PAIR_BYTES.  On top of the kept pairs, the compile peaked at 15-20 B
+# per pair formed, and the replay at 18-21 B: the estimate is 1.6-1.75x the
+# replay's traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
 KEPT_PAIR_BYTES = 16
 PLAN_PAIR_BYTES = 36
-# Entry pairs compile_recurrence forms at once before it drops the non-canonical ones.
+# Labelling the weight components and mapping each position into its orbit
+# representative hold about this much per variable and basis position (the
+# exponents, reduced and permuted, are int64).
+LABEL_BYTES_PER_COORD = 16
+# Under permutations most pairs formed are dropped at once, so a level is
+# charged at what the compile holds: every pair kept up to it, at
+# KEPT_PAIR_BYTES, every entry of the levels it reads, mirrors included, at
+# ENTRY_BYTES (the source triple and the pairs formed from it a batch at a
+# time), and the labelling's charge for the tables of the basis's size.
+# The estimate ran 1.2-1.4x a single verdict's traced peak on I:3,3 at
+# cutoffs 9-11 and IV:6 at 8.
+ENTRY_BYTES = 64
+# Entry pairs compile_recurrence forms at once before it drops those it does not keep.
 _BATCH_PAIRS = 2**13
 
 
@@ -382,18 +400,36 @@ def inverse_norm_power(n: HermitianSeries, lam: float) -> HermitianSeries:
 
 
 @dataclass(frozen=True, eq=False)
+class Orbits:
+    """The weight components of degrees 1..cutoff grouped into orbits under
+    the coordinate permutations generators (each fixes N).  Each orbit is
+    represented by its component of least position: positions holds the
+    representatives' positions, component after component, each ascending,
+    the components in order of least position; sizes and counts give each
+    representative's size and its orbit's number of components."""
+
+    generators: tuple[tuple[int, ...], ...]
+    positions: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class RecurrencePlan:
     """The recurrence of N^(-lam) with lam left open: its entry pattern and,
     per level, the pairs it sums, in the order it sums them.
 
     rows and cols are the canonical entries of every level a >= 1, sorted by
-    (row, col): the canonical pairs inside the level's weight components, or
+    (row, col): the canonical pairs inside the level's weight components that
+    represent their orbits (orbits; every component without generators), or
     none if no pair reaches the level.  levels[a - 1] is (coef, g, counts,
     src, slot, size): per term of N of degree g <= a, its -c, g and the
-    number of pairs it forms; pair i, taken term by term, adds its term's
+    number of pairs it keeps; pair i, taken term by term, adds its term's
     scale -c (a - g + lam g) times f[src[i]] to the level's sum number
     slot[i] of size, where f is 1 (the constant term) followed by the values
-    at rows, cols.
+    at rows, cols.  A permutation in orbits.generators maps the coefficients
+    of N^(-lam) onto themselves, so those at the entries left out are the
+    values at their images.
     """
 
     n_vars: int
@@ -401,6 +437,21 @@ class RecurrencePlan:
     rows: np.ndarray
     cols: np.ndarray
     levels: tuple[tuple, ...]
+    orbits: Orbits | None = None
+
+    def sizes(self) -> dict[str, int]:
+        """The basis size m, the entries of N^(-lam) - 1 that the plan
+        stands for and those it computes, and the pairs it sums."""
+        o = self.orbits
+        degrees = basis(self.n_vars, self.cutoff).degrees
+        degree = degrees[o.positions[np.cumsum(o.sizes) - o.sizes]]
+        filled = np.array([0] + [level[5] for level in self.levels]) > 0
+        return {
+            "m": len(degrees),
+            "entries": int((filled[degree] * o.counts * o.sizes * (o.sizes + 1) // 2).sum()),
+            "entries_solved": len(self.rows),
+            "pairs_kept": sum(len(level[3]) for level in self.levels),
+        }
 
     def values(self, lam: float) -> np.ndarray:
         """The coefficients of N^(-lam) at rows, cols, exact zeros included:
@@ -447,9 +498,8 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cosets of the lattice spanned by the rows of diffs, on the basis.
     The rows of diffs sum to 0, so each coset lies in one degree.
 
-    Per position: its rank in its coset and the coset's size, both by
-    position; the positions of each degree ordered by (coset, position), and
-    each one's index in that order, both counted from the degree's first.
+    Per position: its coset, numbered in order of least position, and its
+    rank there; per coset: its least position and its size.
     """
     # Reduced by an echelon basis, with 0 <= rep[c] < row[c] at each row's
     # pivot c, two exponent vectors are equal exactly when their cosets are.
@@ -459,48 +509,150 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
         q = rep[nonzero[0]] // row[nonzero[0]]
         for k in nonzero:
             rep[k] -= q * row[k]
-    rep = np.vstack((bas.degrees, rep[rep.any(axis=1)]))  # rows all 0 split nothing
-    order = np.lexsort(rep[::-1])  # by degree, then reduced vector; stable
-    rep = rep.take(order, axis=1)
-    start = np.flatnonzero(np.r_[True, (rep[:, 1:] != rep[:, :-1]).any(axis=0)])
-    sizes = np.diff(start, append=len(order))
-    rank, size, inv = (np.empty_like(order) for _ in range(3))
-    rank[order] = np.arange(len(order)) - np.repeat(start, sizes)
-    size[order] = np.repeat(sizes, sizes)
-    inv[order] = np.arange(len(order))
-    first = np.searchsorted(bas.degrees, bas.degrees)  # each degree's first position
-    return rank, size, order - first, inv - first
+    # One int64 key per reduced vector, renumbered densely whenever the next
+    # coordinate's span would overflow it; rows all 0 split nothing.
+    key = np.zeros(len(bas), dtype=np.int64)
+    for coord in rep[rep.any(axis=1)]:
+        low, span = int(coord.min()), int(coord.max() - coord.min()) + 1
+        if int(key.max()) > (_INT64_MAX - span) // span:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * span + (coord - low)
+    _, first, coset = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(len(by_first))
+    coset = number[coset]
+    size = np.bincount(coset)
+    order = np.argsort(coset, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
+    return coset, rank, first[by_first], size
 
 
-def _schedule(n_vars: int, cutoff: int, g, diffs, degrees, size) -> list[tuple[int, int]]:
+def _labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Per node 0..n-1, the least node of its connected component in the
+    graph with edges rows[e] -- cols[e]."""
+    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    label = np.arange(n)
+    # Label propagation with pointer jumping; label[i] <= i stays a node of
+    # i's component, and at the fixpoint it is constant on each component.
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators) -> tuple:
+    """The generators that fix N, and per weight component the least
+    component of its orbit under them (its representative) and a
+    permutation tau of the variables with e[tau] in the representative for
+    every exponent vector e of the component (None if no generator fixes N).
+
+    A generator g takes a component X onto g X, whose vectors f come from
+    X's as f = e[g], so f[argsort(g)[tau_X]] lies in X's representative.
+    Each generator has finite order, so following them forward reaches a
+    whole orbit: every component takes the least representative and its
+    tau from the components that map onto it until none improves."""
+    bas, count = n.basis, len(first)
+    perms = [tuple(int(i) for i in g) for g in generators if sorted(g) == list(range(n.n_vars))]
+    if not perms:
+        return (), np.arange(count), None
+    # One ranking for every permutation: N's entries, and each component's least position.
+    at = np.concatenate((n.rows, n.cols, first))
+    moved = bas.rank(bas.exponents[at][:, perms]).T
+    used, maps = [], []
+    for g, pos in zip(perms, moved):
+        p, q = np.split(pos[: 2 * len(n.rows)], 2)
+        key = np.minimum(p, q) * len(bas) + np.maximum(p, q)  # N's entries, permuted
+        order = np.argsort(key)
+        if np.array_equal(key[order], n.rows * len(bas) + n.cols) and (
+            np.array_equal(n.values[order], n.values)
+        ):
+            used.append(g)
+            maps.append(coset[pos[2 * len(n.rows) :]])
+    if not used:
+        return (), np.arange(count), None
+    lead = np.arange(count)
+    tau = np.tile(np.arange(n.n_vars), (count, 1))
+    inverses = [np.argsort(g) for g in used]
+    while True:
+        changed = False
+        for image, inverse in zip(maps, inverses):
+            x = np.flatnonzero(lead < lead[image])
+            y = image[x]  # where several x share a y, the last one's lead and tau go together
+            lead[y], tau[y] = lead[x], inverse[tau[x]]
+            changed |= len(x) > 0
+        if not changed:
+            return tuple(used), lead, tau
+
+
+def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> list[tuple[int, int]]:
     """Per level a = 1..cutoff of compile_recurrence, before any is built:
-    (pairs formed, pairs kept).
+    (pairs formed into representative components, pairs kept), where a pair
+    is kept when its target is canonical and lies in a representative (rep,
+    per component); shifts are compile_recurrence's rank tables.
 
     A level that some pair reaches has every pair (p, q) in its components as
-    an entry, mirrors included: the sum of its component sizes squared.  A
-    term pairs each entry (alpha, beta) of level a - g with (alpha + gamma,
-    beta + delta), and (delta, gamma) is a term too, pairing (beta, alpha)
-    with the transposed target; so of those two pairs one has a canonical
-    target, both when alpha + gamma = beta + delta.  That happens for the
-    alphas of level a - g at or above (delta - gamma)^+ componentwise.
+    an entry, mirrors included: |S|^2 for a component S.  A term (gamma,
+    delta) of degree g pairs each entry (alpha, beta) of such an S at level
+    a - g with (alpha + gamma, beta + delta), all in the component of
+    S + gamma; (delta, gamma) is a term too, pairing (beta, alpha) with the
+    transposed target in the same component.  So of those two pairs one has a
+    canonical target, both when alpha + gamma = beta + delta, which happens
+    for the alphas of S at or above u = (delta - gamma)^+: as many as the
+    positions of the component S - u, if there is one.
     """
-    entries = np.bincount(degrees, weights=size).astype(np.int64).tolist()
-    up = np.maximum(-diffs, 0).sum(axis=1)  # |(delta - gamma)^+|
-    terms = Counter(zip(g.astype(np.int64).tolist(), up.tolist()))
-    reached = [1]  # entries of each level built so far
-    schedule = []
+    cutoff, degrees, exps = bas.max_degree, bas.degrees, bas.exponents
+    level = degrees[first]  # components are numbered by least position, so by degree
+    reached = np.zeros(cutoff + 1, dtype=bool)
+    reached[0] = True
     for a in range(1, cutoff + 1):
-        active = [(k, reached[a - t], a - t - u) for (t, u), k in terms.items() if t <= a]
-        forms = sum(k * e for k, e, _ in active)
-        kept = sum(k * (e + (comb(s + n_vars - 1, s) if e and s >= 0 else 0)) for k, e, s in active)
-        schedule.append((forms, kept // 2))
-        reached.append(entries[a] if forms else 0)
-    return schedule
+        reached[a] = any(reached[a - g] for g, *_ in by_degree if g <= a)
+    entries = np.where(reached[level], size * size, 0)
+    whole = np.bincount(level, entries, cutoff + 1).astype(np.int64)  # per level
+    begin = np.searchsorted(degrees, np.arange(cutoff + 2))
+    forms, kept = np.zeros(cutoff + 1, dtype=np.int64), np.zeros(cutoff + 1, dtype=np.int64)
+    done = 0
+    for (g, _, gamma_row, _, c), shift in zip(by_degree, shifts):
+        sources = np.searchsorted(level, cutoff - g, side="right")  # components of degree <= cutoff - g
+        heads, at = first[:sources], level[:sources] + g
+        u, done = np.maximum(-diffs[done : done + len(c)], 0), done + len(c)
+        if rep.all():  # every target is kept: each source level counts whole
+            s = np.arange(cutoff + 1 - g)
+            times = np.bincount(u.sum(axis=1))  # terms per |u|
+            below = s[:, None] - np.arange(len(times))  # alphas >= u: the positions of degree s - |u|
+            diagonal = np.where(below >= 0, np.diff(begin)[np.maximum(below, 0)], 0) @ times
+            forms[g:] += len(c) * whole[s]
+            kept[g:] += len(c) * whole[s] + reached[s] * diagonal
+            continue
+        target = coset[shift[:, heads] + begin[at]]  # the component of S + gamma
+        # [term, S]: the size of the component X with X + u in S, from
+        # first(X) + u for the components X of degree <= cutoff - g; all of S
+        # when u = 0.
+        diagonal = size[:sources]
+        if u.any():
+            us, u_row = np.unique(bas.rank(u), return_inverse=True)
+            pos = bas.rank(exps[heads], exps[us][:, None])
+            diagonal = np.zeros((len(us), sources), dtype=np.int64)
+            row, x = np.nonzero(pos < begin[cutoff - g + 1])
+            diagonal[row, coset[pos[row, x]]] = size[x]
+            diagonal = diagonal[u_row.ravel()]
+        formed = rep[target[gamma_row]]  # per term and source component
+        forms += np.bincount(at, (formed * entries[:sources]).sum(axis=0), cutoff + 1).astype(np.int64)
+        both = formed * (entries[:sources] + diagonal * reached[level[:sources]])
+        kept += np.bincount(at, both.sum(axis=0), cutoff + 1).astype(np.int64)
+    return [(int(f), int(k) // 2) for f, k in zip(forms[1:], kept[1:])]
 
 
-def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
+def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> RecurrencePlan:
     """The RecurrencePlan of N^(-lam) for a series N with constant term 1
     whose entries all sit on bidegrees (g, g); a ValueError for any other N.
+    generators are coordinate permutations (tuples as domains.symmetries
+    gives them); those that fix N reduce the plan to the orbit
+    representatives of its weight components, and the others are ignored.
 
     A term (gamma, delta) maps an entry (alpha, beta) to (alpha + gamma,
     beta + delta), so the two sides of every entry differ by a sum of N's
@@ -512,50 +664,91 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
     component, with no sort, and every level's pair counts are known before
     any is built (_schedule): the memory guard is charged once, and each
     level fills arrays of its scheduled size, raising if it fills a different
-    count.  Graded-lex order is translation invariant,
+    count.  Labelling the components and mapping positions into their
+    representatives take memory of the basis's size, so until they run the
+    charge is theirs, from the basis size alone, and they run only if it
+    fits.  Graded-lex order is translation invariant,
     so a term maps the positions of a level to sorted positions of a higher
     one: one rank table per degree of N's terms, over the distinct gammas
     and every source level, turns the target positions into gathers.  Pairs
-    are formed a small batch of terms at a time, and only those with
-    canonical targets (p <= q) are kept; the source of a pair on a mirror
-    entry is its canonical entry.
+    are formed at most _BATCH_PAIRS at a time, and only those with
+    canonical targets (p <= q) in a representative component are kept.
+    The source of a pair is the canonical image of its source entry in that
+    entry's representative: a permutation of the variables per component
+    (_orbits) maps its positions there.  Without generators every component
+    represents itself, and a pair on a mirror entry reads its canonical
+    entry.
     """
     bas = n.basis
-    exps = bas.exponents
-    # -c, g and gamma - delta of every term; the terms of degree <= a are a prefix.
-    by_degree, coef, g, diffs = _norm_terms(n)
-    rank, width, order, inv = _weight_components(bas, diffs)
-
-    schedule = _schedule(n.n_vars, n.cutoff, g, diffs, bas.degrees, width)
-    # One charge, before any level is built: the level that needs the most,
-    # holding what the levels below it keep while it forms its pairs.
-    charges, before = [], 0
-    for a, (forms, kept) in enumerate(schedule, 1):
-        charges.append((KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms, a, forms, before))
-        before += kept
-    need, a, forms, before = max(charges, key=lambda c: c[0], default=(0, 0, 0, 0))
-    check_memory(need, f"a recurrence plan's level {a} ({forms} pairs formed, {before} kept)")
-    # Per degree g of N's terms: [row of gamma, position of alpha] -> position
-    # of alpha + gamma within its level, for every alpha of degree <= cutoff - g.
-    first = np.searchsorted(bas.degrees, np.arange(n.cutoff + 1))
-    shifts = []
-    for level_g, es, *_ in by_degree:
-        alpha = exps[: bas.degree_slice(n.cutoff - level_g).stop]
-        shifts.append(bas.rank(alpha, exps[es][:, None]) - first[bas.degrees[: len(alpha)] + level_g])
-    # levels[s]: level s's entries, mirrors expanded, at positions local to the
-    # level, and the index in f of each one's canonical value.
-    levels = [(np.zeros(1, dtype=np.int64),) * 3]
+    exps, degrees = bas.exponents, bas.degrees
+    start = np.searchsorted(degrees, np.arange(n.cutoff + 2))  # each degree's first position
+    # The tables of the basis's size: the labels, each position's image in
+    # its representative, and per degree g of N's terms the rank table of
+    # alpha + gamma over its distinct gammas and the alphas of degree <= cutoff - g.
+    gammas = np.bincount(degrees[np.unique(np.r_[n.rows[1:], n.cols[1:]])], minlength=n.cutoff + 1)
+    tables = 8 * int(gammas @ start[n.cutoff + 1 :: -1][: n.cutoff + 1])
+    need = LABEL_BYTES_PER_COORD * n.n_vars * len(bas) + tables
+    what = f"the component and rank tables of {len(bas)} positions in {n.n_vars} variables"
+    if need <= multiindex.MEMORY_LIMIT_BYTES:
+        # -c, g and gamma - delta of every term; the terms of degree <= a are a prefix.
+        by_degree, coef, g, diffs = _norm_terms(n)
+        coset, rank, first, sizes = _weight_components(bas, diffs)
+        generators, lead, tau = _orbits(n, coset, first, generators)
+        represents = lead == np.arange(len(first))
+        # Per degree g of N's terms: [row of gamma, position of alpha] -> position
+        # of alpha + gamma within its level, for every alpha of degree <= cutoff - g.
+        shifts = []
+        for level_g, es, *_ in by_degree:
+            alpha = exps[: start[n.cutoff - level_g + 1]]
+            shifts.append(bas.rank(alpha, exps[es][:, None]) - start[degrees[: len(alpha)] + level_g])
+        schedule = _schedule(bas, by_degree, shifts, diffs, coset, first, sizes, represents)
+        # Per level, its entries, mirrors included, which the compile holds
+        # while later levels read them.
+        reached = np.array([True] + [forms > 0 for forms, _ in schedule])
+        level = degrees[first]
+        entries = np.bincount(level, reached[level] * sizes**2, n.cutoff + 1)
+        # One charge, before any level is built: the level that needs the most,
+        # holding what the levels below it keep while it forms its pairs.
+        charges, before, highest = [], 0, by_degree[-1][0] if by_degree else 0
+        for a, (forms, kept) in enumerate(schedule, 1):
+            if tau is None:  # every pair formed with a canonical target is kept
+                plan_need = KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms
+            else:  # most pairs formed are dropped at once
+                held = int(entries[max(0, a - highest) : a].sum())
+                plan_need = KEPT_PAIR_BYTES * (before + kept) + ENTRY_BYTES * held + need
+            charges.append((plan_need, a, forms, before))
+            before += kept
+        plan_need, a, forms, before = max(charges, key=lambda c: c[0], default=(0, 0, 0, 0))
+        if plan_need >= need:
+            need, what = plan_need, f"a recurrence plan's level {a} ({forms} pairs formed, {before} kept)"
+    check_memory(need, what)
+    lowest = by_degree[0][0] if by_degree else n.cutoff + 1
+    # Each position's image in its representative component, on the levels
+    # that later levels read.
+    image = np.arange(len(bas))
+    rep, width = represents[coset], sizes[coset]  # per position
+    if tau is not None:
+        moved = np.flatnonzero(~rep[: start[max(0, n.cutoff - lowest + 1)]])
+        image[moved] = bas.rank(np.take_along_axis(exps[moved], tau[coset[moved]], axis=1))
+    order = np.argsort(coset, kind="stable")  # each degree's positions by (component, position)
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    # levels[s]: level s's entries, all of them, mirrors expanded, at positions
+    # local to the level, and the index in f of each one's canonical image.
+    levels = {0: (np.zeros(1, dtype=np.int64),) * 3}
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, plan = [], [], []
     at = 1  # f's index of the level's first entry
-    for a, (_, level_kept) in enumerate(schedule, 1):
+    for a, (forms, level_kept) in enumerate(schedule, 1):
         active = [terms for terms in by_degree if terms[0] <= a]
         counts = np.zeros(sum(len(c) for *_, c in active), dtype=np.int64)
         slot, src = np.empty(level_kept, dtype=np.int64), np.empty(level_kept, dtype=np.int64)
         sl = bas.degree_slice(a)
-        # Row p's targets are the positions of its component from p on.
-        level_rank = rank[sl]
-        count = width[sl] - level_rank
+        # Row p's targets are the positions of its component from p on; a
+        # level that no pair reaches has no entries.
+        level_rank, target = rank[sl], rep[sl]
+        every = (width[sl] - level_rank) * (forms > 0)
+        count = every * target
         rowstart = np.cumsum(count) - count
         base = rowstart - level_rank  # target (p, q) is number base[p] + rank[q]
         filled = t = 0
@@ -565,31 +758,48 @@ def compile_recurrence(n: HermitianSeries) -> RecurrencePlan:
             if not len(i):  # an empty level forms no pairs
                 continue
             shift = shift[:, bas.degree_slice(a - level_g)]
-            step = max(1, _BATCH_PAIRS // len(i))  # terms per batch
-            for lo in range(0, len(c), step):
-                b = slice(lo, lo + step)
-                p, q = shift[gamma_row[b]].take(i, axis=1), shift[delta_row[b]].take(j, axis=1)
-                keep = p <= q
+            # A batch is some terms over all entries, or one term over some.
+            step, chunk = max(1, _BATCH_PAIRS // len(i)), min(len(i), _BATCH_PAIRS)
+            for lo, e in ((lo, e) for lo in range(0, len(c), step) for e in range(0, len(i), chunk)):
+                b, ij = slice(lo, lo + step), slice(e, e + chunk)
+                p, q = shift[gamma_row[b]].take(i[ij], axis=1), shift[delta_row[b]].take(j[ij], axis=1)
+                keep = p <= q if tau is None else (p <= q) & target[p]
                 kept = np.flatnonzero(keep)  # row-major: term by term
                 end = filled + len(kept)
                 if end <= level_kept:  # else the count check below raises
                     slot[filled:end] = base[p.ravel()[kept]] + level_rank[q.ravel()[kept]]
-                    src[filled:end] = value_at[kept % len(value_at)]
-                group[b], filled = keep.sum(axis=1), end
+                    src[filled:end] = value_at[ij][kept % p.shape[1]]
+                group[b] += keep.sum(axis=1)
+                filled = end
         if filled != level_kept:
             raise RuntimeError(f"level {a} kept {filled} pairs, not the {level_kept} scheduled")
-        count *= filled > 0  # a level that no pair reaches has no entries
         size = int(count.sum())
         plan.append((coef[: len(counts)], g[: len(counts)], counts, src, slot, size))
-        p = np.repeat(np.arange(len(count)), count)
-        q = order[sl][np.repeat(inv[sl] - rowstart, count) + np.arange(size)]
+        levels.pop(a - highest, None)  # read by no later level
+
+        def pairs(count):  # the canonical pairs (p, q), local, that count gives per row
+            p = np.repeat(np.arange(len(count)), count)
+            row_start = sl.start + np.cumsum(count) - count
+            return p, (order[sl] - sl.start)[np.repeat(inv[sl] - row_start, count) + np.arange(len(p))]
+
+        p, q = pairs(count)
         rows.append(p + sl.start)
         cols.append(q + sl.start)
-        levels.append(_mirror(p, q, np.arange(at, at + size)))
+        if a + lowest <= n.cutoff and tau is None:  # a source of a later level
+            levels[a] = _mirror(p, q, np.arange(at, at + size))
+        elif a + lowest <= n.cutoff:  # all its entries, each read at its image
+            p, q = pairs(every)
+            i, j = image[p + sl.start] - sl.start, image[q + sl.start] - sl.start
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            levels[a] = _mirror(p, q, at + base[i] + level_rank[j])
         at += size
     rows = np.concatenate(rows) if rows else empty
     cols = np.concatenate(cols) if cols else empty
-    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan))
+    reps = np.flatnonzero(represents)[1:]  # [0] is the constant term's component
+    orbits = Orbits(
+        generators, order[rep[order]][1:], sizes[reps], np.bincount(lead, minlength=len(lead))[reps]
+    )
+    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan), orbits)
 
 
 def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> HermitianSeries:

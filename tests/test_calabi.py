@@ -8,6 +8,9 @@ oracle below builds that block with Fraction arithmetic, independently of
 the series code.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -18,7 +21,7 @@ import pytest
 import wallachkit as wk
 from wallachkit import calabi, cartan_hartogs as chm, multiindex, series as hs
 from wallachkit.calabi import GradingError, scan_lambdas
-from wallachkit.domains import norm_series, one_minus_norm
+from wallachkit.domains import norm_series, one_minus_norm, symmetries
 from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.series import from_terms, inverse_power
 
@@ -216,6 +219,47 @@ def test_plan_estimate_bounds_the_traced_peak_within_2x(monkeypatch, spec, cutof
     assert len(calls) == 1
     estimate = calls[0][0]
     assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("spec, cutoff", [("I:3,3", 9), ("IV:6", 8)])
+def test_reduced_plan_estimate_bounds_the_traced_peak_within_2x(monkeypatch, spec, cutoff):
+    # A single verdict's matrix: the compile under the domain's symmetries,
+    # which forms every pair but keeps those into representatives, and its replay.
+    dom = wk.parse_domain(spec)
+    norm_series(dom, cutoff)  # cached, so the peak is the recurrence's alone
+    calls = _plan_estimates(monkeypatch)
+    tracemalloc.start()
+    try:
+        wk.calabi_matrix(dom, 0.75, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1
+    estimate = calls[0][0]
+    assert peak <= estimate <= 2 * peak
+
+
+def test_top_gap_of_i66_is_refused_before_any_basis_sized_stage():
+    # basis(36, 6) holds 5.2 M positions.  Labelling their weight components,
+    # mapping them into their representatives and ranking alpha + gamma for
+    # N's gammas would take about 3.8 GB, so the guard refuses from the basis
+    # size before those stages or the norm's terms are computed.  A child
+    # process keeps the 1.5 GB basis out of the test session.
+    code = (
+        "import sys\n"
+        "from wallachkit import series as hs\n"
+        "from wallachkit.cli import main\n"
+        "def stage(*args):\n"
+        "    raise AssertionError('a stage ran before the charge')\n"
+        "hs._norm_terms = hs._weight_components = hs._orbits = stage\n"
+        "sys.exit(main(['calabi', 'I:6,6', '--lambda', '4.5', '--cutoff', '6']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "36 variables needs about 3.8 GB" in done.stderr
+    assert "AssertionError" not in done.stderr
 
 
 def test_scan_matches_single_verdicts():
@@ -478,11 +522,13 @@ def test_scan_plan_path_refuses_bad_tolerances_and_overflow():
 
 
 def test_scan_plan_is_charged_to_the_memory_guard(monkeypatch):
-    # III:3 at cutoff 7 forms 64 254 pairs at level 7 with 18 854 kept: about
-    # 2.6 MB at 36 bytes a pair formed and 16 a pair kept.
+    # Reduced to its orbit representatives, III:3 at cutoff 7 keeps 13 444
+    # pairs through level 7, and level 7 reads the 5 232 entries of levels
+    # 4-6: 714 688 bytes at 16 a pair kept and 64 an entry, with 164 736 for
+    # the tables of the basis's size.
     monkeypatch.setattr(calabi, "_SCAN_PLAN_CACHE", {})
-    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 2 * 10**6)
-    refusal = r"recurrence plan's level 7 \(64254 pairs formed, 18854 kept\)"
+    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 7 * 10**5)
+    refusal = r"recurrence plan's level 7 \(15166 pairs formed, 5042 kept\)"
     with pytest.raises(MemoryLimitError, match=refusal):
         scan_lambdas(wk.parse_domain("III:3"), [0.75], 7)
     assert not calabi._SCAN_PLAN_CACHE
@@ -586,9 +632,11 @@ def test_verdict_runs_one_eigvalsh_per_component_size(monkeypatch):
     assert wk.psd_verdict(member).psd
     assert [name for name, _ in calls] == ["eigvalsh"] * 14
     calls.clear()
-    wk.extract_immersion(member)  # reads every eigenvector, of every component
+    # Every eigenvector is read, of each representative, and stands for its orbit.
+    components = wk.extract_immersion(member)
     assert [name for name, _ in calls] == ["eigh"] * 14
-    assert sum(shape[0] for _, shape in calls) == 371
+    assert sum(shape[0] for _, shape in calls) == 80
+    assert len(components) == 1 + sum(bv.rank for bv in wk.psd_verdict(member).per_block)
 
 
 @pytest.mark.parametrize(
@@ -641,17 +689,28 @@ def test_values_only_and_eigenvector_passes_pick_the_same_witnesses():
 # --- orbits under the coordinate permutations ----------------------------------------
 
 
-def _assert_orbits_change_nothing(m):
-    """The verdict solving one component per orbit against the one solving
-    all; returns the numbers of components solved and of components."""
-    reduced, trivial = wk.psd_verdict(m), wk.psd_verdict(replace(m, symmetries=()))
+def _plan_matrix(dom, lam, cutoff, generators=()):
+    """calabi_matrix with the recurrence compiled under the given generators:
+    without any, the unreduced matrix of every component."""
+    plan = hs.compile_recurrence(norm_series(dom, cutoff), generators)
+    values = plan.values(lam)
+    return calabi.CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values,
+                               0.0, float(np.abs(values).max(initial=0.0)),
+                               plan.orbits.generators, plan.orbits)
+
+
+def _assert_orbits_change_nothing(m, full):
+    """The verdict on m, which solves one component per orbit, against the
+    one on full, which solves all; returns the numbers of components solved
+    and of components."""
+    reduced, trivial = wk.psd_verdict(m), wk.psd_verdict(full)
     assert reduced.psd == trivial.psd
-    degrees = basis(m.n_vars, m.cutoff).degrees[m.rows]
+    degrees = basis(full.n_vars, full.cutoff).degrees[full.rows]
     for r, t in zip(reduced.per_block, trivial.per_block, strict=True):
         fields = ("degree", "dim", "rank", "tol", "components", "largest_component")
         assert [getattr(r, f) for f in fields] == [getattr(t, f) for f in fields]
         assert t.solved_components == t.components >= r.solved_components >= 1
-        scale = float(np.abs(m.values[degrees == r.degree]).max(initial=0.0))
+        scale = float(np.abs(full.values[degrees == r.degree]).max(initial=0.0))
         assert abs(r.min_eigenvalue - t.min_eigenvalue) <= 1e-13 * max(scale, 1e-300)
     return sum(bv.solved_components for bv in reduced.per_block), sum(
         bv.components for bv in reduced.per_block
@@ -665,9 +724,11 @@ def _assert_orbits_change_nothing(m):
 )
 def test_orbit_verdicts_match_trivial_orbits(spec, cutoff):
     # lambda = k/8 from -0.5 to 4: 0, negative scales and the Wallach points.
+    # The reference compiles the recurrence without permutations.
     dom = wk.parse_domain(spec)
     for lam in [k / 8 for k in range(-4, 33)]:
-        solved, components = _assert_orbits_change_nothing(wk.calabi_matrix(dom, lam, cutoff))
+        m = wk.calabi_matrix(dom, lam, cutoff)
+        solved, components = _assert_orbits_change_nothing(m, _plan_matrix(dom, lam, cutoff))
         assert solved < components
 
 
@@ -681,8 +742,67 @@ def test_orbit_verdicts_match_trivial_orbits_on_hartogs_assemblies(spec, cs):
     for c in cs:
         m = chm.ch_block_assembly(ch, c, 5)
         assert m.symmetries and all(g[-1] == ch.base.d for g in m.symmetries)  # w stays put
-        solved, components = _assert_orbits_change_nothing(m)
+        solved, components = _assert_orbits_change_nothing(m, replace(m, symmetries=()))
         assert solved < components
+
+
+_REDUCTION_CASES = [("I:2,2", 6), ("I:2,3", 5), ("I:3,3", 5), ("III:2", 6), ("III:3", 6),
+                    ("IV:3", 6), ("IV:5", 5), ("IV:6", 6), ("CH:2", 8)]
+
+
+@pytest.mark.parametrize("spec, cutoff", _REDUCTION_CASES)
+def test_reduced_plan_equals_the_full_plan_on_its_representatives(spec, cutoff):
+    # The reduced replay at each representative entry is the full replay
+    # there, and the full replay is invariant under every generator, so each
+    # entry left out equals its canonical image in a representative.
+    dom = wk.parse_domain(spec)
+    n = norm_series(dom, cutoff)
+    full, reduced = hs.compile_recurrence(n), hs.compile_recurrence(n, symmetries(dom))
+    b = basis(dom.d, cutoff)
+    m = len(b)
+    keys = full.rows * m + full.cols
+    at = np.searchsorted(keys, reduced.rows * m + reduced.cols)
+    assert np.array_equal(keys[at], reduced.rows * m + reduced.cols)
+    images = []
+    for g in reduced.orbits.generators:
+        p, q = (b.rank(b.exponents[x][:, list(g)]) for x in (full.rows, full.cols))
+        images.append(np.searchsorted(keys, np.minimum(p, q) * m + np.maximum(p, q)))
+    degrees = b.degrees[full.rows]
+    for lam in [k / 8 for k in range(-4, 33)]:
+        values = full.values(lam)
+        scale = np.zeros(cutoff + 1)
+        np.maximum.at(scale, degrees, np.abs(values))
+        bound = 1e-13 * np.maximum(scale[degrees], 1e-300)
+        assert (np.abs(reduced.values(lam) - values[at]) <= bound[at]).all(), lam
+        for image in images:
+            assert (np.abs(values[image] - values) <= bound).all(), lam
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff, entries, pairs", [("III:3", 7, 1799, 13444), ("I:3,3", 6, 982, 6764)]
+)
+def test_reduced_plan_sizes_are_sums_over_representatives(spec, cutoff, entries, pairs):
+    # Per component of the full plan: its entries and the pairs it keeps into
+    # them.  Both are the same on every component of an orbit, so the reduced
+    # plan's counts, the sums over representatives, fix no choice of member.
+    dom = wk.parse_domain(spec)
+    n = norm_series(dom, cutoff)
+    full, reduced = hs.compile_recurrence(n), hs.compile_recurrence(n, symmetries(dom))
+    b = basis(dom.d, cutoff)
+    label = hs._labels(full.rows, full.cols, len(b))
+    maps = [label[b.rank(b.exponents[:, list(g)])] for g in reduced.orbits.generators]
+    orbit = hs._labels(np.tile(label, len(maps)), np.concatenate(maps), len(b))
+    target = np.concatenate([level[4] + at for level, at in zip(
+        full.levels, np.cumsum([0] + [level[5] for level in full.levels[:-1]]))])
+    per_entries = np.bincount(label[full.rows], minlength=len(b))
+    per_pairs = np.bincount(label[full.rows[target]], minlength=len(b))
+    for counts in (per_entries, per_pairs):
+        for o in np.unique(orbit[label[1:]]):
+            members = np.unique(label[1:][orbit[label[1:]] == o])
+            assert len(set(counts[members].tolist())) == 1, (spec, o)
+    reps = np.unique(label[reduced.rows])
+    assert len(reduced.rows) == per_entries[reps].sum() == entries
+    assert sum(len(level[3]) for level in reduced.levels) == per_pairs[reps].sum() == pairs
 
 
 def _block_record(bv):
@@ -692,14 +812,17 @@ def _block_record(bv):
 
 
 def test_a_permutation_that_does_not_fix_the_kernel_is_ignored():
-    # z11 <-> z12 on I:2,2 sends the 2-wide {z11 z22, z12 z21} to two components.
+    # z11 <-> z12 on I:2,2 does not fix N: it sends the 2-wide
+    # {z11 z22, z12 z21} to two components.  The compile drops it.
     swap = (1, 0, 2, 3)
     dom = wk.parse_domain("I:2,2")
+    fixing = symmetries(dom)
     for lam in (-0.25, 0.5, 1.0, 1.5):
-        m = wk.calabi_matrix(dom, lam, 5)
-        for gens, used in [((swap,), ()), (m.symmetries + (swap,), m.symmetries)]:
-            got = wk.psd_verdict(replace(m, symmetries=gens))
-            want = wk.psd_verdict(replace(m, symmetries=used))
+        for gens, used in [((swap,), ()), (fixing + (swap,), fixing)]:
+            m = _plan_matrix(dom, lam, 5, gens)
+            assert m.symmetries == used
+            got = wk.psd_verdict(m)
+            want = wk.psd_verdict(_plan_matrix(dom, lam, 5, used))
             assert got.psd == want.psd
             assert [_block_record(bv) for bv in got.per_block] == [
                 _block_record(bv) for bv in want.per_block

@@ -137,6 +137,19 @@ def test_gram_design_witness_round_trips(capsys, tmp_path):
     )
 
 
+def test_calabi_and_scan_json_say_what_was_solved(capsys):
+    # III:3 at cutoff 7: 7 548 entries, of which the 80 orbit representatives
+    # hold 1 799, summed from 13 444 pairs.  The text output is unchanged.
+    sizes = {"m": 1716, "entries": 7548, "entries_solved": 1799, "pairs_kept": 13444}
+    code, d, _ = run_json(capsys, "calabi", "III:3", "--lambda", "0.75", "--cutoff", "7")
+    assert code == 0 and d["sizes"] == sizes
+    code, d, _ = run_json(capsys, "scan", "III:3", "--lambda-from", "0.5", "--lambda-to", "1",
+                          "--step", "0.25", "--cutoff", "7")
+    assert code == 0 and d["sizes"] == sizes
+    code, out, _ = run(capsys, "calabi", "III:3", "--lambda", "0.75", "--cutoff", "7")
+    assert code == 0 and "1799" not in out and "sizes" not in out
+
+
 def test_replay_is_charged_to_the_memory_guard(capsys, tmp_path, monkeypatch):
     # 400 points on I:3,3 make 80 200 pairs of 9 coordinates at 160 bytes
     # each, about 0.115 GB: refused under a 0.1 GB limit before anything is
