@@ -26,8 +26,8 @@ compiles and replays the plan once and caches nothing; a grid
 (scan_lambdas) compiles it once per (domain, cutoff), with the spectral
 layout of its pattern, and replays it per lambda: the same numbers as the
 single verdicts, bit for bit.  graded_blocks of an arbitrary series keeps
-every entry, and a verdict labels the components of its pattern and groups
-them into orbits itself.
+every entry, labels the components of its pattern and groups them into
+orbits under the permutations it is given.
 
 One spectral pass solves one component per orbit, each size as one stacked
 eigenvalue problem for all degrees; each degree's verdict is read off its
@@ -99,13 +99,15 @@ def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> b
 class CalabiMatrix:
     """The graded coefficient matrix: its on-grade entries of positive degree
     as canonical COO (rows <= cols, at basis positions), sorted by (row, col);
-    the mirrors are implied.  graded_blocks keeps the series' nonzero
-    entries, and a verdict groups the components of their pattern into
-    orbits under the coordinate permutations in symmetries.  calabi_matrix
-    keeps only the entries of its recurrence's orbit representatives
-    (orbits), exact zeros included; the others are the images of these
-    under symmetries, the generators that fix N.  sizes is what its
-    recurrence plan holds (RecurrencePlan.sizes)."""
+    the mirrors are implied.  orbits groups the components of the pattern
+    into orbits under coordinate permutations that fix the kernel
+    (orbits.generators) and names a representative of each; a verdict reads
+    the representatives alone, as the entries of the other components are
+    images of theirs.  calabi_matrix keeps only the representatives'
+    entries, exact zeros included, and its orbits come from its recurrence;
+    graded_blocks keeps the series' nonzero entries and labels the components
+    of their pattern.  sizes is what the recurrence plan holds
+    (RecurrencePlan.sizes), empty for graded_blocks."""
 
     domain_spec: str
     lam: float | None
@@ -116,8 +118,7 @@ class CalabiMatrix:
     values: np.ndarray
     off_grade_max: float
     max_abs_coeff: float
-    symmetries: tuple[tuple[int, ...], ...] = ()  # domains.symmetries of the kernel's domain
-    orbits: hs.Orbits | None = None
+    orbits: hs.Orbits
     sizes: dict = field(default_factory=dict)
 
 
@@ -125,13 +126,16 @@ def graded_blocks(
     s: HermitianSeries,
     domain_spec: str = "",
     lam: float | None = None,
+    generators: Sequence = (),
 ) -> CalabiMatrix:
     """The coefficient matrix restricted to its graded blocks.
 
     Off-grade entries (unequal degrees on the two sides) are recorded in
     off_grade_max and dropped; they must sit at rounding level relative to
     the largest coefficient, otherwise the input does not describe a
-    circular-domain kernel and a GradingError is raised.
+    circular-domain kernel and a GradingError is raised.  The components of
+    the pattern are grouped into orbits under the coordinate permutations
+    in generators, which the caller vouches fix the kernel (_label_orbits).
     """
     if not normalization_check(s):
         raise ValueError("series has non-vanishing pure terms")
@@ -146,8 +150,9 @@ def graded_blocks(
         )
     keep = on_grade & (s.rows != 0)  # row 0 on grade is the constant term
     rows, cols, values = s.rows[keep], s.cols[keep], s.values[keep]
+    orbits = _label_orbits(s.n_vars, s.cutoff, rows, cols, generators)
     return CalabiMatrix(
-        domain_spec, lam, s.n_vars, s.cutoff, rows, cols, values, off_grade, max_abs
+        domain_spec, lam, s.n_vars, s.cutoff, rows, cols, values, off_grade, max_abs, orbits
     )
 
 
@@ -160,8 +165,7 @@ def calabi_matrix(dom: DomainModel, lam: float, cutoff: int) -> CalabiMatrix:
     plan = hs.compile_recurrence(norm_series(dom, cutoff), symmetries(dom))
     values = plan.values(lam)
     return CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values, 0.0,
-                        float(np.abs(values).max(initial=0.0)), plan.orbits.generators,
-                        plan.orbits, plan.sizes())
+                        float(np.abs(values).max(initial=0.0)), plan.orbits, plan.sizes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,15 +284,6 @@ def _spectral_layout(
     )
 
 
-def _layout(m: CalabiMatrix, generators: Sequence) -> SpectralLayout:
-    """The spectral layout of m: over its own orbits if it has them, else
-    over the components of its pattern grouped under generators."""
-    orbits = m.orbits
-    if orbits is None:
-        orbits = _label_orbits(m.n_vars, m.cutoff, m.rows, m.cols, generators)
-    return _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, orbits)
-
-
 def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of a stack of symmetric matrices by eigh,
     or with vectors False (eigenvalues, the stack itself) by eigvalsh."""
@@ -364,7 +359,8 @@ def psd_verdict(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
-    per_block, _ = _spectral_pass(_layout(m, m.symmetries), m.values, tol_abs, tol_rel)
+    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.orbits)
+    per_block, _ = _spectral_pass(layout, m.values, tol_abs, tol_rel)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
     return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
@@ -388,13 +384,11 @@ def extract_immersion(
     Each PSD block factors as B = L L^T through the eigen-decompositions of
     its components, taken per degree in decreasing eigenvalue order;
     eigenvalues at or below the block tolerance are clipped to zero, so the
-    component count per degree equals the block's reported rank.  A matrix
-    of orbit representatives (calabi_matrix) solves those, and each
-    eigenvector stands for one per component of its orbit, its exponents
-    permuted.
+    component count per degree equals the block's reported rank.  The
+    orbit representatives are solved, and each eigenvector stands for one
+    per component of its orbit, its exponents permuted.
     """
-    # Every component's eigenvectors are needed, so a pattern's orbits stay trivial.
-    layout = _layout(m, ())
+    layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.orbits)
     per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
@@ -406,7 +400,7 @@ def extract_immersion(
         degree = b.degrees[idx[:, 0]]
         keep = vals > tol[degree][:, None]
         for c in np.flatnonzero(keep.any(axis=1)):
-            orbit = _orbit_exponents(b, idx[c], m.symmetries, weight[c])
+            orbit = _orbit_exponents(b, idx[c], m.orbits.generators, weight[c])
             for e in np.flatnonzero(keep[c]):
                 kept.extend((int(degree[c]), -float(vals[c, e]), exps, vecs[c, :, e]) for exps in orbit)
     components = [ImmersionComponent(0, {(0,) * m.n_vars: 1.0})]

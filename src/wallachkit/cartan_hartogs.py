@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -201,7 +201,7 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     s = ch_assembled_series(ch, c, cutoff)
     # The base's coordinate permutations, with w fixed, fix the kernel too.
     gens = tuple(g + (ch.base.d,) for g in symmetries(ch.base))
-    return replace(graded_blocks(s, domain_spec=ch.spec_string, lam=c), symmetries=gens)
+    return graded_blocks(s, domain_spec=ch.spec_string, lam=c, generators=gens)
 
 
 def ch_truncated_verdict(

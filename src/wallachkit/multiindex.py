@@ -106,10 +106,10 @@ class Basis:
             raise ValueError(
                 f"{self!r}: positions of degree {top} in {n} variables do not fit in int64"
             )
-        table = _rank_table(n, top)
+        count = _rank_table(n, top).T  # count[m][t]: a gather per variable
         pos = np.zeros_like(tail)
         for k in range(n):
-            pos += table[tail, n - k]
+            pos += count[n - k][tail]
             for t in terms:
                 tail -= t[..., k]
         return pos

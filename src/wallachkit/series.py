@@ -67,6 +67,7 @@ both keep the zeros.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -499,7 +500,8 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
     The rows of diffs sum to 0, so each coset lies in one degree.
 
     Per position: its coset, numbered in order of least position, and its
-    rank there; per coset: its least position and its size.
+    rank there; per coset: its least position and its size; and the
+    positions ordered by (coset, position).
     """
     # Reduced by an echelon basis, with 0 <= rep[c] < row[c] at each row's
     # pivot c, two exponent vectors are equal exactly when their cosets are.
@@ -526,7 +528,7 @@ def _weight_components(bas: Basis, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
     order = np.argsort(coset, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
-    return coset, rank, first[by_first], size
+    return coset, rank, first[by_first], size, order
 
 
 def _labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -607,27 +609,31 @@ def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> 
     """
     cutoff, degrees, exps = bas.max_degree, bas.degrees, bas.exponents
     level = degrees[first]  # components are numbered by least position, so by degree
+    begin = np.searchsorted(degrees, np.arange(cutoff + 2))
+    if rep.all():  # every target is kept: a source level counts whole, per term (g, |u|)
+        whole = np.bincount(level, size * size, cutoff + 1).astype(np.int64).tolist()
+        count = np.diff(begin).tolist()  # positions per degree
+        up = np.maximum(-diffs, 0).sum(axis=1).tolist()
+        terms = Counter(zip([g for g, *_, c in by_degree for _ in range(len(c))], up))
+        made, schedule = [1], []  # the entries of each level so far
+        for a in range(1, cutoff + 1):
+            active = [(k, made[a - t], a - t - u) for (t, u), k in terms.items() if t <= a]
+            forms = sum(k * e for k, e, _ in active)
+            kept = sum(k * (e + (count[s] if e and s >= 0 else 0)) for k, e, s in active)
+            schedule.append((forms, kept // 2))
+            made.append(whole[a] if forms else 0)
+        return schedule
     reached = np.zeros(cutoff + 1, dtype=bool)
     reached[0] = True
     for a in range(1, cutoff + 1):
         reached[a] = any(reached[a - g] for g, *_ in by_degree if g <= a)
     entries = np.where(reached[level], size * size, 0)
-    whole = np.bincount(level, entries, cutoff + 1).astype(np.int64)  # per level
-    begin = np.searchsorted(degrees, np.arange(cutoff + 2))
     forms, kept = np.zeros(cutoff + 1, dtype=np.int64), np.zeros(cutoff + 1, dtype=np.int64)
     done = 0
     for (g, _, gamma_row, _, c), shift in zip(by_degree, shifts):
+        u, done = np.maximum(-diffs[done : done + len(c)], 0), done + len(c)
         sources = np.searchsorted(level, cutoff - g, side="right")  # components of degree <= cutoff - g
         heads, at = first[:sources], level[:sources] + g
-        u, done = np.maximum(-diffs[done : done + len(c)], 0), done + len(c)
-        if rep.all():  # every target is kept: each source level counts whole
-            s = np.arange(cutoff + 1 - g)
-            times = np.bincount(u.sum(axis=1))  # terms per |u|
-            below = s[:, None] - np.arange(len(times))  # alphas >= u: the positions of degree s - |u|
-            diagonal = np.where(below >= 0, np.diff(begin)[np.maximum(below, 0)], 0) @ times
-            forms[g:] += len(c) * whole[s]
-            kept[g:] += len(c) * whole[s] + reached[s] * diagonal
-            continue
         target = coset[shift[:, heads] + begin[at]]  # the component of S + gamma
         # [term, S]: the size of the component X with X + u in S, from
         # first(X) + u for the components X of degree <= cutoff - g; all of S
@@ -685,14 +691,15 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
     # The tables of the basis's size: the labels, each position's image in
     # its representative, and per degree g of N's terms the rank table of
     # alpha + gamma over its distinct gammas and the alphas of degree <= cutoff - g.
-    gammas = np.bincount(degrees[np.unique(np.r_[n.rows[1:], n.cols[1:]])], minlength=n.cutoff + 1)
-    tables = 8 * int(gammas @ start[n.cutoff + 1 :: -1][: n.cutoff + 1])
+    gammas = np.unique(np.concatenate((n.rows[1:], n.cols[1:])))
+    per_degree = np.bincount(degrees[gammas], minlength=n.cutoff + 1)
+    tables = 8 * int(per_degree @ start[n.cutoff + 1 :: -1][: n.cutoff + 1])
     need = LABEL_BYTES_PER_COORD * n.n_vars * len(bas) + tables
     what = f"the component and rank tables of {len(bas)} positions in {n.n_vars} variables"
     if need <= multiindex.MEMORY_LIMIT_BYTES:
         # -c, g and gamma - delta of every term; the terms of degree <= a are a prefix.
         by_degree, coef, g, diffs = _norm_terms(n)
-        coset, rank, first, sizes = _weight_components(bas, diffs)
+        coset, rank, first, sizes, order = _weight_components(bas, diffs)
         generators, lead, tau = _orbits(n, coset, first, generators)
         represents = lead == np.arange(len(first))
         # Per degree g of N's terms: [row of gamma, position of alpha] -> position
@@ -723,16 +730,18 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
             need, what = plan_need, f"a recurrence plan's level {a} ({forms} pairs formed, {before} kept)"
     check_memory(need, what)
     lowest = by_degree[0][0] if by_degree else n.cutoff + 1
-    # Each position's image in its representative component, on the levels
-    # that later levels read.
-    image = np.arange(len(bas))
     rep, width = represents[coset], sizes[coset]  # per position
+    positions = order[rep[order]][1:]  # the representatives', less the constant term
+    # Per position, counted from its level's first: its image in its
+    # representative component (on the levels that later levels read), the
+    # positions in order of (component, position), and each one's index there.
+    image = np.arange(len(bas))
     if tau is not None:
         moved = np.flatnonzero(~rep[: start[max(0, n.cutoff - lowest + 1)]])
         image[moved] = bas.rank(np.take_along_axis(exps[moved], tau[coset[moved]], axis=1))
-    order = np.argsort(coset, kind="stable")  # each degree's positions by (component, position)
     inv = np.empty_like(order)
     inv[order] = np.arange(len(order))
+    image, order, inv = (x - start[degrees] for x in (image, order, inv))
     # levels[s]: level s's entries, all of them, mirrors expanded, at positions
     # local to the level, and the index in f of each one's canonical image.
     levels = {0: (np.zeros(1, dtype=np.int64),) * 3}
@@ -744,8 +753,8 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
         counts = np.zeros(sum(len(c) for *_, c in active), dtype=np.int64)
         slot, src = np.empty(level_kept, dtype=np.int64), np.empty(level_kept, dtype=np.int64)
         sl = bas.degree_slice(a)
-        # Row p's targets are the positions of its component from p on; a
-        # level that no pair reaches has no entries.
+        # Row p's targets are the positions of its component from p on, kept
+        # in a representative; a level that no pair reaches has no entries.
         level_rank, target = rank[sl], rep[sl]
         every = (width[sl] - level_rank) * (forms > 0)
         count = every * target
@@ -759,46 +768,46 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
                 continue
             shift = shift[:, bas.degree_slice(a - level_g)]
             # A batch is some terms over all entries, or one term over some.
-            step, chunk = max(1, _BATCH_PAIRS // len(i)), min(len(i), _BATCH_PAIRS)
-            for lo, e in ((lo, e) for lo in range(0, len(c), step) for e in range(0, len(i), chunk)):
-                b, ij = slice(lo, lo + step), slice(e, e + chunk)
-                p, q = shift[gamma_row[b]].take(i[ij], axis=1), shift[delta_row[b]].take(j[ij], axis=1)
-                keep = p <= q if tau is None else (p <= q) & target[p]
-                kept = np.flatnonzero(keep)  # row-major: term by term
-                end = filled + len(kept)
-                if end <= level_kept:  # else the count check below raises
-                    slot[filled:end] = base[p.ravel()[kept]] + level_rank[q.ravel()[kept]]
-                    src[filled:end] = value_at[ij][kept % p.shape[1]]
-                group[b] += keep.sum(axis=1)
-                filled = end
+            step = max(1, _BATCH_PAIRS // len(i))
+            for lo in range(0, len(c), step):
+                b = slice(lo, lo + step)
+                for e in range(0, len(i), _BATCH_PAIRS):
+                    ij = slice(e, e + _BATCH_PAIRS)
+                    p, q = shift[gamma_row[b]].take(i[ij], axis=1), shift[delta_row[b]].take(j[ij], axis=1)
+                    keep = (p <= q) & target[p]
+                    kept = np.flatnonzero(keep)  # row-major: term by term
+                    end = filled + len(kept)
+                    if end <= level_kept:  # else the count check below raises
+                        slot[filled:end] = base[p.ravel()[kept]] + level_rank[q.ravel()[kept]]
+                        src[filled:end] = value_at[ij][kept % p.shape[1]]
+                    group[b] += keep.sum(axis=1)
+                    filled = end
         if filled != level_kept:
             raise RuntimeError(f"level {a} kept {filled} pairs, not the {level_kept} scheduled")
         size = int(count.sum())
         plan.append((coef[: len(counts)], g[: len(counts)], counts, src, slot, size))
         levels.pop(a - highest, None)  # read by no later level
-
-        def pairs(count):  # the canonical pairs (p, q), local, that count gives per row
-            p = np.repeat(np.arange(len(count)), count)
-            row_start = sl.start + np.cumsum(count) - count
-            return p, (order[sl] - sl.start)[np.repeat(inv[sl] - row_start, count) + np.arange(len(p))]
-
-        p, q = pairs(count)
-        rows.append(p + sl.start)
-        cols.append(q + sl.start)
-        if a + lowest <= n.cutoff and tau is None:  # a source of a later level
-            levels[a] = _mirror(p, q, np.arange(at, at + size))
-        elif a + lowest <= n.cutoff:  # all its entries, each read at its image
-            p, q = pairs(every)
-            i, j = image[p + sl.start] - sl.start, image[q + sl.start] - sl.start
-            i, j = np.minimum(i, j), np.maximum(i, j)
-            levels[a] = _mirror(p, q, at + base[i] + level_rank[j])
+        # The canonical pairs (p, q) of the level's components, local: the
+        # representatives' are its entries, and a level that later levels
+        # read takes every pair, each read at its canonical image.  Row p's
+        # qs follow p in order.
+        source = a + lowest <= n.cutoff
+        per_row = every if source else count
+        p = np.repeat(np.arange(len(per_row)), per_row)
+        skip = inv[sl] - (np.cumsum(per_row) - per_row)  # p's index in order, less its row's start
+        q = order[sl][np.repeat(skip, per_row) + np.arange(len(p))]
+        own = target[p]
+        rows.append(p[own] + sl.start)
+        cols.append(q[own] + sl.start)
+        if source:
+            local = image[sl]
+            i, j = local[p], local[q]
+            levels[a] = _mirror(p, q, at + base[np.minimum(i, j)] + level_rank[np.maximum(i, j)])
         at += size
     rows = np.concatenate(rows) if rows else empty
     cols = np.concatenate(cols) if cols else empty
     reps = np.flatnonzero(represents)[1:]  # [0] is the constant term's component
-    orbits = Orbits(
-        generators, order[rep[order]][1:], sizes[reps], np.bincount(lead, minlength=len(lead))[reps]
-    )
+    orbits = Orbits(generators, positions, sizes[reps], np.bincount(lead, minlength=len(lead))[reps])
     return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan), orbits)
 
 

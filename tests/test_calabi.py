@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -695,8 +694,7 @@ def _plan_matrix(dom, lam, cutoff, generators=()):
     plan = hs.compile_recurrence(norm_series(dom, cutoff), generators)
     values = plan.values(lam)
     return calabi.CalabiMatrix(dom.spec_string, lam, dom.d, cutoff, plan.rows, plan.cols, values,
-                               0.0, float(np.abs(values).max(initial=0.0)),
-                               plan.orbits.generators, plan.orbits)
+                               0.0, float(np.abs(values).max(initial=0.0)), plan.orbits)
 
 
 def _assert_orbits_change_nothing(m, full):
@@ -741,9 +739,23 @@ def test_orbit_verdicts_match_trivial_orbits_on_hartogs_assemblies(spec, cs):
     ch = chm.parse_ch_spec(spec)
     for c in cs:
         m = chm.ch_block_assembly(ch, c, 5)
-        assert m.symmetries and all(g[-1] == ch.base.d for g in m.symmetries)  # w stays put
-        solved, components = _assert_orbits_change_nothing(m, replace(m, symmetries=()))
+        gens = m.orbits.generators
+        assert gens and all(g[-1] == ch.base.d for g in gens)  # w stays put
+        full = wk.graded_blocks(chm.ch_assembled_series(ch, c, 5))  # every component solved
+        solved, components = _assert_orbits_change_nothing(m, full)
         assert solved < components
+
+
+def test_immersion_of_a_hartogs_assembly_expands_its_orbits():
+    # The assembly's matrix carries the base's permutations: the immersion
+    # solves the representatives and writes each eigenvector out once per
+    # component of its orbit, as many per degree as solving every component.
+    ch = chm.parse_ch_spec("CHD(I:2,2;mu=einstein)")
+    s = chm.ch_assembled_series(ch, 1.25, 5)
+    comps = wk.extract_immersion(chm.ch_block_assembly(ch, 1.25, 5))
+    full = wk.extract_immersion(wk.graded_blocks(s))
+    assert sorted(c.degree for c in comps) == sorted(c.degree for c in full)
+    assert wk.immersion_reconstruction_error(comps, s) <= 1e-10
 
 
 _REDUCTION_CASES = [("I:2,2", 6), ("I:2,3", 5), ("I:3,3", 5), ("III:2", 6), ("III:3", 6),
@@ -820,9 +832,29 @@ def test_a_permutation_that_does_not_fix_the_kernel_is_ignored():
     for lam in (-0.25, 0.5, 1.0, 1.5):
         for gens, used in [((swap,), ()), (fixing + (swap,), fixing)]:
             m = _plan_matrix(dom, lam, 5, gens)
-            assert m.symmetries == used
+            assert m.orbits.generators == used
             got = wk.psd_verdict(m)
             want = wk.psd_verdict(_plan_matrix(dom, lam, 5, used))
+            assert got.psd == want.psd
+            assert [_block_record(bv) for bv in got.per_block] == [
+                _block_record(bv) for bv in want.per_block
+            ]
+
+
+def test_graded_blocks_ignore_a_permutation_that_splits_a_component():
+    # graded_blocks of a series groups the components of its pattern itself:
+    # the swap z11 <-> z12 on I:2,2 maps the component {z11 z22, z12 z21}
+    # into two, so the labelling drops it, and the verdict is the one
+    # without it.
+    swap = (1, 0, 2, 3)
+    dom = wk.parse_domain("I:2,2")
+    fixing = symmetries(dom)
+    for lam in (-0.25, 0.5, 1.0, 1.5):
+        s = wk.bergman_diastasis_series(dom, lam, 5)
+        for gens, used in [((swap,), ()), (fixing + (swap,), fixing)]:
+            m = wk.graded_blocks(s, generators=gens)
+            assert m.orbits.generators == used
+            got, want = wk.psd_verdict(m), wk.psd_verdict(wk.graded_blocks(s, generators=used))
             assert got.psd == want.psd
             assert [_block_record(bv) for bv in got.per_block] == [
                 _block_record(bv) for bv in want.per_block
