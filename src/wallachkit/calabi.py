@@ -26,8 +26,7 @@ compiles and replays the plan once and caches nothing; a grid
 (scan_lambdas) compiles it once per (domain, cutoff), with the spectral
 layout of its pattern, and replays it per lambda: the same numbers as the
 single verdicts, bit for bit.  graded_blocks of an arbitrary series keeps
-every entry, labels the components of its pattern and groups them into
-orbits under the permutations it is given.
+every entry and labels the components of its pattern, each its own orbit.
 
 One spectral pass solves one component per orbit, each size as one stacked
 eigenvalue problem for all degrees; each degree's verdict is read off its
@@ -103,11 +102,12 @@ class CalabiMatrix:
     into orbits under coordinate permutations that fix the kernel
     (orbits.generators) and names a representative of each; a verdict reads
     the representatives alone, as the entries of the other components are
-    images of theirs.  calabi_matrix keeps only the representatives'
-    entries, exact zeros included, and its orbits come from its recurrence;
-    graded_blocks keeps the series' nonzero entries and labels the components
-    of their pattern.  sizes is what the recurrence plan holds
-    (RecurrencePlan.sizes), empty for graded_blocks."""
+    images of theirs.  calabi_matrix and the Cartan-Hartogs assembly keep
+    only the representatives' entries, exact zeros included, and their
+    orbits come from the recurrence; graded_blocks keeps the series' nonzero
+    entries and makes each component of their pattern its own orbit.  sizes
+    is what the recurrence plan holds (RecurrencePlan.sizes), empty for the
+    other two."""
 
     domain_spec: str
     lam: float | None
@@ -123,19 +123,15 @@ class CalabiMatrix:
 
 
 def graded_blocks(
-    s: HermitianSeries,
-    domain_spec: str = "",
-    lam: float | None = None,
-    generators: Sequence = (),
+    s: HermitianSeries, domain_spec: str = "", lam: float | None = None
 ) -> CalabiMatrix:
     """The coefficient matrix restricted to its graded blocks.
 
     Off-grade entries (unequal degrees on the two sides) are recorded in
     off_grade_max and dropped; they must sit at rounding level relative to
     the largest coefficient, otherwise the input does not describe a
-    circular-domain kernel and a GradingError is raised.  The components of
-    the pattern are grouped into orbits under the coordinate permutations
-    in generators, which the caller vouches fix the kernel (_label_orbits).
+    circular-domain kernel and a GradingError is raised.  Each component of
+    the pattern is its own orbit (_label_orbits).
     """
     if not normalization_check(s):
         raise ValueError("series has non-vanishing pure terms")
@@ -150,7 +146,7 @@ def graded_blocks(
         )
     keep = on_grade & (s.rows != 0)  # row 0 on grade is the constant term
     rows, cols, values = s.rows[keep], s.cols[keep], s.values[keep]
-    orbits = _label_orbits(s.n_vars, s.cutoff, rows, cols, generators)
+    orbits = _label_orbits(s.n_vars, s.cutoff, rows, cols)
     return CalabiMatrix(
         domain_spec, lam, s.n_vars, s.cutoff, rows, cols, values, off_grade, max_abs, orbits
     )
@@ -221,30 +217,14 @@ class SpectralLayout:
     solved: np.ndarray
 
 
-def _label_orbits(
-    n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray, generators: Sequence = ()
-) -> hs.Orbits:
+def _label_orbits(n_vars: int, cutoff: int, rows: np.ndarray, cols: np.ndarray) -> hs.Orbits:
     """The connected components of the pattern rows, cols of a CalabiMatrix
-    (every position of positive degree is in one) grouped into orbits under
-    the coordinate permutations in generators.  One that does not map every
-    component onto a component is ignored."""
-    b = basis(n_vars, cutoff)
-    n = len(b)
-    label = _labels(rows, cols, n)
-    maps = [b.rank(b.exponents[:, list(g)]) for g in generators]
-    # m permutes the positions, so one that maps each component into one maps it onto one.
-    used = [(g, m) for g, m in zip(generators, maps) if np.array_equal(label[m], label[m][label])]
-    # Per component label, the least label its images reach: its orbit's.
-    image = np.concatenate([label, *(label[m] for _, m in used)])
-    orbit = _labels(np.resize(label, image.size), image, n)
-    keep = orbit[label] == label
-    keep[0] = False  # the constant term
-    positions = np.flatnonzero(keep)
-    positions = positions[np.argsort(label[positions], kind="stable")]
-    _, starts, sizes = np.unique(label[positions], return_index=True, return_counts=True)
-    # An orbit's positions fill orbit-size components of the representative's size.
-    counts = np.bincount(orbit[label[1:]], minlength=n)[positions[starts]] // sizes
-    return hs.Orbits(tuple(g for g, _ in used), positions, sizes, counts)
+    (every position of positive degree is in one), each its own orbit."""
+    label = _labels(rows, cols, len(basis(n_vars, cutoff)))
+    # Grouped by label, the least position of a component, and ascending in each.
+    positions = np.argsort(label[1:], kind="stable") + 1  # without the constant term
+    sizes = np.unique(label[positions], return_counts=True)[1]
+    return hs.Orbits((), positions, sizes, np.ones(len(sizes), dtype=np.int64))
 
 
 def _spectral_layout(

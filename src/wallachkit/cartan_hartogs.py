@@ -6,16 +6,17 @@ D(z, w) = -log(N(z, z)^mu - |w|^2).  Coordinates are (z_1, ..., z_d, w).
 
 Two independent expansions of e^{cD} - 1 = (N^mu - |w|^2)^{-c} - 1 are
 provided, both by the recurrence of series.inverse_norm_power: a direct
-(d+1)-variable computation, N^mu - 1 as the recurrence at -mu and then that
-of N^mu - |w|^2 (constant term 1, bidegrees (g, g) only) at c, and a block
-assembly that never expands in w, using
+(d+1)-variable series, N^mu - 1 as the recurrence at -mu and then that of
+N^mu - |w|^2 (constant term 1, bidegrees (g, g) only) at c, and a block
+assembly, the graded Calabi matrix that never expands in w, using
 
     (N^mu - |w|^2)^{-c} = sum_m C(c+m-1, m) |w|^{2m} N^{-mu(c+m)}
 
 so each w-degree m contributes the base-domain expansion at Wallach
 parameter mu(c+m) scaled by the binomial prefactor: one recurrence plan on
-N, compiled once and replayed at every mu(c+m).  Their agreement is a
-cross-check of the whole series stack.
+N, compiled once under the base's permutations and replayed at every
+mu(c+m), whose orbits are the matrix's.  Their agreement at the assembly's
+entries is a cross-check of the whole series stack.
 
 The closed-form inducibility verdict reduces to base-domain Wallach
 membership of mu(c+m) for every integer m >= 0, which stabilizes once
@@ -41,7 +42,6 @@ from .calabi import (
     DEFAULT_TOL_REL,
     CalabiMatrix,
     Verdict,
-    graded_blocks,
     psd_verdict,
 )
 from .domains import (
@@ -162,46 +162,45 @@ def ch_direct_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
     return hs.inverse_norm_power(hs.add(hs.embed(nmu_minus_1, ch.n_vars), one_minus_w2), c)
 
 
-def ch_assembled_series(ch: CHDomain, c: float, cutoff: int) -> HermitianSeries:
-    """Same series via the per-w-degree assembly (no expansion in w).
-
-    One recurrence plan on N at the cutoff serves every m: level a reads only
-    N's terms of degree <= a, and basis(d, k) is a prefix of basis(d, cutoff),
-    so the plan's levels up to cutoff - m are the expansion at that cutoff.
-    """
+def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
+    """Graded Calabi matrix of e^{cD} - 1, one w-degree m at a time, from one
+    recurrence plan on N compiled under the base's permutations: per m, the
+    plan's entries at levels <= cutoff - m replayed at mu(c + m) and scaled
+    by C(c+m-1, m), at those monomials times w^m, and for m >= 1 the 1x1
+    entry w^m.  Level a reads only N's terms of degree <= a, and basis(d, k)
+    is a prefix of basis(d, cutoff), so the plan's levels up to cutoff - m
+    are the expansion at that cutoff.  The permutations, with w fixed, fix
+    the kernel: each base orbit of degree <= cutoff - m, times w^m, is one."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
         raise ValueError("c must be positive")
     full = basis(ch.n_vars, cutoff)
-    plan = hs.compile_recurrence(norm_series(ch.base, cutoff))
-    rows, cols, vals = [], [], []
+    plan = hs.compile_recurrence(norm_series(ch.base, cutoff), symmetries(ch.base))
+    o = plan.orbits
+    # The constant term, value 1 and a 1x1 orbit at position 0, becomes w^m for m >= 1.
+    rows, cols = np.r_[0, plan.rows], np.r_[0, plan.cols]
+    positions, sizes, counts = np.r_[0, o.positions], np.r_[1, o.sizes], np.r_[1, o.counts]
+    lead = positions[np.cumsum(sizes) - sizes]
+    parts = []
     for m in range(cutoff + 1):
-        prefactor = hs.generalized_binomial(c, m)
         # Positions of the base monomials times w^m; position 0 is w^m itself.
         exps = basis(ch.base.d, cutoff - m).exponents
         pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))
-        if m >= 1:
-            rows.append(pos[:1])
-            cols.append(pos[:1])
-            vals.append([prefactor])
-        if cutoff - m >= 1:
-            # from_entries drops the exact zeros, as inverse_norm_power does.
-            stop = np.searchsorted(plan.rows, len(exps))
-            rows.append(pos[plan.rows[:stop]])
-            cols.append(pos[plan.cols[:stop]])
-            vals.append(prefactor * plan.values(ch.mu * (c + m))[:stop])
-    return hs.from_entries(
-        ch.n_vars, cutoff, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-
-
-def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
-    """Graded Calabi matrix of e^{cD} - 1 from the assembled series."""
-    s = ch_assembled_series(ch, c, cutoff)
-    # The base's coordinate permutations, with w fixed, fix the kernel too.
-    gens = tuple(g + (ch.base.d,) for g in symmetries(ch.base))
-    return graded_blocks(s, domain_spec=ch.spec_string, lam=c, generators=gens)
+        # Entries and orbits are in graded order, so those of degree <= cutoff - m lead.
+        e, p, k = (np.count_nonzero(x < len(exps)) for x in (rows, positions, lead))
+        values = hs.generalized_binomial(c, m) * np.r_[1.0, plan.values(ch.mu * (c + m))]
+        i = int(m == 0)  # N^(-lambda) - 1 has no constant term
+        parts.append((pos[rows[i:e]], pos[cols[i:e]], values[i:e], pos[positions[i:p]],
+                      sizes[i:k], counts[i:k]))
+    rows, cols, values, positions, sizes, counts = map(np.concatenate, zip(*parts))
+    order, lead = np.lexsort((cols, rows)), positions[np.cumsum(sizes) - sizes]
+    # The representatives in order of least position, each still ascending.
+    orbits = hs.Orbits(tuple(g + (ch.base.d,) for g in o.generators),
+                       positions[np.lexsort((positions, np.repeat(lead, sizes)))],
+                       sizes[np.argsort(lead)], counts[np.argsort(lead)])
+    return CalabiMatrix(ch.spec_string, c, ch.n_vars, cutoff, rows[order], cols[order],
+                        values[order], 0.0, float(np.abs(values).max(initial=0.0)), orbits)
 
 
 def ch_truncated_verdict(

@@ -30,7 +30,7 @@ from .cartan_hartogs import (
     thm1_threshold,
 )
 from .domains import DomainModel, parse_domain, wallach_contains, wallach_set
-from .multiindex import MemoryLimitError
+from .multiindex import MemoryLimitError, basis
 from .reports import RunReport, format_float, report_to_dict, scan_csv, to_json
 
 REPLAY_TOL = 1e-12
@@ -339,6 +339,17 @@ def _cmd_ch_check(args):
             f"  truncated verdict (cutoff {args.cutoff}): "
             f"{'PSD' if verdict.psd else 'not PSD'}; agreement: {agreement}"
         )
+        # The lowest refuted degree's witness lies in one w-degree m, whose
+        # blocks are the base's at lambda_m = mu (c + m).
+        bv = next((bv for bv in verdict.per_block if bv.witness is not None), None)
+        if bv is not None:
+            b = basis(ch.n_vars, args.cutoff)
+            at = b.degree_slice(bv.degree).start + int(np.argmax(np.abs(bv.witness)))
+            m = int(b.exponents[at, -1])
+            fail = {"degree": bv.degree, "m": m, "lambda": ch.mu * (args.c + m)}
+            verdicts["truncated_first_failure"] = fail
+            lines.append(f"  first refuted degree {bv.degree}: w-degree m={m}, "
+                         f"lambda_m={fail['lambda']:g}")
     report = RunReport(
         command="ch-check",
         domain=ch.spec_string,
@@ -453,9 +464,8 @@ def _cmd_scan(args):
 def _cmd_immersion(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
+    components = calabi.extract_immersion(calabi.calabi_matrix(dom, lam, args.cutoff))
     series = calabi.bergman_diastasis_series(dom, lam, args.cutoff)
-    matrix = calabi.graded_blocks(series, domain_spec=dom.spec_string, lam=lam)
-    components = calabi.extract_immersion(matrix)
     recon = calabi.immersion_reconstruction_error(components, series)
     comp_dicts = [
         {

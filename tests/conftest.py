@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+import wallachkit as wk
 from wallachkit.domains import spectral_radius
-from wallachkit.series import _BATCH_PAIRS, RecurrencePlan, _mirror, _norm_terms
+from wallachkit.multiindex import basis
+from wallachkit.series import (
+    _BATCH_PAIRS,
+    RecurrencePlan,
+    _mirror,
+    _norm_terms,
+    from_entries,
+    generalized_binomial,
+)
 
 
 def _dense_blocks(s):
@@ -27,6 +36,47 @@ def _dense_blocks(s):
 @pytest.fixture
 def dense_blocks():
     return _dense_blocks
+
+
+def _assembled_reference(ch, c, cutoff):
+    """sum_m C(c+m-1, m) |w|^{2m} N^{-mu(c+m)}, one recurrence per w-degree m
+    at cutoff - m: the reference the Cartan-Hartogs block assembly, which
+    replays one plan at the cutoff, is checked against."""
+    full = basis(ch.n_vars, cutoff)
+    rows, cols, vals = [], [], []
+    for m in range(cutoff + 1):
+        prefactor = generalized_binomial(c, m)
+        exps = basis(ch.base.d, cutoff - m).exponents
+        pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))  # pos[0]: w^m
+        if m >= 1:
+            rows.append(pos[:1])
+            cols.append(pos[:1])
+            vals.append([prefactor])
+        if cutoff - m >= 1:
+            s = wk.bergman_diastasis_series(ch.base, ch.mu * (c + m), cutoff - m)
+            rows.append(pos[s.rows])
+            cols.append(pos[s.cols])
+            vals.append(prefactor * s.values)
+    return from_entries(ch.n_vars, cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
+
+
+@pytest.fixture
+def assembled_reference():
+    return _assembled_reference
+
+
+def _series_at(s, rows, cols):
+    """The coefficients of the series s at the canonical entries rows, cols,
+    0.0 where s has none."""
+    m = len(s.basis)
+    keys, wanted = s.rows * m + s.cols, np.asarray(rows) * m + np.asarray(cols)
+    at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    return np.where(keys[at] == wanted, s.values[at], 0.0)
+
+
+@pytest.fixture
+def series_at():
+    return _series_at
 
 
 def _pointwise_sample_points(dom, count, rng, radius_cap=0.7):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import wallachkit as wk
-from wallachkit.cartan_hartogs import ch_assembled_series
 
 
 def _announce(n: int, label: str, started: float, budget_s: float) -> None:
@@ -96,9 +95,10 @@ def test_criterion_3_gram_witness_gap():
     _announce(3, "Gram witness gap", started, 120.0)
 
 
-def test_criterion_4_cross_path_equality(dense_blocks):
+def test_criterion_4_cross_path_equality(dense_blocks, assembled_reference, series_at):
     # expanding the extension potential directly must match assembling it
-    # from base-domain blocks, entry for entry
+    # from base-domain blocks, entry for entry: at the block assembly's
+    # entries, and densely against one base series per w-degree
     started = time.monotonic()
     for base_spec in ("CH:1", "I:2,2"):
         base = wk.parse_domain(base_spec)
@@ -107,10 +107,13 @@ def test_criterion_4_cross_path_equality(dense_blocks):
             ch = wk.CHDomain(base, mu)
             for c in (0.5, 1.0, 1.25, 2.0):
                 direct = wk.ch_direct_series(ch, c, 3)
-                assembled = ch_assembled_series(ch, c, 3)
+                assembled = wk.ch_block_assembly(ch, c, 3)
+                reference = assembled_reference(ch, c, 3)
                 wk.graded_blocks(direct)  # the direct path is graded too
-                scale = max(assembled.max_abs(), 1.0)
-                y_blocks = dense_blocks(assembled)
+                scale = max(reference.max_abs(), 1.0)
+                at = series_at(direct, assembled.rows, assembled.cols)
+                assert np.abs(at - assembled.values).max() <= 1e-10 * scale, (base_spec, mu, c)
+                y_blocks = dense_blocks(reference)
                 for degree, x in dense_blocks(direct).items():
                     diff = float(np.max(np.abs(x - y_blocks[degree])))
                     assert diff <= 1e-10 * scale, (base_spec, mu, c, degree)

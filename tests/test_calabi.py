@@ -735,23 +735,55 @@ def test_orbit_verdicts_match_trivial_orbits(spec, cutoff):
     [("CHD(I:2,2;mu=einstein)", (0.5, 1.0, 1.25)), ("CHD(III:2;mu=einstein)", (0.25, 1.0, 2.0)),
      ("CHD(IV:3;mu=1)", (0.2, 0.5, 1.5))],
 )
-def test_orbit_verdicts_match_trivial_orbits_on_hartogs_assemblies(spec, cs):
+def test_orbit_verdicts_match_trivial_orbits_on_hartogs_assemblies(spec, cs, assembled_reference):
+    # The reference writes the assembly's own values out to every component
+    # of each orbit and solves every component; those values are checked
+    # against one base series per w-degree apart.
     ch = chm.parse_ch_spec(spec)
+    b = basis(ch.n_vars, 5)
     for c in cs:
         m = chm.ch_block_assembly(ch, c, 5)
         gens = m.orbits.generators
         assert gens and all(g[-1] == ch.base.d for g in gens)  # w stays put
-        full = wk.graded_blocks(chm.ch_assembled_series(ch, c, 5))  # every component solved
+        full = _orbits_written_out(m)
         solved, components = _assert_orbits_change_nothing(m, full)
         assert solved < components
+        ref = assembled_reference(ch, c, 5)
+        scale = np.zeros(6)
+        np.maximum.at(scale, b.degrees[ref.rows], np.abs(ref.values))
+        written = hs.from_entries(ch.n_vars, 5, full.rows, full.cols, full.values)
+        diff = hs.linear_combination((written, ref), (1.0, -1.0))
+        assert (np.abs(diff.values) <= 1e-13 * scale[b.degrees[diff.rows]]).all(), c
 
 
-def test_immersion_of_a_hartogs_assembly_expands_its_orbits():
+def _orbits_written_out(m):
+    """m with each representative's entries copied to every component of its
+    orbit (calabi._orbit_exponents), every component its own orbit."""
+    b = basis(m.n_vars, m.cutoff)
+    o = m.orbits
+    rows, cols, vals = [], [], []
+    for start, size, count in zip(np.cumsum(o.sizes) - o.sizes, o.sizes, o.counts):
+        positions = o.positions[start : start + size]
+        mine = np.isin(m.rows, positions)
+        j, k = np.searchsorted(positions, m.rows[mine]), np.searchsorted(positions, m.cols[mine])
+        for exps in calabi._orbit_exponents(b, positions, o.generators, count):
+            image = b.rank(exps)
+            rows.append(np.minimum(image[j], image[k]))
+            cols.append(np.maximum(image[j], image[k]))
+            vals.append(m.values[mine])
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    return calabi.CalabiMatrix(m.domain_spec, m.lam, m.n_vars, m.cutoff, rows, cols, vals, 0.0,
+                               m.max_abs_coeff, calabi._label_orbits(m.n_vars, m.cutoff, rows, cols))
+
+
+def test_immersion_of_a_hartogs_assembly_expands_its_orbits(assembled_reference):
     # The assembly's matrix carries the base's permutations: the immersion
     # solves the representatives and writes each eigenvector out once per
     # component of its orbit, as many per degree as solving every component.
     ch = chm.parse_ch_spec("CHD(I:2,2;mu=einstein)")
-    s = chm.ch_assembled_series(ch, 1.25, 5)
+    s = assembled_reference(ch, 1.25, 5)
     comps = wk.extract_immersion(chm.ch_block_assembly(ch, 1.25, 5))
     full = wk.extract_immersion(wk.graded_blocks(s))
     assert sorted(c.degree for c in comps) == sorted(c.degree for c in full)
@@ -835,26 +867,6 @@ def test_a_permutation_that_does_not_fix_the_kernel_is_ignored():
             assert m.orbits.generators == used
             got = wk.psd_verdict(m)
             want = wk.psd_verdict(_plan_matrix(dom, lam, 5, used))
-            assert got.psd == want.psd
-            assert [_block_record(bv) for bv in got.per_block] == [
-                _block_record(bv) for bv in want.per_block
-            ]
-
-
-def test_graded_blocks_ignore_a_permutation_that_splits_a_component():
-    # graded_blocks of a series groups the components of its pattern itself:
-    # the swap z11 <-> z12 on I:2,2 maps the component {z11 z22, z12 z21}
-    # into two, so the labelling drops it, and the verdict is the one
-    # without it.
-    swap = (1, 0, 2, 3)
-    dom = wk.parse_domain("I:2,2")
-    fixing = symmetries(dom)
-    for lam in (-0.25, 0.5, 1.0, 1.5):
-        s = wk.bergman_diastasis_series(dom, lam, 5)
-        for gens, used in [((swap,), ()), (fixing + (swap,), fixing)]:
-            m = wk.graded_blocks(s, generators=gens)
-            assert m.orbits.generators == used
-            got, want = wk.psd_verdict(m), wk.psd_verdict(wk.graded_blocks(s, generators=used))
             assert got.psd == want.psd
             assert [_block_record(bv) for bv in got.per_block] == [
                 _block_record(bv) for bv in want.per_block

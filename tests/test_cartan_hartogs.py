@@ -13,10 +13,9 @@ from wallachkit.multiindex import MemoryLimitError, basis
 from wallachkit.cartan_hartogs import (
     CHDomain,
     StencilError,
-    ch_assembled_series,
     thm1_threshold,
 )
-from wallachkit.series import from_entries, generalized_binomial, max_abs_diff
+from wallachkit.series import generalized_binomial
 
 
 def binomial_oracle(c: Fraction, m: int) -> Fraction:
@@ -143,7 +142,7 @@ def test_first_order_fiber_coefficient_is_c():
     assert s.coefficient((0, 0, 0, 0, 1), (0, 0, 0, 0, 1)) == pytest.approx(1.3)
 
 
-def test_cross_path_equality_cases():
+def test_cross_path_equality_cases(dense_blocks, assembled_reference, series_at):
     cases = [
         ("CH:1", 1.0, 1.5),
         ("CH:1", 1.0, 0.5),
@@ -152,30 +151,15 @@ def test_cross_path_equality_cases():
     for base_spec, mu, c in cases:
         ch = CHDomain(wk.parse_domain(base_spec), mu)
         direct = wk.ch_direct_series(ch, c, 3)
-        assembled = ch_assembled_series(ch, c, 3)
+        assembled = wk.ch_block_assembly(ch, c, 3)
+        reference = assembled_reference(ch, c, 3)
         scale = max(direct.max_abs(), 1.0)
-        assert max_abs_diff(direct, assembled) <= 1e-10 * scale, (base_spec, mu, c)
-
-
-def _assembled_reference(ch, c, cutoff):
-    """sum_m C(c+m-1, m) |w|^{2m} N^{-mu(c+m)}, one recurrence per w-degree m
-    at cutoff - m."""
-    full = basis(ch.n_vars, cutoff)
-    rows, cols, vals = [], [], []
-    for m in range(cutoff + 1):
-        prefactor = generalized_binomial(c, m)
-        exps = basis(ch.base.d, cutoff - m).exponents
-        pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))  # pos[0]: w^m
-        if m >= 1:
-            rows.append(pos[:1])
-            cols.append(pos[:1])
-            vals.append([prefactor])
-        if cutoff - m >= 1:
-            s = wk.bergman_diastasis_series(ch.base, ch.mu * (c + m), cutoff - m)
-            rows.append(pos[s.rows])
-            cols.append(pos[s.cols])
-            vals.append(prefactor * s.values)
-    return from_entries(ch.n_vars, cutoff, *(np.concatenate(x) for x in (rows, cols, vals)))
+        at = series_at(direct, assembled.rows, assembled.cols)
+        assert np.abs(at - assembled.values).max() <= 1e-10 * scale, (base_spec, mu, c)
+        ref_blocks = dense_blocks(reference)
+        for degree, x in dense_blocks(direct).items():
+            diff = float(np.max(np.abs(x - ref_blocks[degree])))
+            assert diff <= 1e-10 * scale, (base_spec, mu, c, degree)
 
 
 @pytest.mark.parametrize(
@@ -188,13 +172,30 @@ def _assembled_reference(ch, c, cutoff):
     ],
 )
 def test_assembly_replays_one_plan_like_one_recurrence_per_w_degree(spec, cutoff):
+    # The entries of w-degree m are those of the base matrix at mu(c + m) and
+    # cutoff - m times w^m, scaled by C(c+m-1, m), and the 1x1 entry w^m.
     ch = wk.parse_ch_spec(spec)
+    b = basis(ch.n_vars, cutoff)
     # c past which mu(c + m) lies in the continuous part for every m.
     threshold = (ch.base.r - 1) * ch.base.a / (2.0 * ch.mu)
     for c in (0.5 * threshold, 1.5 * threshold, 0.3, 1.25, 2.5):
-        got, ref = ch_assembled_series(ch, c, cutoff), _assembled_reference(ch, c, cutoff)
-        assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols), c
-        assert got.values.tobytes() == ref.values.tobytes(), c
+        got = wk.ch_block_assembly(ch, c, cutoff)
+        w_degree = b.exponents[got.rows, -1]
+        for m in range(cutoff + 1):
+            prefactor = generalized_binomial(c, m)
+            exps = basis(ch.base.d, cutoff - m).exponents
+            pos = b.rank(np.hstack((exps, np.full((len(exps), 1), m))))  # pos[0]: w^m
+            w_m = pos[:1] if m else pos[:0]
+            rows, cols, vals = [w_m], [w_m], [np.full(len(w_m), prefactor)]
+            if m < cutoff:
+                base = wk.calabi_matrix(ch.base, ch.mu * (c + m), cutoff - m)
+                rows.append(pos[base.rows])
+                cols.append(pos[base.cols])
+                vals.append(prefactor * base.values)
+            mine = w_degree == m
+            assert np.array_equal(got.rows[mine], np.concatenate(rows)), (c, m)
+            assert np.array_equal(got.cols[mine], np.concatenate(cols)), (c, m)
+            assert got.values[mine].tobytes() == np.concatenate(vals).tobytes(), (c, m)
 
 
 def test_fiber_degree_zero_structure():

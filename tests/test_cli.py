@@ -362,6 +362,32 @@ def test_ch_check_below_threshold_with_blocks(capsys):
     assert sum(b["solved_components"] for b in blocks) < sum(b["components"] for b in blocks)
 
 
+def test_ch_check_names_the_closed_forms_first_failing_w_degree(capsys):
+    # The lowest refuted degree's witness lies in one w-degree m: every
+    # smaller m has lambda_m in W, and a larger one is refuted only at a
+    # higher base degree, so m is the closed form's first failure.
+    cases = [("CHD(I:2,2;mu=einstein)", "1", "6"), ("CHD(III:3;mu=0.25)", "2", "6"),
+             ("CHD(I:2,2;mu=0.5)", "1", "5"), ("CHD(III:3;mu=einstein)", "0.6", "6"),
+             ("CHD(IV:5;mu=0.7)", "0.5", "5")]
+    ms = []
+    for spec, c, cutoff in cases:
+        code, d, _ = run_json(capsys, "ch-check", spec, "--c", c, "--cutoff", cutoff)
+        assert code == 0, spec
+        v = d["verdicts"]
+        fail = v["truncated_first_failure"]
+        assert fail["m"] == v["first_failure"]["m"], spec
+        assert fail["lambda"] == pytest.approx(v["first_failure"]["lambda"], rel=1e-15), spec
+        refuted = [b["degree"] for b in d["per_block"] if b["min_eig"] < -b["tol"]]
+        assert fail["degree"] == min(refuted), spec
+        _, out, _ = run(capsys, "ch-check", spec, "--c", c, "--cutoff", cutoff)
+        assert f"first refuted degree {fail['degree']}: w-degree m={fail['m']}," in out
+        ms.append(fail["m"])
+    assert ms == [0, 1, 0, 0, 0]
+    code, d, _ = run_json(capsys, "ch-check", "CHD(I:2,2;mu=einstein)", "--c", "1.25",
+                          "--cutoff", "4")
+    assert code == 0 and "truncated_first_failure" not in d["verdicts"]
+
+
 def test_einstein_probe(capsys):
     code, d, _ = run_json(capsys, "einstein", "CHD(CH:1;mu=1)", "--points", "1")
     assert code == 0

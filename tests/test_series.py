@@ -24,7 +24,7 @@ from wallachkit.calabi import (
     graded_blocks,
     psd_verdict,
 )
-from wallachkit.cartan_hartogs import ch_assembled_series, parse_ch_spec
+from wallachkit.cartan_hartogs import ch_direct_series, parse_ch_spec
 from wallachkit.domains import norm_series, one_minus_norm
 from wallachkit.multiindex import basis
 from wallachkit.series import (
@@ -389,7 +389,7 @@ def test_every_operation_keeps_the_canonical_form():
         embed(a, 4, 2),
         one_minus_norm(wk.catalog("I", 2, 3), 4),
         inverse_power(one_minus_norm(wk.catalog("III", 2), 3), 0.7),
-        ch_assembled_series(ch, 1.2, 4),
+        ch_direct_series(ch, 1.2, 4),
     ]
     for s in results:
         assert_canonical(s)
