@@ -194,11 +194,11 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
         parts.append((pos[rows[i:e]], pos[cols[i:e]], values[i:e], pos[positions[i:p]],
                       sizes[i:k], counts[i:k]))
     rows, cols, values, positions, sizes, counts = map(np.concatenate, zip(*parts))
-    order, lead = np.lexsort((cols, rows)), positions[np.cumsum(sizes) - sizes]
+    order, least = np.lexsort((cols, rows)), positions[np.cumsum(sizes) - sizes]
     # The representatives in order of least position, each still ascending.
     orbits = hs.Orbits(tuple(g + (ch.base.d,) for g in o.generators),
-                       positions[np.lexsort((positions, np.repeat(lead, sizes)))],
-                       sizes[np.argsort(lead)], counts[np.argsort(lead)])
+                       positions[np.lexsort((positions, np.repeat(least, sizes)))],
+                       sizes[np.argsort(least)], counts[np.argsort(least)])
     return CalabiMatrix(ch.spec_string, c, ch.n_vars, cutoff, rows[order], cols[order],
                         values[order], 0.0, float(np.abs(values).max(initial=0.0)), orbits)
 
