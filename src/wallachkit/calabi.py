@@ -396,14 +396,12 @@ def _orbit_exponents(b, positions: np.ndarray, generators: Sequence, count: int)
     at positions under generators, each in the order of positions: the
     component itself first, then its images, breadth first."""
     exps = b.exponents[positions]
-    perms, seen = [np.arange(b.n_vars)], {int(positions[0])}
-    for perm in perms:  # grows while it is read, up to the orbit's count
-        for g in generators:
-            if len(perms) == count:
-                return [exps[:, p] for p in perms]
-            image = perm[list(g)]
-            least = int(b.rank(exps[:, image]).min())
-            if least not in seen:
+    perms, seen, start = [np.arange(b.n_vars)], {int(positions[0])}, 0
+    while start < len(perms) < count:  # one ranking per generation of images
+        images = np.array(perms[start:])[:, np.array(generators)].reshape(-1, b.n_vars)
+        start = len(perms)
+        for image, least in zip(images, b.rank(exps[:, images]).min(axis=0).tolist()):
+            if least not in seen and len(perms) < count:
                 seen.add(least)
                 perms.append(image)
     return [exps[:, p] for p in perms]
