@@ -52,17 +52,19 @@ entries are the canonical pairs inside its components and the entry a pair
 feeds is arithmetic in its positions' ranks there, and every level's pair
 counts follow from the components before any level is built: one schedule
 sizes both the memory charge and each level's arrays.  Given coordinate
-permutations that fix N, the compile keeps only the pairs into the orbit
+permutations that fix N, the compile forms only the pairs into the orbit
 representatives of the weight components (the component of least position
-in each orbit), and a pair whose source lies in another component reads the
-source's image in its representative: N^(-lam) is invariant under those
-permutations, so the plan and its replay cover the representatives alone
-(:class:`Orbits`).  Without permutations every component represents itself.
+in each orbit), a term's pairs from the source components it maps into one,
+and a pair whose source lies in another component reads the source's image
+in its representative: N^(-lam) is invariant under those permutations, so
+the plan and its replay cover the representatives alone (:class:`Orbits`).
+Without permutations every component represents itself.
 :func:`inverse_norm_power` is one compile and one replay with the zeros
 dropped.  The Calabi matrix (:mod:`wallachkit.calabi`, one lam or a scan
 over many) replays one plan reduced by its domain's permutations, and the
-Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, one unreduced plan;
-both keep the zeros.
+Cartan-Hartogs assembly, N^(-lam) at a ladder of scales, the same plan of
+its base, each scale replayed up to the last level it reads; both keep the
+zeros.
 """
 
 from __future__ import annotations
@@ -79,26 +81,22 @@ from .multiindex import _INT64_MAX, Basis, basis, check_memory
 # Memory per entry pair a product forms (ranks, values, their concatenation
 # and from_entries' sort keys): calabi runs peaked at 72-125 B per pair.
 PAIR_BYTES = 128
-# Without permutations, compile_recurrence charges each pair it keeps at what
-# it holds (int64 src and slot) and each pair the next level forms at
-# PLAN_PAIR_BYTES.  On top of the kept pairs, the compile peaked at 15-20 B
-# per pair formed, and the replay at 18-21 B: the estimate is 1.6-1.75x the
-# replay's traced peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.
+# compile_recurrence charges each pair the levels below its largest one keep
+# at what the plan holds of it (int64 src and slot) and each pair that level
+# forms at PLAN_PAIR_BYTES: the pairs formed stand for the rest of what the
+# compile and the replay hold (the entries the cells read at 8 B, a batch,
+# the replay's weights).  Without permutations the estimate is 1.7-1.75x
+# the compile and replay's traced peak on I:3,3 at cutoffs 9-11 and IV:6
+# at 8.  Reduced by permutations, the tables of the basis's size are
+# added: the estimate is 1.3-1.6x a single verdict's traced peak on I:3,3
+# at cutoffs 9-12, IV:6 at 8-9 and III:3 at 9.
 KEPT_PAIR_BYTES = 16
 PLAN_PAIR_BYTES = 36
 # Labelling the weight components and mapping each position into its orbit
 # representative hold about this much per variable and basis position (the
 # exponents, reduced and permuted, are int64).
 LABEL_BYTES_PER_COORD = 16
-# Under permutations most pairs formed are dropped at once, so a level is
-# charged at what the compile holds: every pair kept up to it, at
-# KEPT_PAIR_BYTES, every entry of the levels it reads, mirrors included, at
-# ENTRY_BYTES (the source triple and the pairs formed from it a batch at a
-# time), and the labelling's charge for the tables of the basis's size.
-# The estimate ran 1.2-1.4x a single verdict's traced peak on I:3,3 at
-# cutoffs 9-11 and IV:6 at 8.
-ENTRY_BYTES = 64
-# Entry pairs compile_recurrence forms at once before it drops those it does not keep.
+# Entry pairs compile_recurrence forms, and entries it builds, at once.
 _BATCH_PAIRS = 2**13
 
 
@@ -430,7 +428,8 @@ class RecurrencePlan:
     slot[i] of size, where f is 1 (the constant term) followed by the values
     at rows, cols.  A permutation in orbits.generators maps the coefficients
     of N^(-lam) onto themselves, so those at the entries left out are the
-    values at their images.
+    values at their images.  pairs_formed counts the pairs the compile
+    formed, those it kept and those whose target is not canonical.
     """
 
     n_vars: int
@@ -439,10 +438,12 @@ class RecurrencePlan:
     cols: np.ndarray
     levels: tuple[tuple, ...]
     orbits: Orbits | None = None
+    pairs_formed: int = 0
 
     def sizes(self) -> dict[str, int]:
         """The basis size m, the entries of N^(-lam) - 1 that the plan
-        stands for and those it computes, and the pairs it sums."""
+        stands for and those it computes, and the pairs its compile formed
+        and those it sums."""
         o = self.orbits
         degrees = basis(self.n_vars, self.cutoff).degrees
         degree = degrees[o.positions[np.cumsum(o.sizes) - o.sizes]]
@@ -451,18 +452,22 @@ class RecurrencePlan:
             "m": len(degrees),
             "entries": int((filled[degree] * o.counts * o.sizes * (o.sizes + 1) // 2).sum()),
             "entries_solved": len(self.rows),
+            "pairs_formed": self.pairs_formed,
             "pairs_kept": sum(len(level[3]) for level in self.levels),
         }
 
-    def values(self, lam: float) -> np.ndarray:
+    def values(self, lam: float, top: int | None = None) -> np.ndarray:
         """The coefficients of N^(-lam) at rows, cols, exact zeros included:
         each level's products summed in order, then divided by a, so exact
-        cancellations stay exact.  Overflow gives inf or nan."""
-        f = np.empty(len(self.rows) + 1)
+        cancellations stay exact.  Overflow gives inf or nan.  Given top, only
+        levels 1..top are replayed, and their values are the leading ones of
+        the whole replay, bit for bit."""
+        levels = self.levels[:top]
+        f = np.empty(1 + sum(level[5] for level in levels))
         f[0] = 1.0
         at = 1
         with np.errstate(over="ignore", invalid="ignore"):  # let inf and nan through
-            for a, (coef, g, counts, src, slot, size) in enumerate(self.levels, 1):
+            for a, (coef, g, counts, src, slot, size) in enumerate(levels, 1):
                 weights = f[src]
                 weights *= np.repeat(coef * (a - g + lam * g), counts)
                 f[at : at + size] = np.bincount(slot, weights=weights, minlength=size) / a
@@ -591,11 +596,14 @@ def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators
             return tuple(used), lead, tau
 
 
-def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> list[tuple[int, int]]:
+def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> tuple[list, list]:
     """Per level a = 1..cutoff of compile_recurrence, before any is built:
-    (pairs formed into representative components, pairs kept), where a pair
-    is kept when its target is canonical and lies in a representative (rep,
-    per component); shifts are compile_recurrence's rank tables.
+    (pairs formed, pairs kept), where a pair is formed when its target lies
+    in a representative (rep, per component) and kept when that target is
+    canonical; shifts are compile_recurrence's rank tables.  Also, per
+    degree g of N's terms, the cells formed: [term, source component S] ->
+    the component of S + gamma is a representative, for the components of
+    degree <= cutoff - g.
 
     A level that some pair reaches has every pair (p, q) in its components as
     an entry, mirrors included: |S|^2 for a component S.  A term (gamma,
@@ -622,19 +630,20 @@ def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> 
             kept = sum(k * (e + (count[s] if e and s >= 0 else 0)) for k, e, s in active)
             schedule.append((forms, kept // 2))
             made.append(whole[a] if forms else 0)
-        return schedule
+        sources = [np.searchsorted(level, cutoff - g, side="right") for g, *_ in by_degree]
+        return schedule, [np.ones((len(c), k), dtype=bool) for (*_, c), k in zip(by_degree, sources)]
     reached = np.zeros(cutoff + 1, dtype=bool)
     reached[0] = True
     for a in range(1, cutoff + 1):
         reached[a] = any(reached[a - g] for g, *_ in by_degree if g <= a)
     entries = np.where(reached[level], size * size, 0)
     forms, kept = np.zeros(cutoff + 1, dtype=np.int64), np.zeros(cutoff + 1, dtype=np.int64)
-    done = 0
+    done, cells = 0, []
     for (g, _, gamma_row, _, c), shift in zip(by_degree, shifts):
         u, done = np.maximum(-diffs[done : done + len(c)], 0), done + len(c)
         sources = np.searchsorted(level, cutoff - g, side="right")  # components of degree <= cutoff - g
         heads, at = first[:sources], level[:sources] + g
-        target = coset[shift[:, heads] + begin[at]]  # the component of S + gamma
+        target = coset[shift[:, heads]]  # the component of S + gamma
         # [term, S]: the size of the component X with X + u in S, from
         # first(X) + u for the components X of degree <= cutoff - g; all of S
         # when u = 0.
@@ -647,10 +656,11 @@ def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> 
             diagonal[row, coset[pos[row, x]]] = size[x]
             diagonal = diagonal[u_row.ravel()]
         formed = rep[target[gamma_row]]  # per term and source component
+        cells.append(formed)
         forms += np.bincount(at, (formed * entries[:sources]).sum(axis=0), cutoff + 1).astype(np.int64)
         both = formed * (entries[:sources] + diagonal * reached[level[:sources]])
         kept += np.bincount(at, both.sum(axis=0), cutoff + 1).astype(np.int64)
-    return [(int(f), int(k) // 2) for f, k in zip(forms[1:], kept[1:])]
+    return [(int(f), int(k) // 2) for f, k in zip(forms[1:], kept[1:])], cells
 
 
 def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> RecurrencePlan:
@@ -669,21 +679,27 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
     the sum a pair feeds is arithmetic in the ranks of p and q within their
     component, with no sort, and every level's pair counts are known before
     any is built (_schedule): the memory guard is charged once, and each
-    level fills arrays of its scheduled size, raising if it fills a different
-    count.  Labelling the components and mapping positions into their
-    representatives take memory of the basis's size, so until they run the
-    charge is theirs, from the basis size alone, and they run only if it
-    fits.  Graded-lex order is translation invariant,
-    so a term maps the positions of a level to sorted positions of a higher
-    one: one rank table per degree of N's terms, over the distinct gammas
-    and every source level, turns the target positions into gathers.  Pairs
-    are formed at most _BATCH_PAIRS at a time, and only those with
-    canonical targets (p <= q) in a representative component are kept.
-    The source of a pair is the canonical image of its source entry in that
-    entry's representative: a permutation of the variables per component
-    (_orbits) maps its positions there.  Without generators every component
-    represents itself, and a pair on a mirror entry reads its canonical
-    entry.
+    level fills arrays of its scheduled size, raising if it forms or keeps a
+    different count.  Labelling the components and mapping positions into
+    their representatives take memory of the basis's size, so until they run
+    the charge is theirs, from the basis size alone, and they run only if it
+    fits.  Graded-lex order is translation invariant, so a term maps the
+    positions of a level to sorted positions of a higher one: one rank table
+    per degree of N's terms, over the distinct gammas and every source
+    level, turns the target positions into gathers.
+
+    The entries that later levels read are taken component after component,
+    each component S's |S|^2 pairs (mirrors included) one run, row by row in
+    the order _weight_components gives the positions, and a pair reads its
+    entry's canonical image in the entry's representative: a permutation of
+    the variables per component (_orbits) maps its positions there.  A term
+    pairs only with the components S whose S + gamma is a representative
+    (the schedule's cells; every component without generators), about
+    _BATCH_PAIRS pairs at a time: row x of S meets the positions y of S, and
+    as the term's images of the ys increase along the row, its canonical
+    targets (p <= q) are those from the first image at or past x's on, found
+    by one binary search per row, so no pair that the plan does not keep is
+    built.
     """
     bas = n.basis
     exps, degrees = bas.exponents, bas.degrees
@@ -703,112 +719,150 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
         generators, lead, tau = _orbits(n, coset, first, generators)
         represents = lead == np.arange(len(first))
         # Per degree g of N's terms: [row of gamma, position of alpha] -> position
-        # of alpha + gamma within its level, for every alpha of degree <= cutoff - g.
-        shifts = []
-        for level_g, es, *_ in by_degree:
-            alpha = exps[: start[n.cutoff - level_g + 1]]
-            shifts.append(bas.rank(alpha, exps[es][:, None]) - start[degrees[: len(alpha)] + level_g])
-        schedule = _schedule(bas, by_degree, shifts, diffs, coset, first, sizes, represents)
-        # Per level, its entries, mirrors included, which the compile holds
-        # while later levels read them.
-        reached = np.array([True] + [forms > 0 for forms, _ in schedule])
-        level = degrees[first]
-        entries = np.bincount(level, reached[level] * sizes**2, n.cutoff + 1)
+        # of alpha + gamma, for every alpha of degree <= cutoff - g.
+        shifts = [
+            bas.rank(exps[: start[n.cutoff - level_g + 1]], exps[es][:, None])
+            for level_g, es, *_ in by_degree
+        ]
+        schedule, cells = _schedule(bas, by_degree, shifts, diffs, coset, first, sizes, represents)
         # One charge, before any level is built: the level that needs the most,
-        # holding what the levels below it keep while it forms its pairs.
-        charges, before, highest = [], 0, by_degree[-1][0] if by_degree else 0
+        # holding what the levels below it keep while it forms its pairs, and,
+        # reduced, the tables of the basis's size too.
+        charges, before = [], 0
         for a, (forms, kept) in enumerate(schedule, 1):
-            if tau is None:  # every pair formed with a canonical target is kept
-                plan_need = KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms
-            else:  # most pairs formed are dropped at once
-                held = int(entries[max(0, a - highest) : a].sum())
-                plan_need = KEPT_PAIR_BYTES * (before + kept) + ENTRY_BYTES * held + need
+            plan_need = KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms + (0 if tau is None else need)
             charges.append((plan_need, a, forms, before))
             before += kept
         plan_need, a, forms, before = max(charges, key=lambda c: c[0], default=(0, 0, 0, 0))
         if plan_need >= need:
             need, what = plan_need, f"a recurrence plan's level {a} ({forms} pairs formed, {before} kept)"
     check_memory(need, what)
-    lowest = by_degree[0][0] if by_degree else n.cutoff + 1
+    reached = np.array([True] + [forms > 0 for forms, _ in schedule])
     rep, width = represents[coset], sizes[coset]  # per position
     positions = order[rep[order]][1:]  # the representatives', less the constant term
-    # Per position, counted from its level's first: its image in its
-    # representative component (on the levels that later levels read), the
-    # positions in order of (component, position), and each one's index there.
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))  # each position's index in order
+    # The plan's entries: row p holds the canonical pairs (p, q) of its
+    # component on a level that some pair reaches, if the component is a
+    # representative, q running over the component's positions from p on.
+    # Entry (p, q) is number base[p] + rank[q] of its level and f's
+    # fhead[p] + rank[q], after f[0], the constant term.
+    count = (width - rank) * (rep & reached[degrees])
+    count[0] = 0
+    row_first = np.cumsum(count) - count
+    rows = np.repeat(np.arange(len(bas)), count)
+    cols = order[np.repeat(inv - row_first, count) + np.arange(len(rows))]
+    level_first = np.append(row_first[start[:-1]], len(rows))
+    base = row_first - level_first[degrees] - rank
+    fhead = row_first - rank + 1
+    fhead[0] = 0
+
+    # The entries that later levels read: those of the components some cell
+    # pairs with, row by row in order; row p's start at entry[p], and each
+    # reads f at value_at, the canonical pair of the images of p and q in
+    # their representative.
+    read = np.zeros(len(first), dtype=bool)
+    component_start = np.searchsorted(degrees[first], np.arange(n.cutoff + 2))
+    for (level_g, *_), mask in zip(by_degree, cells):
+        read[: component_start[n.cutoff - level_g + 1]] |= mask.any(axis=0)
+    n_entries = width * (read[coset] & reached[degrees])  # per row
+    lowest = by_degree[0][0] if by_degree else n.cutoff + 1
+    sources = start[max(0, n.cutoff - lowest + 1)]
     image = np.arange(len(bas))
     if tau is not None:
-        moved = np.flatnonzero(~rep[: start[max(0, n.cutoff - lowest + 1)]])
+        moved = np.flatnonzero(~rep[:sources])
         image[moved] = bas.rank(np.take_along_axis(exps[moved], tau[coset[moved]], axis=1))
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    image, order, inv = (x - start[degrees] for x in (image, order, inv))
-    # levels[s]: level s's entries, all of them, mirrors expanded, at positions
-    # local to the level, and the index in f of each one's canonical image.
-    levels = {0: (np.zeros(1, dtype=np.int64),) * 3}
-    empty = np.zeros(0, dtype=np.int64)
-    rows, cols, plan = [], [], []
-    at = 1  # f's index of the level's first entry
-    for a, (forms, level_kept) in enumerate(schedule, 1):
-        active = [terms for terms in by_degree if terms[0] <= a]
-        counts = np.zeros(sum(len(c) for *_, c in active), dtype=np.int64)
-        slot, src = np.empty(level_kept, dtype=np.int64), np.empty(level_kept, dtype=np.int64)
-        sl = bas.degree_slice(a)
-        # Row p's targets are the positions of its component from p on, kept
-        # in a representative; a level that no pair reaches has no entries.
-        level_rank, target = rank[sl], rep[sl]
-        every = (width[sl] - level_rank) * (forms > 0)
-        count = every * target
-        rowstart = np.cumsum(count) - count
-        base = rowstart - level_rank  # target (p, q) is number base[p] + rank[q]
-        filled = t = 0
-        for (level_g, _, gamma_row, delta_row, c), shift in zip(active, shifts):
-            group, t = counts[t : t + len(c)], t + len(c)  # the counts of this degree's terms
-            i, j, value_at = levels[a - level_g]
-            if not len(i):  # an empty level forms no pairs
+    n_q = n_entries[order[:sources]]
+    entry = np.zeros(len(bas), dtype=np.int64)
+    entry[order[:sources]] = row_entry = np.cumsum(n_q) - n_q
+    value_at = np.empty(int(n_q.sum()), dtype=np.int64)
+    cuts = np.searchsorted(row_entry, np.arange(_BATCH_PAIRS, len(value_at), _BATCH_PAIRS)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, sources]):
+        if lo == hi:
+            continue
+        # Row p pairs p with the positions q of its component, in order.
+        p = order[lo:hi]
+        n_q = n_entries[p]
+        q = np.repeat(np.arange(lo, hi) - rank[p] - (np.cumsum(n_q) - n_q), n_q)
+        i, j = image[np.repeat(p, n_q)], image[order[q + np.arange(len(q))]]
+        value_at[row_entry[lo] : row_entry[lo] + len(i)] = fhead[np.minimum(i, j)] + rank[np.maximum(i, j)]
+    # Level a keeps its pairs term by term in slot[kept_at[a]:] and src, the
+    # terms in order of degree; per level, the pairs formed and kept so far.
+    level_kept = np.array([0] + [kept for _, kept in schedule])
+    kept_at = np.cumsum(level_kept) - level_kept
+    slot, src = (np.empty(int(level_kept.sum()), dtype=np.int64) for _ in range(2))
+    formed, filled = np.zeros(n.cutoff + 1, dtype=np.int64), np.zeros(n.cutoff + 1, dtype=np.int64)
+
+    def keep(a, pair_slot, pair_src):
+        """Level a's next kept pairs."""
+        if filled[a] + len(pair_slot) <= level_kept[a]:  # else the count check below raises
+            at = kept_at[a] + filled[a]
+            slot[at : at + len(pair_slot)], src[at : at + len(pair_slot)] = pair_slot, pair_src
+        filled[a] += len(pair_slot)
+
+    per_term = []  # per degree of N's terms: [level, term] -> pairs kept
+    for (level_g, _, gamma_row, delta_row, c), table, mask in zip(by_degree, shifts, cells):
+        counts = np.zeros((n.cutoff + 1, len(c)))
+        levels = np.flatnonzero(reached[: n.cutoff - level_g + 1]).tolist()
+        # The rows (term, source position) of the cells formed, by source
+        # level, then term, then position in order.
+        terms, at = [], []
+        for s in levels:
+            level_at = order[start[s] : start[s + 1]]
+            t, u = np.divmod(np.flatnonzero(mask[:, coset[level_at]]), len(level_at))
+            terms.append(t)
+            at.append(level_at[u])
+        term, at = np.concatenate(terms), np.concatenate(at)
+        level_end = np.cumsum([len(t) for t in terms]).tolist()
+        flat, row_g, row_d = table.ravel(), gamma_row * table.shape[1], delta_row * table.shape[1]
+        # A batch ends before the cell that forms the next multiple of
+        # _BATCH_PAIRS pairs, a row of S forming |S| of them.
+        formed_to = np.cumsum(width[at])
+        total = formed_to[-1] if len(at) else 0
+        cuts = np.searchsorted(formed_to, np.arange(_BATCH_PAIRS, total, _BATCH_PAIRS))
+        cuts = (cuts - rank[at[cuts]]).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(at)]):
+            if lo == hi:
                 continue
-            shift = shift[:, bas.degree_slice(a - level_g)]
-            # A batch is some terms over all entries, or one term over some.
-            step = max(1, _BATCH_PAIRS // len(i))
-            for lo in range(0, len(c), step):
-                b = slice(lo, lo + step)
-                for e in range(0, len(i), _BATCH_PAIRS):
-                    ij = slice(e, e + _BATCH_PAIRS)
-                    p, q = shift[gamma_row[b]].take(i[ij], axis=1), shift[delta_row[b]].take(j[ij], axis=1)
-                    keep = (p <= q) & target[p]
-                    kept = np.flatnonzero(keep)  # row-major: term by term
-                    end = filled + len(kept)
-                    if end <= level_kept:  # else the count check below raises
-                        slot[filled:end] = base[p.ravel()[kept]] + level_rank[q.ravel()[kept]]
-                        src[filled:end] = value_at[ij][kept % p.shape[1]]
-                    group[b] += keep.sum(axis=1)
-                    filled = end
-        if filled != level_kept:
-            raise RuntimeError(f"level {a} kept {filled} pairs, not the {level_kept} scheduled")
-        size = int(count.sum())
-        plan.append((coef[: len(counts)], g[: len(counts)], counts, src, slot, size))
-        levels.pop(a - highest, None)  # read by no later level
-        # The canonical pairs (p, q) of the level's components, local: the
-        # representatives' are its entries, and a level that later levels
-        # read takes every pair, each read at its canonical image.  Row p's
-        # qs follow p in order.
-        source = a + lowest <= n.cutoff
-        per_row = every if source else count
-        p = np.repeat(np.arange(len(per_row)), per_row)
-        skip = inv[sl] - (np.cumsum(per_row) - per_row)  # p's index in order, less its row's start
-        q = order[sl][np.repeat(skip, per_row) + np.arange(len(p))]
-        own = target[p]
-        rows.append(p[own] + sl.start)
-        cols.append(q[own] + sl.start)
-        if source:
-            local = image[sl]
-            i, j = local[p], local[q]
-            levels[a] = _mirror(p, q, at + base[np.minimum(i, j)] + level_rank[np.maximum(i, j)])
-        at += size
-    rows = np.concatenate(rows) if rows else empty
-    cols = np.concatenate(cols) if cols else empty
+            t, pos = term[lo:hi], at[lo:hi]
+            x, w = rank[pos], width[pos]
+            p, q = flat[row_g[t] + pos], flat[row_d[t] + pos]  # the term's images of x, and of y
+            # q increases along a cell (graded-lex order is translation
+            # invariant), so a row's canonical targets (p <= q) are the qs of
+            # its cell from the first q >= p on.
+            cell = np.arange(hi - lo) - x  # the row of the cell's first position
+            first_q = np.searchsorted(q + cell * len(bas), p + cell * len(bas))
+            n_kept = cell + w - first_q
+            kept_to = np.concatenate(([0], np.cumsum(n_kept)))
+            row = np.repeat(np.arange(hi - lo), n_kept)  # each kept pair's row
+            k = (first_q - kept_to[:-1])[row]
+            k += np.arange(len(row))  # and its y's row
+            pair_slot = base[p][row]
+            pair_slot += rank[q][k]
+            k += (entry[pos] - cell)[row]
+            pair_src = value_at[k]
+            for s, r0, r1 in zip(levels, [0, *level_end], level_end):
+                r0, r1 = max(lo, r0) - lo, min(hi, r1) - lo
+                if r0 < r1:  # rows that read level s
+                    formed[s + level_g] += w[r0:r1].sum()
+                    counts[s + level_g] += np.bincount(t[r0:r1], n_kept[r0:r1], len(c))
+                    k0, k1 = kept_to[r0], kept_to[r1]
+                    keep(s + level_g, pair_slot[k0:k1], pair_src[k0:k1])
+        per_term.append(counts.astype(np.int64))
+    plan, empty = [], np.zeros(0, dtype=np.int64)
+    for a, (forms, kept) in enumerate(schedule, 1):
+        if formed[a] != forms:
+            raise RuntimeError(f"level {a} formed {formed[a]} pairs, not the {forms} scheduled")
+        if filled[a] != kept:
+            raise RuntimeError(f"level {a} kept {filled[a]} pairs, not the {kept} scheduled")
+        counts = [m[a] for (level_g, *_), m in zip(by_degree, per_term) if level_g <= a]
+        counts = np.concatenate([empty, *counts])
+        pairs = slice(kept_at[a], kept_at[a] + kept)
+        size = int(level_first[a + 1] - level_first[a])
+        plan.append((coef[: len(counts)], g[: len(counts)], counts, src[pairs], slot[pairs], size))
     reps = np.flatnonzero(represents)[1:]  # [0] is the constant term's component
     orbits = Orbits(generators, positions, sizes[reps], np.bincount(lead, minlength=len(lead))[reps])
-    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan), orbits)
+    return RecurrencePlan(n.n_vars, n.cutoff, rows, cols, tuple(plan), orbits, int(formed.sum()))
 
 
 def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> HermitianSeries:

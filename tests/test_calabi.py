@@ -849,6 +849,19 @@ def test_reduced_plan_sizes_are_sums_over_representatives(spec, cutoff, entries,
     assert sum(len(level[3]) for level in reduced.levels) == per_pairs[reps].sum() == pairs
 
 
+@pytest.mark.parametrize(
+    "spec, cutoff, formed, unreduced",
+    [("IV:6", 8, 208023, 795180), ("I:3,3", 6, 11695, 152118), ("III:3", 7, 23731, 95822),
+     ("I:2,3", 7, 4203, 27828)],
+)
+def test_a_reduced_compile_forms_only_the_pairs_into_representatives(spec, cutoff, formed, unreduced):
+    # Reduced, the compile pairs a term with the entries of the source
+    # components whose image under it is a representative, and no others.
+    n = norm_series(wk.parse_domain(spec), cutoff)
+    assert hs.compile_recurrence(n, symmetries(wk.parse_domain(spec))).sizes()["pairs_formed"] == formed
+    assert hs.compile_recurrence(n).sizes()["pairs_formed"] == unreduced
+
+
 def _block_record(bv):
     witness = None if bv.witness is None else bv.witness.tobytes()
     return (bv.degree, bv.dim, bv.min_eigenvalue, bv.rank, bv.tol, witness,

@@ -139,8 +139,10 @@ def test_gram_design_witness_round_trips(capsys, tmp_path):
 
 def test_calabi_and_scan_json_say_what_was_solved(capsys):
     # III:3 at cutoff 7: 7 548 entries, of which the 80 orbit representatives
-    # hold 1 799, summed from 13 444 pairs.  The text output is unchanged.
-    sizes = {"m": 1716, "entries": 7548, "entries_solved": 1799, "pairs_kept": 13444}
+    # hold 1 799, summed from 13 444 pairs of the 23 731 formed.  The text
+    # output is unchanged.
+    sizes = {"m": 1716, "entries": 7548, "entries_solved": 1799, "pairs_formed": 23731,
+             "pairs_kept": 13444}
     code, d, _ = run_json(capsys, "calabi", "III:3", "--lambda", "0.75", "--cutoff", "7")
     assert code == 0 and d["sizes"] == sizes
     code, d, _ = run_json(capsys, "scan", "III:3", "--lambda-from", "0.5", "--lambda-to", "1",

@@ -25,7 +25,7 @@ from wallachkit.calabi import (
     psd_verdict,
 )
 from wallachkit.cartan_hartogs import ch_direct_series, parse_ch_spec
-from wallachkit.domains import norm_series, one_minus_norm
+from wallachkit.domains import norm_series, one_minus_norm, symmetries
 from wallachkit.multiindex import basis
 from wallachkit.series import (
     HermitianSeries,
@@ -524,6 +524,7 @@ def test_recurrence_plan_leading_levels_are_lower_cutoffs(spec, cutoff):
             assert np.array_equal(plan.rows[:stop][keep], ref.rows), (lam, k)
             assert np.array_equal(plan.cols[:stop][keep], ref.cols), (lam, k)
             assert values[:stop][keep].tobytes() == ref.values.tobytes(), (lam, k)
+            assert plan.values(lam, k).tobytes() == values[:stop].tobytes(), (lam, k)
 
 
 @pytest.mark.parametrize("lam", [1.5, 0.0])
@@ -550,12 +551,30 @@ def _hartogs_norm(spec, cutoff):
     return add(embed(nmu, ch.n_vars), one_minus_w2)
 
 
+def _by_term_and_slot(level):
+    """A level's pairs as (term * size + slot, src), in that key's order; a
+    term feeds each slot at most once, so the key is unique."""
+    *_, counts, src, slot, size = level
+    key = np.repeat(np.arange(len(counts)), counts) * size + slot
+    order = np.argsort(key, kind="stable")
+    assert (np.diff(key[order]) > 0).all()
+    return key[order], src[order]
+
+
 def _assert_same_plan(got, want):
+    # The pairs of one term may come in any order: each slot takes at most
+    # one of them, and the replay's bincount adds a slot's terms in term
+    # order, so the values are the same bit for bit.
     assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
     assert len(got.levels) == len(want.levels)
     for a, (level, ref) in enumerate(zip(got.levels, want.levels), 1):
-        for x, y in zip(level, ref):
+        coef, g, counts, *_, size = level
+        assert np.array_equal(coef, ref[0]) and np.array_equal(g, ref[1]), a
+        assert np.array_equal(counts, ref[2]) and size == ref[5], a
+        for x, y in zip(_by_term_and_slot(level), _by_term_and_slot(ref)):
             assert np.array_equal(x, y), a
+    for lam in (-0.75, 0.5, 1.0, 3.7):  # 1 is a Wallach point of type I
+        assert got.values(lam).tobytes() == want.values(lam).tobytes(), lam
 
 
 @pytest.mark.parametrize(
@@ -598,22 +617,29 @@ def test_recurrence_compile_sorts_nothing_longer_than_the_basis(monkeypatch):
 
 @pytest.mark.parametrize("level, off", [(2, 1), (2, -1), (5, 1), (5, -1)])
 def test_a_level_that_misses_its_schedule_raises(monkeypatch, level, off):
-    # Each level fills arrays of the size its schedule gives: one pair more
-    # or fewer than scheduled is an error, not a short or garbled plan.
-    n = norm_series(wk.parse_domain("III:3"), 5)
-    schedule, kept = hs._schedule, []
+    # Each level forms the pairs its schedule counts and fills arrays of the
+    # size it gives: one pair more or fewer than scheduled is an error, not a
+    # short or garbled plan, with III:3's permutations or without.
+    dom = wk.parse_domain("III:3")
+    n = norm_series(dom, 5)
+    schedule = hs._schedule
+    for generators in ((), symmetries(dom)):
+        for which, field in enumerate(("formed", "kept")):
+            scheduled = []
 
-    def shifted(*args):
-        out = schedule(*args)
-        forms, level_kept = out[level - 1]
-        out[level - 1] = (forms, level_kept + off)
-        kept.append(level_kept)
-        return out
+            def shifted(*args):
+                out, cells = schedule(*args)
+                counts = list(out[level - 1])
+                scheduled.append(counts[which])
+                counts[which] += off
+                out[level - 1] = tuple(counts)
+                return out, cells
 
-    monkeypatch.setattr(hs, "_schedule", shifted)
-    with pytest.raises(RuntimeError) as err:
-        compile_recurrence(n)
-    assert str(err.value) == f"level {level} kept {kept[0]} pairs, not the {kept[0] + off} scheduled"
+            monkeypatch.setattr(hs, "_schedule", shifted)
+            with pytest.raises(RuntimeError) as err:
+                compile_recurrence(n, generators)
+            want = scheduled[0]
+            assert str(err.value) == f"level {level} {field} {want} pairs, not the {want + off} scheduled"
 
 
 def _exponents(n_vars, degree):
