@@ -106,8 +106,8 @@ class CalabiMatrix:
     only the representatives' entries, exact zeros included, and their
     orbits come from the recurrence; graded_blocks keeps the series' nonzero
     entries and makes each component of their pattern its own orbit.  sizes
-    is what the recurrence plan holds (RecurrencePlan.sizes), empty for the
-    other two."""
+    is what the recurrence plan holds (RecurrencePlan.sizes, the base's for
+    the assembly), empty for graded_blocks."""
 
     domain_spec: str
     lam: float | None

@@ -170,7 +170,8 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     entry w^m.  Level a reads only N's terms of degree <= a, and basis(d, k)
     is a prefix of basis(d, cutoff), so the plan's levels up to cutoff - m
     are the expansion at that cutoff.  The permutations, with w fixed, fix
-    the kernel: each base orbit of degree <= cutoff - m, times w^m, is one."""
+    the kernel: each base orbit of degree <= cutoff - m, times w^m, is one.
+    Its sizes are the base plan's (RecurrencePlan.sizes)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
@@ -200,7 +201,8 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
                        positions[np.lexsort((positions, np.repeat(least, sizes)))],
                        sizes[np.argsort(least)], counts[np.argsort(least)])
     return CalabiMatrix(ch.spec_string, c, ch.n_vars, cutoff, rows[order], cols[order],
-                        values[order], 0.0, float(np.abs(values).max(initial=0.0)), orbits)
+                        values[order], 0.0, float(np.abs(values).max(initial=0.0)), orbits,
+                        plan.sizes())
 
 
 def ch_truncated_verdict(

@@ -21,9 +21,9 @@ import numpy as np
 from . import calabi, gram, reports
 from .cartan_hartogs import (
     CHDomain,
+    ch_block_assembly,
     ch_projectively_induced,
     ch_sample,
-    ch_truncated_verdict,
     einstein_residual,
     mu_einstein,
     parse_ch_spec,
@@ -327,10 +327,10 @@ def _cmd_ch_check(args):
         f"{ch.spec_string}, c={args.c:g}:",
         f"  closed-form induced: {cf.induced} (threshold c >= {threshold:g} at mu_einstein)",
     ]
-    agreement = None
-    per_block: list = []
+    agreement, per_block, sizes = None, [], {}
     if args.cutoff is not None:
-        verdict = ch_truncated_verdict(ch, args.c, args.cutoff)
+        matrix = ch_block_assembly(ch, args.c, args.cutoff)
+        verdict, sizes = calabi.psd_verdict(matrix), matrix.sizes
         verdicts["truncated_psd"] = verdict.psd
         verdicts["certainty"] = verdict.certainty
         per_block = _block_dicts(verdict)
@@ -357,6 +357,7 @@ def _cmd_ch_check(args):
         verdicts=verdicts,
         per_block=per_block,
         agreement=agreement,
+        sizes=sizes,
     )
     return report, lines, None
 

@@ -69,7 +69,6 @@ zeros.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -84,19 +83,19 @@ PAIR_BYTES = 128
 # compile_recurrence charges each pair the levels below its largest one keep
 # at what the plan holds of it (int64 src and slot) and each pair that level
 # forms at PLAN_PAIR_BYTES: the pairs formed stand for the rest of what the
-# compile and the replay hold (the entries the cells read at 8 B, a batch,
-# the replay's weights).  Without permutations the estimate is 1.7-1.75x
-# the compile and replay's traced peak on I:3,3 at cutoffs 9-11 and IV:6
-# at 8.  Reduced by permutations, the tables of the basis's size are
-# added: the estimate is 1.3-1.6x a single verdict's traced peak on I:3,3
-# at cutoffs 9-12, IV:6 at 8-9 and III:3 at 9.
+# compile and the replay hold (a batch, the replay's weights).  Without
+# permutations the estimate is 1.7-1.75x the compile and replay's traced
+# peak on I:3,3 at cutoffs 9-11 and IV:6 at 8.  Reduced by permutations,
+# the tables of the basis's size are added: the estimate is 1.2-2.0x a
+# single verdict's traced peak on I:3,3 at cutoffs 9-12, IV:6 at 8-9 and
+# III:3 at 9.
 KEPT_PAIR_BYTES = 16
 PLAN_PAIR_BYTES = 36
 # Labelling the weight components and mapping each position into its orbit
 # representative hold about this much per variable and basis position (the
 # exponents, reduced and permuted, are int64).
 LABEL_BYTES_PER_COORD = 16
-# Entry pairs compile_recurrence forms, and entries it builds, at once.
+# Entry pairs compile_recurrence forms at once.
 _BATCH_PAIRS = 2**13
 
 
@@ -556,7 +555,8 @@ def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators
     """The generators that fix N, and per weight component the least
     component of its orbit under them (its representative) and a
     permutation tau of the variables with e[tau] in the representative for
-    every exponent vector e of the component (None if no generator fixes N).
+    every exponent vector e of the component (the identity on a
+    representative, so on every component if no generator fixes N).
 
     A generator g takes a component X onto g X, whose vectors f come from
     X's as f = e[g], so f[argsort(g)[tau_X]] lies in X's representative.
@@ -564,9 +564,10 @@ def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators
     whole orbit: every component takes the least representative and its
     tau from the components that map onto it until none improves."""
     bas, count = n.basis, len(first)
+    lead, tau = np.arange(count), np.tile(np.arange(n.n_vars), (count, 1))
     perms = [tuple(int(i) for i in g) for g in generators if sorted(g) == list(range(n.n_vars))]
     if not perms:
-        return (), np.arange(count), None
+        return (), lead, tau
     # One ranking for every permutation: N's entries, and each component's least position.
     at = np.concatenate((n.rows, n.cols, first))
     moved = bas.rank(bas.exponents[at][:, perms]).T
@@ -580,10 +581,6 @@ def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators
         ):
             used.append(g)
             maps.append(coset[pos[2 * len(n.rows) :]])
-    if not used:
-        return (), np.arange(count), None
-    lead = np.arange(count)
-    tau = np.tile(np.arange(n.n_vars), (count, 1))
     inverses = [np.argsort(g) for g in used]
     while True:
         changed = False
@@ -599,11 +596,12 @@ def _orbits(n: HermitianSeries, coset: np.ndarray, first: np.ndarray, generators
 def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> tuple[list, list]:
     """Per level a = 1..cutoff of compile_recurrence, before any is built:
     (pairs formed, pairs kept), where a pair is formed when its target lies
-    in a representative (rep, per component) and kept when that target is
-    canonical; shifts are compile_recurrence's rank tables.  Also, per
-    degree g of N's terms, the cells formed: [term, source component S] ->
-    the component of S + gamma is a representative, for the components of
-    degree <= cutoff - g.
+    in a representative (rep, per component; every one without
+    permutations) and kept when that target is canonical; shifts are
+    compile_recurrence's rank tables.  Also, per degree g of N's terms, the
+    cells formed: [term, source component S] -> the component of S + gamma
+    is a representative, for the components of degree <= cutoff - g.  Both
+    are counted per term and source component.
 
     A level that some pair reaches has every pair (p, q) in its components as
     an entry, mirrors included: |S|^2 for a component S.  A term (gamma,
@@ -618,20 +616,6 @@ def _schedule(bas: Basis, by_degree, shifts, diffs, coset, first, size, rep) -> 
     cutoff, degrees, exps = bas.max_degree, bas.degrees, bas.exponents
     level = degrees[first]  # components are numbered by least position, so by degree
     begin = np.searchsorted(degrees, np.arange(cutoff + 2))
-    if rep.all():  # every target is kept: a source level counts whole, per term (g, |u|)
-        whole = np.bincount(level, size * size, cutoff + 1).astype(np.int64).tolist()
-        count = np.diff(begin).tolist()  # positions per degree
-        up = np.maximum(-diffs, 0).sum(axis=1).tolist()
-        terms = Counter(zip([g for g, *_, c in by_degree for _ in range(len(c))], up))
-        made, schedule = [1], []  # the entries of each level so far
-        for a in range(1, cutoff + 1):
-            active = [(k, made[a - t], a - t - u) for (t, u), k in terms.items() if t <= a]
-            forms = sum(k * e for k, e, _ in active)
-            kept = sum(k * (e + (count[s] if e and s >= 0 else 0)) for k, e, s in active)
-            schedule.append((forms, kept // 2))
-            made.append(whole[a] if forms else 0)
-        sources = [np.searchsorted(level, cutoff - g, side="right") for g, *_ in by_degree]
-        return schedule, [np.ones((len(c), k), dtype=bool) for (*_, c), k in zip(by_degree, sources)]
     reached = np.zeros(cutoff + 1, dtype=bool)
     reached[0] = True
     for a in range(1, cutoff + 1):
@@ -688,18 +672,15 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
     per degree of N's terms, over the distinct gammas and every source
     level, turns the target positions into gathers.
 
-    The entries that later levels read are taken component after component,
-    each component S's |S|^2 pairs (mirrors included) one run, row by row in
-    the order _weight_components gives the positions, and a pair reads its
-    entry's canonical image in the entry's representative: a permutation of
-    the variables per component (_orbits) maps its positions there.  A term
-    pairs only with the components S whose S + gamma is a representative
-    (the schedule's cells; every component without generators), about
-    _BATCH_PAIRS pairs at a time: row x of S meets the positions y of S, and
-    as the term's images of the ys increase along the row, its canonical
-    targets (p <= q) are those from the first image at or past x's on, found
-    by one binary search per row, so no pair that the plan does not keep is
-    built.
+    A term pairs only with the components S whose S + gamma is a
+    representative (the schedule's cells), about _BATCH_PAIRS pairs at a
+    time: row x of S meets the positions y of S, and as the term's images of
+    the ys increase along the row, its canonical targets (p <= q) are those
+    from the first image at or past x's on, found by one binary search per
+    row, so no pair that the plan does not keep is built.  A kept pair reads
+    f at the canonical pair of the images of x and y in their
+    representative, where a permutation of the variables per component
+    (_orbits) maps them.
     """
     bas = n.basis
     exps, degrees = bas.exponents, bas.degrees
@@ -730,7 +711,7 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
         # reduced, the tables of the basis's size too.
         charges, before = [], 0
         for a, (forms, kept) in enumerate(schedule, 1):
-            plan_need = KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms + (0 if tau is None else need)
+            plan_need = KEPT_PAIR_BYTES * before + PLAN_PAIR_BYTES * forms + (need if generators else 0)
             charges.append((plan_need, a, forms, before))
             before += kept
         plan_need, a, forms, before = max(charges, key=lambda c: c[0], default=(0, 0, 0, 0))
@@ -756,36 +737,12 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
     base = row_first - level_first[degrees] - rank
     fhead = row_first - rank + 1
     fhead[0] = 0
-
-    # The entries that later levels read: those of the components some cell
-    # pairs with, row by row in order; row p's start at entry[p], and each
-    # reads f at value_at, the canonical pair of the images of p and q in
-    # their representative.
-    read = np.zeros(len(first), dtype=bool)
-    component_start = np.searchsorted(degrees[first], np.arange(n.cutoff + 2))
-    for (level_g, *_), mask in zip(by_degree, cells):
-        read[: component_start[n.cutoff - level_g + 1]] |= mask.any(axis=0)
-    n_entries = width * (read[coset] & reached[degrees])  # per row
+    # Each source position's image in its representative.
     lowest = by_degree[0][0] if by_degree else n.cutoff + 1
     sources = start[max(0, n.cutoff - lowest + 1)]
     image = np.arange(len(bas))
-    if tau is not None:
-        moved = np.flatnonzero(~rep[:sources])
-        image[moved] = bas.rank(np.take_along_axis(exps[moved], tau[coset[moved]], axis=1))
-    n_q = n_entries[order[:sources]]
-    entry = np.zeros(len(bas), dtype=np.int64)
-    entry[order[:sources]] = row_entry = np.cumsum(n_q) - n_q
-    value_at = np.empty(int(n_q.sum()), dtype=np.int64)
-    cuts = np.searchsorted(row_entry, np.arange(_BATCH_PAIRS, len(value_at), _BATCH_PAIRS)).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, sources]):
-        if lo == hi:
-            continue
-        # Row p pairs p with the positions q of its component, in order.
-        p = order[lo:hi]
-        n_q = n_entries[p]
-        q = np.repeat(np.arange(lo, hi) - rank[p] - (np.cumsum(n_q) - n_q), n_q)
-        i, j = image[np.repeat(p, n_q)], image[order[q + np.arange(len(q))]]
-        value_at[row_entry[lo] : row_entry[lo] + len(i)] = fhead[np.minimum(i, j)] + rank[np.maximum(i, j)]
+    moved = np.flatnonzero(~rep[:sources])
+    image[moved] = bas.rank(np.take_along_axis(exps[moved], tau[coset[moved]], axis=1))
     # Level a keeps its pairs term by term in slot[kept_at[a]:] and src, the
     # terms in order of degree; per level, the pairs formed and kept so far.
     level_kept = np.array([0] + [kept for _, kept in schedule])
@@ -839,8 +796,9 @@ def compile_recurrence(n: HermitianSeries, generators: Iterable = ()) -> Recurre
             k += np.arange(len(row))  # and its y's row
             pair_slot = base[p][row]
             pair_slot += rank[q][k]
-            k += (entry[pos] - cell)[row]
-            pair_src = value_at[k]
+            i, j = image[pos][row], image[pos][k]  # x and y in their representative
+            pair_src = fhead[np.minimum(i, j)]
+            pair_src += rank[np.maximum(i, j)]
             for s, r0, r1 in zip(levels, [0, *level_end], level_end):
                 r0, r1 = max(lo, r0) - lo, min(hi, r1) - lo
                 if r0 < r1:  # rows that read level s

@@ -14,8 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallachkit import calabi, multiindex
+from wallachkit.cartan_hartogs import parse_ch_spec
 from wallachkit.cli import _scan_grid, main
-from wallachkit.domains import parse_domain, wallach_contains
+from wallachkit.domains import norm_series, parse_domain, symmetries, wallach_contains, wallach_set
+from wallachkit.series import compile_recurrence
 
 
 def run(capsys, *argv):
@@ -223,6 +225,66 @@ def test_gram_answers_every_input_without_a_false_witness(capsys, spec, lam, bud
             assert d["verdicts"]["witness_found"] is False, (spec, lam)
 
 
+VERDICT_SECONDS = 10
+_VERDICT_SPECS = ["I:2,2", "I:2,3", "I:3,3", "III:2", "III:3", "IV:3", "IV:5", "CH:1", "CH:2"]
+
+
+@st.composite
+def _verdict_inputs(draw):
+    # Any finite lambda, with extra weight on [-4, 4], on signed zeros, the
+    # least subnormals and huge values, and on the discrete Wallach points
+    # and points 1e-13 to 1e-7 away from them.
+    spec = draw(st.sampled_from(_VERDICT_SPECS))
+    near = st.tuples(
+        st.sampled_from(wallach_set(parse_domain(spec)).discrete),
+        st.one_of(st.just(0.0), st.floats(1e-13, 1e-7), st.floats(-1e-7, -1e-13)),
+    ).map(sum)
+    lam = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-4.0, 4.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+        near,
+    ))
+    return spec, draw(st.integers(1, 5)), lam
+
+
+@pytest.mark.parametrize("command", ["calabi", "immersion"])
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_verdict_inputs())
+def test_calabi_and_immersion_answer_every_input(capsys, command, case):
+    # Every run ends within VERDICT_SECONDS in exit 0 or 2 with a JSON report,
+    # or exit 1 with a JSON error object or a usage error, and no traceback.
+    # calabi disagrees with the closed form only where the truncation cannot
+    # see the gap (cutoff < r) or next to a discrete Wallach point, and
+    # immersion never compares verdicts.
+    spec, cutoff, lam = case
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(VERDICT_SECONDS)
+    try:
+        code = main([command, spec, f"--lambda={lam!r}", f"--cutoff={cutoff}", "--format", "json"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in out + err
+    if code == 1 and not out:
+        assert err.startswith("usage error: "), err
+    else:
+        d = json.loads(out)
+        assert ("error" in d) == (code == 1), d
+    if code == 2:
+        dom = parse_domain(spec)
+        near = min(abs(lam - point) for point in wallach_set(dom).discrete) <= 1e-8
+        assert command == "calabi" and (cutoff < dom.r or near), (command, spec, cutoff, lam)
+
+
 # Numbers a witness file may hold where a float is read: finite, signed
 # infinities, NaN and values near the largest double.
 _WITNESS_NUMBERS = st.one_of(
@@ -362,6 +424,16 @@ def test_ch_check_below_threshold_with_blocks(capsys):
     blocks = d["per_block"]
     assert all(1 <= b["solved_components"] <= b["components"] for b in blocks)
     assert sum(b["solved_components"] for b in blocks) < sum(b["components"] for b in blocks)
+
+
+def test_ch_check_says_what_was_solved(capsys):
+    # With --cutoff, ch-check reports the sizes of the base plan it replays.
+    ch = parse_ch_spec("CHD(III:3;mu=0.25)")
+    plan = compile_recurrence(norm_series(ch.base, 6), symmetries(ch.base))
+    code, d, _ = run_json(capsys, "ch-check", ch.spec_string, "--c", "2", "--cutoff", "6")
+    assert code == 0 and d["sizes"] == plan.sizes()
+    code, d, _ = run_json(capsys, "ch-check", ch.spec_string, "--c", "2")
+    assert code == 0 and "sizes" not in d
 
 
 def test_ch_check_names_the_closed_forms_first_failing_w_degree(capsys):

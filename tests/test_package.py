@@ -63,3 +63,39 @@ def test_every_cache_is_one_a_cold_clear_empties():
                         cached.add(node.name)
     assert {"_SCAN_PLAN_CACHE", "_RANK_TABLE_CACHE"} <= caches
     assert {"basis", "norm_series"} <= cached
+
+
+def test_every_import_is_used_and_every_private_name_is_read():
+    # What a deletion leaves behind: a name a module imports and never reads,
+    # or a module-level private name that nothing in the package reads.
+    # __init__ imports only to re-export.
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(wk.__file__).parent.glob("*.py")}
+    loads = {
+        stem: {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and isinstance(node, (ast.Name, ast.Attribute))
+        }
+        for stem, tree in trees.items()
+    }
+    read_anywhere = set().union(*loads.values())
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in loads[stem] or name == "annotations", (stem, name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name in read_anywhere, (stem, name)
