@@ -57,6 +57,7 @@ from .multiindex import basis
 from .series import HermitianSeries, _labels
 from .domains import DomainModel, norm_series, symmetries
 
+# The block tolerance of every verdict (_spectral_pass).
 DEFAULT_TOL_ABS = 1e-10
 DEFAULT_TOL_REL = 1e-9
 
@@ -66,14 +67,6 @@ GRADING_REL_TOL = 1e-13
 # Component minima this close, relative to the block scale (max |b|), tie
 # for the witness.
 WITNESS_TIE_REL = 64 * np.finfo(np.float64).eps
-
-
-def check_tolerance(value: float) -> float:
-    """The tolerance itself if it is a finite number >= 0, else a ValueError:
-    a NaN tolerance would pass every eigenvalue as nonnegative."""
-    if not (isfinite(value) and value >= 0):
-        raise ValueError(f"tolerance {value!r} is not a finite number >= 0")
-    return value
 
 
 class GradingError(Exception):
@@ -88,10 +81,10 @@ def bergman_diastasis_series(dom: DomainModel, lam: float, cutoff: int) -> Hermi
     return hs.inverse_norm_power(norm_series(dom, cutoff), lam)
 
 
-def normalization_check(s: HermitianSeries, tol: float = NORMALIZATION_TOL) -> bool:
+def normalization_check(s: HermitianSeries) -> bool:
     """True iff every pure term (one side the zero index, not both) vanishes."""
     pure = (s.rows == 0) & (s.cols != 0)  # canonical entries have j <= k
-    return not (np.abs(s.values[pure]) > tol).any()
+    return not (np.abs(s.values[pure]) > NORMALIZATION_TOL).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +174,6 @@ class BlockVerdict:
 class Verdict:
     psd: bool
     per_block: tuple[BlockVerdict, ...]
-    tol_abs: float
-    tol_rel: float
     cutoff: int
     certainty: str  # "refuted" | "consistent-to-cutoff"
 
@@ -274,8 +265,7 @@ def _eigen(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectral_pass(
-    layout: SpectralLayout, values: np.ndarray, tol_abs: float, tol_rel: float,
-    vectors: bool = False, witnesses: bool = True,
+    layout: SpectralLayout, values: np.ndarray, vectors: bool = False, witnesses: bool = True,
 ) -> tuple[tuple[BlockVerdict, ...], dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Per-degree verdicts, and the spectrum as {size: (positions, values,
     matrices)}, from one stacked eigensolve per size of the representatives
@@ -284,9 +274,11 @@ def _spectral_pass(
     representative, the first in stack order whose minimum ties with the
     least (WITNESS_TIE_REL), or with vectors eigh, with
     the eigenvectors as the matrices.  Ranks count each orbit in full.
-    Without witnesses every witness is None and no eigh runs for them."""
-    check_tolerance(tol_abs)
-    check_tolerance(tol_rel)
+    Without witnesses every witness is None and no eigh runs for them.
+
+    Every verdict reads its tolerance from this one rule: degree d's block
+    tolerance is max(DEFAULT_TOL_ABS, DEFAULT_TOL_REL * s_d), with s_d the
+    block scale, max |b| over the degree's entries."""
     runs, cutoff, degree, size = layout.runs, layout.cutoff, layout.degree, layout.size
     scale, filled = np.zeros(cutoff + 1), runs[1:] > runs[:-1]
     scale[filled] = np.maximum.reduceat(np.abs(values), runs[:-1][filled])
@@ -295,7 +287,7 @@ def _spectral_pass(
         raise RuntimeError(
             f"degree-{bad} block has non-finite coefficients (max |b| = {scale[bad]})"
         )
-    tol = np.maximum(tol_abs, tol_rel * scale)
+    tol = np.maximum(DEFAULT_TOL_ABS, DEFAULT_TOL_REL * scale)
     buffer = np.zeros(int(size @ size))  # size x size entries per representative
     buffer[layout.mine] = buffer[layout.mirror] = values[layout.sel]
     spectra = {}
@@ -333,17 +325,13 @@ def _spectral_pass(
     return tuple(verdicts), spectra
 
 
-def psd_verdict(
-    m: CalabiMatrix,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Verdict:
+def psd_verdict(m: CalabiMatrix) -> Verdict:
     """Per-block minimum eigenvalues and the aggregate PSD decision."""
     layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.orbits)
-    per_block, _ = _spectral_pass(layout, m.values, tol_abs, tol_rel)
+    per_block, _ = _spectral_pass(layout, m.values)
     psd = not any(bv.min_eigenvalue < -bv.tol for bv in per_block)
     certainty = "consistent-to-cutoff" if psd else "refuted"
-    return Verdict(psd, per_block, tol_abs, tol_rel, m.cutoff, certainty)
+    return Verdict(psd, per_block, m.cutoff, certainty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,11 +342,7 @@ class ImmersionComponent:
     coeffs: dict[tuple[int, ...], float]
 
 
-def extract_immersion(
-    m: CalabiMatrix,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> list[ImmersionComponent]:
+def extract_immersion(m: CalabiMatrix) -> list[ImmersionComponent]:
     """Components f_j with sum_j f_j(z) conj(f_j(w)) = 1 + series, to cutoff.
 
     Each PSD block factors as B = L L^T through the eigen-decompositions of
@@ -369,7 +353,7 @@ def extract_immersion(
     per component of its orbit, its exponents permuted.
     """
     layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.orbits)
-    per_block, parts = _spectral_pass(layout, m.values, tol_abs, tol_rel, vectors=True)
+    per_block, parts = _spectral_pass(layout, m.values, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
         raise ValueError("immersion extraction requires a PSD coefficient matrix")
     b = basis(m.n_vars, m.cutoff)
@@ -453,13 +437,7 @@ def scan_sizes(dom: DomainModel, cutoff: int) -> dict[str, int]:
     return _scan_plan(dom, cutoff)[0].sizes()
 
 
-def scan_lambdas(
-    dom: DomainModel,
-    lams: Iterable[float],
-    cutoff: int,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> list[ScanRow]:
+def scan_lambdas(dom: DomainModel, lams: Iterable[float], cutoff: int) -> list[ScanRow]:
     """Per-(lambda, degree) block eigen-data; one row per block, in grid order.
 
     The rows are those of psd_verdict(calabi_matrix(dom, lambda, cutoff)),
@@ -475,7 +453,7 @@ def scan_lambdas(
     for lam in lams:
         lam = float(lam)
         # A scan row reads no witness, so none is solved for.
-        per_block, _ = _spectral_pass(layout, plan.values(lam), tol_abs, tol_rel, witnesses=False)
+        per_block, _ = _spectral_pass(layout, plan.values(lam), witnesses=False)
         rows.extend(
             ScanRow(lam, bv.degree, bv.dim, bv.min_eigenvalue, bv.min_eigenvalue >= -bv.tol)
             for bv in per_block

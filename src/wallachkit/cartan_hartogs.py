@@ -37,13 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import series as hs
-from .calabi import (
-    DEFAULT_TOL_ABS,
-    DEFAULT_TOL_REL,
-    CalabiMatrix,
-    Verdict,
-    psd_verdict,
-)
+from .calabi import CalabiMatrix
 from .domains import (
     WALLACH_SNAP_TOL,
     DomainModel,
@@ -203,16 +197,6 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     return CalabiMatrix(ch.spec_string, c, ch.n_vars, cutoff, rows[order], cols[order],
                         values[order], 0.0, float(np.abs(values).max(initial=0.0)), orbits,
                         plan.sizes())
-
-
-def ch_truncated_verdict(
-    ch: CHDomain,
-    c: float,
-    cutoff: int,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Verdict:
-    return psd_verdict(ch_block_assembly(ch, c, cutoff), tol_abs, tol_rel)
 
 
 # --- closed-form verdict and threshold ----------------------------------------

@@ -60,13 +60,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    try:
-        return calabi.check_tolerance(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _ch_domain(text: str) -> CHDomain:
     try:
         return parse_ch_spec(text)
@@ -101,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     _add_lambda_or_c(p)
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--tol-abs", type=_tolerance, default=calabi.DEFAULT_TOL_ABS)
-    p.add_argument("--tol-rel", type=_tolerance, default=calabi.DEFAULT_TOL_REL)
     _add_common(p)
     p.set_defaults(func=_cmd_calabi)
 
@@ -210,7 +201,7 @@ def _cmd_calabi(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
     matrix = calabi.calabi_matrix(dom, lam, args.cutoff)
-    verdict = calabi.psd_verdict(matrix, args.tol_abs, args.tol_rel)
+    verdict = calabi.psd_verdict(matrix)
     closed = wallach_contains(dom, lam)
     agreement = verdict.psd == closed
     report = RunReport(
@@ -219,8 +210,8 @@ def _cmd_calabi(args):
         parameters={
             "lambda": lam,
             "cutoff": args.cutoff,
-            "tol_abs": args.tol_abs,
-            "tol_rel": args.tol_rel,
+            "tol_abs": calabi.DEFAULT_TOL_ABS,
+            "tol_rel": calabi.DEFAULT_TOL_REL,
         },
         verdicts={
             "wallach_member": closed,

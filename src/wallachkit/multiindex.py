@@ -126,28 +126,13 @@ class Basis:
         return f"Basis(n_vars={self.n_vars}, max_degree={self.max_degree}, size={len(self)})"
 
 
-# One rank table per variable count, grown by doubling as tops rise, so a
-# recurrence that ranks one level higher at a time builds O(log cutoff) tables.
-_RANK_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _rank_table(n_vars: int, top: int) -> np.ndarray:
     """C(t + m - 1, m), the count of degree < t in m variables, at [t, m]
-    (column 0 unused) for every t <= top at least; rank checks beforehand
-    that C(top + n_vars, n_vars) fits in int64."""
-    table = _RANK_TABLE_CACHE.get(n_vars)
-    if table is None or len(table) <= top:
-        # Double (from 16), but back off toward top while the entries overflow.
-        size = max(top, 2 * (0 if table is None else len(table) - 1), 16)
-        while size > top and comb(size + n_vars - 1, n_vars) > _INT64_MAX:
-            size = (size + top) // 2
-        table = _RANK_TABLE_CACHE[n_vars] = _build_rank_table(n_vars, size)
-    return table
-
-
-def _build_rank_table(n_vars: int, max_tail: int) -> np.ndarray:
-    table = np.zeros((max_tail + 1, n_vars + 1), dtype=np.int64)
-    for t in range(1, max_tail + 1):
+    (column 0 unused) for every t <= top; rank checks beforehand that
+    C(top + n_vars, n_vars) fits in int64."""
+    table = np.zeros((top + 1, n_vars + 1), dtype=np.int64)
+    for t in range(1, top + 1):
         table[t, 1:] = [comb(t + m - 1, m) for m in range(1, n_vars + 1)]
     table.flags.writeable = False
     return table

@@ -26,7 +26,7 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(value: Any, level: int, indent: int) -> str:
+def _emit(value: Any, level: int) -> str:
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -37,8 +37,8 @@ def _emit(value: Any, level: int, indent: int) -> str:
         return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(value, Mapping):
         if not value:
             return "{}"
@@ -46,18 +46,18 @@ def _emit(value: Any, level: int, indent: int) -> str:
         for k, v in value.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(k)}")
-            parts.append(f"{pad}{json.dumps(k)}: {_emit(v, level + 1, indent)}")
+            parts.append(f"{pad}{json.dumps(k)}: {_emit(v, level + 1)}")
         return "{\n" + ",\n".join(parts) + f"\n{close_pad}}}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        parts = [f"{pad}{_emit(v, level + 1, indent)}" for v in value]
+        parts = [f"{pad}{_emit(v, level + 1)}" for v in value]
         return "[\n" + ",\n".join(parts) + f"\n{close_pad}]"
     raise TypeError(f"cannot serialize {type(value)} to JSON")
 
 
-def to_json(value: Any, indent: int = 2) -> str:
-    return _emit(value, 0, indent) + "\n"
+def to_json(value: Any) -> str:
+    return _emit(value, 0) + "\n"
 
 
 def parse_json(text: str) -> Any:

@@ -128,13 +128,13 @@ def test_criterion_5_extension_threshold():
 
     v = wk.ch_projectively_induced(ch, 1.25)
     assert v.induced
-    trunc = wk.ch_truncated_verdict(ch, 1.25, 4)
+    trunc = wk.psd_verdict(wk.ch_block_assembly(ch, 1.25, 4))
     assert trunc.psd
 
     for c in (1.0, 1.1, 1.2):
         v = wk.ch_projectively_induced(ch, c)
         assert not v.induced, c
-        trunc = wk.ch_truncated_verdict(ch, c, 4)
+        trunc = wk.psd_verdict(wk.ch_block_assembly(ch, c, 4))
         assert not trunc.psd, c
         negative = [b for b in trunc.per_block if b.min_eigenvalue < -b.tol]
         assert negative, f"no explicit negative block at c={c}"

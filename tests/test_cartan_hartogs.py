@@ -327,9 +327,9 @@ def test_above_threshold_always_induced():
 
 def test_truncated_verdict_matches_closed_form():
     ch = wk.parse_ch_spec("CHD(I:2,2;mu=einstein)")
-    v_true = wk.ch_truncated_verdict(ch, 1.25, 4)
+    v_true = wk.psd_verdict(wk.ch_block_assembly(ch, 1.25, 4))
     assert v_true.psd
-    v_false = wk.ch_truncated_verdict(ch, 1.0, 4)
+    v_false = wk.psd_verdict(wk.ch_block_assembly(ch, 1.0, 4))
     assert not v_false.psd
     neg = [b for b in v_false.per_block if b.min_eigenvalue < -b.tol]
     assert neg, "expected an explicit negative block"

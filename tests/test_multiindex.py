@@ -1,7 +1,7 @@
 """Enumeration order, ranking, and the rank tables."""
 
 import itertools
-from math import ceil, comb, log2
+from math import comb
 
 import numpy as np
 import pytest
@@ -182,26 +182,23 @@ def _comb_position(exponents):
     return pos
 
 
-def test_rank_tables_grow_by_doubling(monkeypatch):
-    # The recurrence ranks every level at a higher top degree; one table per
-    # variable count, doubled as the tops rise, keeps the builds logarithmic.
-    monkeypatch.setattr(multiindex, "_RANK_TABLE_CACHE", {})
-    built = []
-    build = multiindex._build_rank_table
-    monkeypatch.setattr(
-        multiindex, "_build_rank_table", lambda n, t: built.append((n, t)) or build(n, t)
-    )
+def test_rank_tables_are_built_at_the_top_asked():
+    # One table per (variable count, top degree), built at exactly that top:
+    # the recurrence ranks a handful of tops per verdict, so a table is
+    # never grown.
+    multiindex._rank_table.cache_clear()
     s = wk.bergman_diastasis_series(wk.parse_domain("CH:1"), 0.5, 2000)
     assert len(s.values) == 2000
-    assert 1 <= len(built) <= ceil(log2(2000)) + 1
-    assert [n for n, _ in built] == [1] * len(built)
     assert basis(1, 2000).rank(np.arange(2001)[:, None]).tolist() == list(range(2001))
-    # Grown tables rank like the closed form, across several growths.
+    # The tables rank like the closed form, at every top asked.
     rng = np.random.default_rng(5)
     for n_vars, top in [(3, 5), (3, 40), (3, 300), (6, 25), (6, 120)]:
         exps = rng.multinomial(top, np.full(n_vars, 1.0 / n_vars), size=50)
         exps[:, 0] -= rng.integers(0, exps[:, 0] + 1)  # lower degrees too
         ranks = basis(n_vars, 1).rank(exps)
         assert ranks.tolist() == [_comb_position(e) for e in exps.tolist()]
-    table = multiindex._RANK_TABLE_CACHE[6]
-    assert all(table[t, m] == comb(t + m - 1, m) for t in range(len(table)) for m in range(1, 7))
+        asked = int(exps.sum(axis=1).max())
+        table = multiindex._rank_table(n_vars, asked)
+        assert table.shape == (asked + 1, n_vars + 1)
+        assert all(table[t, m] == comb(t + m - 1, m) for t in range(len(table))
+                   for m in range(1, n_vars + 1))
