@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import series as hs
-from .multiindex import basis
+from .multiindex import basis, check_memory
 from .series import HermitianSeries, _labels
 from .domains import DomainModel, norm_series, symmetries
 
@@ -64,6 +64,10 @@ DEFAULT_TOL_REL = 1e-9
 # Pure terms a_{j0}, a_{0j} and off-grade entries must vanish to this level.
 NORMALIZATION_TOL = 1e-13
 GRADING_REL_TOL = 1e-13
+# Memory per term of an immersion, from extraction to the written report
+# (coefficient dicts, JSON keys, text): whole-process peaks of 533-555 B per
+# term on I:3,3 at lambda = 4, cutoffs 10 and 11, with --format json.
+IMMERSION_TERM_BYTES = 560
 # Component minima this close, relative to the block scale (max |b|), tie
 # for the witness.
 WITNESS_TIE_REL = 64 * np.finfo(np.float64).eps
@@ -350,8 +354,12 @@ def extract_immersion(m: CalabiMatrix) -> list[ImmersionComponent]:
     eigenvalues at or below the block tolerance are clipped to zero, so the
     component count per degree equals the block's reported rank.  The
     orbit representatives are solved, and each eigenvector stands for one
-    per component of its orbit, its exponents permuted.
+    per component of its orbit, its exponents permuted.  The terms they can
+    hold, orbit count x size^2 summed over the representatives, are charged
+    for the whole write-out (IMMERSION_TERM_BYTES) before any is built.
     """
+    terms = int(m.orbits.counts @ m.orbits.sizes**2)  # at most size vectors of size terms each
+    check_memory(IMMERSION_TERM_BYTES * terms, f"the immersion's write-out of up to {terms} terms")
     layout = _spectral_layout(m.n_vars, m.cutoff, m.rows, m.cols, m.orbits)
     per_block, parts = _spectral_pass(layout, m.values, vectors=True)
     if any(bv.min_eigenvalue < -bv.tol for bv in per_block):
@@ -392,21 +400,25 @@ def _orbit_exponents(b, positions: np.ndarray, generators: Sequence, count: int)
 
 
 def immersion_reconstruction_error(
-    components: Sequence[ImmersionComponent], s: HermitianSeries
+    components: Sequence[ImmersionComponent], m: CalabiMatrix
 ) -> float:
-    """Max |sum_j f_j(z) conj(f_j(w)) - (1 + series)| over retained coefficients."""
-    b = s.basis
-    rows, cols, vals = [], [], []
-    for comp in components:
-        pos = b.rank(np.array(list(comp.coeffs), dtype=np.int64).reshape(-1, s.n_vars))
-        c = np.fromiter(comp.coeffs.values(), dtype=np.float64, count=len(pos))
-        j, k = np.meshgrid(pos, pos, indexing="ij")
-        upper = j <= k
-        rows.append(j[upper])
-        cols.append(k[upper])
-        vals.append(np.outer(c, c)[upper])
-    accum = hs.from_entries(s.n_vars, s.cutoff, *(np.concatenate(a) for a in (rows, cols, vals)))
-    return hs.max_abs_diff(accum, hs.add(s, hs.from_entries(s.n_vars, s.cutoff, [0], [0], [1.0])))
+    """Max |sum_j f_j(z) conj(f_j(w)) - (1 + m)| over m's representatives and
+    the constant term, exact zeros included: the components on them have no
+    term outside them, and the others are theirs at permuted exponents."""
+    b = basis(m.n_vars, m.cutoff)
+    n = len(b)
+    on_rep = np.zeros(n, dtype=bool)
+    on_rep[m.orbits.positions] = on_rep[0] = True
+    firsts = b.rank(np.array([next(iter(comp.coeffs)) for comp in components]))
+    keys, vals = [np.zeros(1, dtype=np.int64), m.rows * n + m.cols], [[-1.0], -m.values]
+    for c in np.flatnonzero(on_rep[firsts]).tolist():
+        pos = b.rank(np.array(list(components[c].coeffs)))
+        f = np.array(list(components[c].coeffs.values()))
+        upper = pos[:, None] <= pos
+        keys.append((pos[:, None] * n + pos)[upper])
+        vals.append(np.outer(f, f)[upper])
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    return float(np.abs(np.bincount(slot, np.concatenate(vals), len(keys))).max())
 
 
 @dataclass(frozen=True, eq=False)

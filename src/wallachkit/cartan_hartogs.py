@@ -184,7 +184,9 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
         pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))
         # Entries and orbits are in graded order, so those of degree <= cutoff - m lead.
         e, p, k = (np.count_nonzero(x < len(exps)) for x in (rows, positions, lead))
-        values = hs.generalized_binomial(c, m) * np.r_[1.0, plan.values(ch.mu * (c + m), cutoff - m)]
+        replay = np.r_[1.0, plan.values(ch.mu * (c + m), cutoff - m)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the verdict reports inf and nan
+            values = hs.generalized_binomial(c, m) * replay
         i = int(m == 0)  # N^(-lambda) - 1 has no constant term
         parts.append((pos[rows[i:e]], pos[cols[i:e]], values[i:e], pos[positions[i:p]],
                       sizes[i:k], counts[i:k]))

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -43,6 +45,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number in exponent notation (--lambda -1e300) is a value,
+        # not an option; argparse's own matcher knows only -1 and -1.5.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):  # exit 1 on usage errors, per the contract
         raise UsageError(message)
 
@@ -456,9 +464,9 @@ def _cmd_scan(args):
 def _cmd_immersion(args):
     dom = parse_domain(args.domain)
     lam = _resolve_lambda(dom, args)
-    components = calabi.extract_immersion(calabi.calabi_matrix(dom, lam, args.cutoff))
-    series = calabi.bergman_diastasis_series(dom, lam, args.cutoff)
-    recon = calabi.immersion_reconstruction_error(components, series)
+    matrix = calabi.calabi_matrix(dom, lam, args.cutoff)
+    components = calabi.extract_immersion(matrix)
+    recon = calabi.immersion_reconstruction_error(components, matrix)
     comp_dicts = [
         {
             "degree": comp.degree,
@@ -479,17 +487,17 @@ def _cmd_immersion(args):
         },
         per_block=comp_dicts,
     )
-    lines = [
-        f"{dom.spec_string}, lambda={lam:g}, cutoff={args.cutoff}: "
-        f"{len(components)} components, reconstruction error {recon:.3e}"
-    ]
-    for j, comp in enumerate(components):
-        terms = " + ".join(
-            f"{coeff:.6g}*z^({','.join(str(e) for e in exps)})"
-            for exps, coeff in sorted(comp.coeffs.items())
-        )
-        lines.append(f"  f_{j} (degree {comp.degree}): {terms}")
-    return report, lines, None
+    def lines():  # formatted only if the text output joins them
+        yield (f"{dom.spec_string}, lambda={lam:g}, cutoff={args.cutoff}: "
+               f"{len(components)} components, reconstruction error {recon:.3e}")
+        for j, comp in enumerate(components):
+            terms = " + ".join(
+                f"{coeff:.6g}*z^({','.join(str(e) for e in exps)})"
+                for exps, coeff in sorted(comp.coeffs.items())
+            )
+            yield f"  f_{j} (degree {comp.degree}): {terms}"
+
+    return report, lines(), None
 
 
 def _cmd_replay(args):
@@ -520,7 +528,7 @@ def _cmd_replay(args):
 # --- entry point ----------------------------------------------------------------
 
 
-def _emit_output(args, report: RunReport, lines: list[str], payload: str | None) -> None:
+def _emit_output(args, report: RunReport, lines: Iterable[str], payload: str | None) -> None:
     if payload is not None:
         text = payload
     elif args.format == "json":

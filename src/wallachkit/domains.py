@@ -44,13 +44,17 @@ from typing import Iterator
 import numpy as np
 
 from . import series as hs
-from .multiindex import basis
+from .multiindex import basis, check_memory
 from .series import HermitianSeries
 
 _SAMPLE_RETRIES = 64
 
 # Absolute snap tolerance for membership in the discrete Wallach list.
 WALLACH_SNAP_TOL = 1e-12
+# Memory per product of two terms norm_series forms (positions, values,
+# their concatenation and from_entries' sort): 60-74 B traced on I and III
+# up to I:6,6 at cutoff 5 and III:6 at cutoff 6.
+NORM_PRODUCT_BYTES = 80
 
 
 class CatalogInconsistencyError(Exception):
@@ -396,8 +400,16 @@ def norm_series(dom: DomainModel, cutoff: int) -> HermitianSeries:
     """The generic norm as a series at the requested cutoff (exact polynomial).
 
     Only squares of degree <= cutoff are formed.  N has degree r on every
-    kind, so norm_series(dom, dom.r) is the whole polynomial.
+    kind, so norm_series(dom, dom.r) is the whole polynomial.  The products
+    of the squares' terms, sum_k C(p, k) C(q, k) (k!)^2 for the p x q entry
+    matrix of I and III (a few d on CH and IV), are charged before any is
+    formed.
     """
+    p, q = _entry_matrix(dom).shape
+    count = sum(math.comb(p, k) * math.comb(q, k) * math.factorial(k) ** 2
+                for k in range(min(dom.r, cutoff) + 1))
+    check_memory(NORM_PRODUCT_BYTES * count,
+                 f"forming the {count} term products of the generic norm of {dom.spec_string}")
     b = basis(dom.d, cutoff)
     rows, cols, vals = [], [], []
     for sign, exps, coeffs in _hermitian_squares(dom, cutoff):

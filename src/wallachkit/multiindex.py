@@ -92,13 +92,16 @@ class Basis:
         sum_{k >= 1} C(t_k + n - k - 1, n - k) (the indices of the same degree
         that come first).  A vector of degree above max_degree gets its
         position in the untruncated enumeration, which is >= len(self); a
-        ValueError says when such a position does not fit in int64.
+        ValueError says when such a position does not fit in int64, or when
+        a term holds a negative exponent.
         """
         terms = [np.asarray(t, dtype=np.int64) for t in terms]
         n = self.n_vars
         for t in terms:
             if t.shape[-1:] != (n,):
                 raise ValueError(f"expected exponent vectors of length {n}, got shape {t.shape}")
+            if t.min(initial=0) < 0:
+                raise ValueError(f"exponents must be nonnegative, got {int(t.min())}")
         tail = sum(t.sum(axis=-1) for t in terms)  # t_0, then t_1, ... in place
         top = int(np.max(tail, initial=0))
         # Every position is below C(top + n, n), the count of degree <= top.

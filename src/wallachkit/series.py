@@ -835,10 +835,6 @@ def embed(series: HermitianSeries, n_vars: int, cutoff: int | None = None) -> He
     return from_entries(n_vars, cutoff, pos[series.rows], pos[series.cols], series.values)
 
 
-def max_abs_diff(a: HermitianSeries, b: HermitianSeries) -> float:
-    return linear_combination((a, b), (1.0, -1.0)).max_abs()
-
-
 def evaluate(series: HermitianSeries, z: np.ndarray, w: np.ndarray) -> complex:
     """Evaluate sum b_{jk} z^{m_j} conj(w)^{m_k} at concrete points."""
     exps = series.basis.exponents

@@ -11,9 +11,46 @@ from wallachkit.series import (
     RecurrencePlan,
     _mirror,
     _norm_terms,
+    add,
     from_entries,
     generalized_binomial,
+    linear_combination,
 )
+
+
+def _max_abs_diff(a, b):
+    """max |a - b| over the entries of two series."""
+    return linear_combination((a, b), (1.0, -1.0)).max_abs()
+
+
+@pytest.fixture
+def max_abs_diff():
+    return _max_abs_diff
+
+
+def _series_reconstruction_error(components, s):
+    """Max |sum_j f_j(z) conj(f_j(w)) - (1 + s)| over every entry of the
+    series s, every component's outer product formed in full: the reference
+    calabi.immersion_reconstruction_error, which reads the orbit
+    representatives of the matrix the components were factored from, is
+    checked against."""
+    b = s.basis
+    rows, cols, vals = [], [], []
+    for comp in components:
+        pos = b.rank(np.array(list(comp.coeffs), dtype=np.int64).reshape(-1, s.n_vars))
+        c = np.fromiter(comp.coeffs.values(), dtype=np.float64, count=len(pos))
+        j, k = np.meshgrid(pos, pos, indexing="ij")
+        upper = j <= k
+        rows.append(j[upper])
+        cols.append(k[upper])
+        vals.append(np.outer(c, c)[upper])
+    accum = from_entries(s.n_vars, s.cutoff, *(np.concatenate(a) for a in (rows, cols, vals)))
+    return _max_abs_diff(accum, add(s, from_entries(s.n_vars, s.cutoff, [0], [0], [1.0])))
+
+
+@pytest.fixture
+def series_reconstruction_error():
+    return _series_reconstruction_error
 
 
 def _dense_blocks(s):

@@ -171,7 +171,7 @@ def test_criterion_6_einstein_probe():
     _announce(6, "Einstein probe", started, 30.0)
 
 
-def test_criterion_7_structural_invariants():
+def test_criterion_7_structural_invariants(series_reconstruction_error):
     # grading zeros, normalization, fiber-degree zeros, and immersion
     # reconstruction across a broad domain/scale grid
     started = time.monotonic()
@@ -186,8 +186,8 @@ def test_criterion_7_structural_invariants():
             verdict = wk.psd_verdict(cm)
             if verdict.psd:
                 comps = wk.extract_immersion(cm)
-                err = wk.immersion_reconstruction_error(comps, s)
-                assert err <= 1e-10, (spec, lam)
+                assert wk.immersion_reconstruction_error(comps, cm) <= 1e-10, (spec, lam)
+                assert series_reconstruction_error(comps, s) <= 1e-10, (spec, lam)
 
     for ch_spec, c in (("CHD(I:2,2;mu=0.8)", 1.25), ("CHD(CH:1;mu=1)", 1.5)):
         ch = wk.parse_ch_spec(ch_spec)

@@ -448,12 +448,15 @@ def test_immersion_rank_one_components_are_monomials():
         assert abs(coef) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_immersion_reconstruction_residual():
+def test_immersion_reconstruction_residual(series_reconstruction_error):
+    # The error on the factored matrix's representatives, and against the
+    # unreduced series over every component.
     dom = wk.catalog("I", 2, 2)
     cm = wk.calabi_matrix(dom, 1.5, 3)
     comps = wk.extract_immersion(cm)
     s = wk.bergman_diastasis_series(dom, 1.5, 3)
-    assert wk.immersion_reconstruction_error(comps, s) <= 1e-10
+    assert wk.immersion_reconstruction_error(comps, cm) <= 1e-10
+    assert series_reconstruction_error(comps, s) <= 1e-10
 
 
 def test_immersion_component_count_equals_rank():
@@ -757,16 +760,20 @@ def _orbits_written_out(m):
                                m.max_abs_coeff, calabi._label_orbits(m.n_vars, m.cutoff, rows, cols))
 
 
-def test_immersion_of_a_hartogs_assembly_expands_its_orbits(assembled_reference):
+def test_immersion_of_a_hartogs_assembly_expands_its_orbits(
+    assembled_reference, series_reconstruction_error
+):
     # The assembly's matrix carries the base's permutations: the immersion
     # solves the representatives and writes each eigenvector out once per
     # component of its orbit, as many per degree as solving every component.
     ch = chm.parse_ch_spec("CHD(I:2,2;mu=einstein)")
     s = assembled_reference(ch, 1.25, 5)
-    comps = wk.extract_immersion(chm.ch_block_assembly(ch, 1.25, 5))
+    m = chm.ch_block_assembly(ch, 1.25, 5)
+    comps = wk.extract_immersion(m)
     full = wk.extract_immersion(wk.graded_blocks(s))
     assert sorted(c.degree for c in comps) == sorted(c.degree for c in full)
-    assert wk.immersion_reconstruction_error(comps, s) <= 1e-10
+    assert wk.immersion_reconstruction_error(comps, m) <= 1e-10
+    assert series_reconstruction_error(comps, s) <= 1e-10
 
 
 _REDUCTION_CASES = [("I:2,2", 6), ("I:2,3", 5), ("I:3,3", 5), ("III:2", 6), ("III:3", 6),

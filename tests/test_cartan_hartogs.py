@@ -15,7 +15,7 @@ from wallachkit.cartan_hartogs import (
     StencilError,
     thm1_threshold,
 )
-from wallachkit.series import generalized_binomial, max_abs_diff
+from wallachkit.series import generalized_binomial
 
 
 def binomial_oracle(c: Fraction, m: int) -> Fraction:
@@ -142,7 +142,7 @@ def test_first_order_fiber_coefficient_is_c():
     assert s.coefficient((0, 0, 0, 0, 1), (0, 0, 0, 0, 1)) == pytest.approx(1.3)
 
 
-def test_cross_path_equality_cases(assembled_reference, series_at):
+def test_cross_path_equality_cases(assembled_reference, series_at, max_abs_diff):
     cases = [
         ("CH:1", 1.0, 1.5),
         ("CH:1", 1.0, 0.5),

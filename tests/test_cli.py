@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallachkit import calabi, multiindex
+from wallachkit import calabi, domains, multiindex
+from wallachkit import series as hs
 from wallachkit.cartan_hartogs import ch_projectively_induced, parse_ch_spec
 from wallachkit.cli import _scan_grid, main
 from wallachkit.domains import norm_series, parse_domain, symmetries, wallach_contains, wallach_set
@@ -677,6 +678,80 @@ def test_calabi_i33_peak_rss_under_1gb(cutoff):
     assert max(b["dim"] for b in report["per_block"]) == math.comb(cutoff + 8, 8)
     peak_kb = int(proc.stderr.strip().splitlines()[-1])  # ru_maxrss is in KiB on Linux
     assert peak_kb < 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("calabi", "I:2,2", "--lambda", "1.5", "--cutoff", "3"),
+     ("immersion", "I:2,2", "--lambda", "1.5", "--cutoff", "3"),
+     ("scan", "I:2,2", "--lambda-from", "0.5", "--lambda-to", "1.5", "--step", "0.5",
+      "--cutoff", "3"),
+     ("ch-check", "CHD(I:2,2;mu=einstein)", "--c", "1", "--cutoff", "3")],
+)
+def test_each_block_verdict_compiles_the_recurrence_once(capsys, monkeypatch, argv):
+    # One plan per run: immersion checks its reconstruction on the matrix it
+    # factored, and the scan replays one plan at every lambda.
+    compiles = []
+
+    def counted(*args, **kwargs):
+        compiles.append(args[0].cutoff)
+        return compile_recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(hs, "compile_recurrence", counted)
+    monkeypatch.setattr(calabi, "_SCAN_PLAN_CACHE", {})
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert compiles == [3]
+
+
+def test_immersion_write_out_is_charged_before_extraction(capsys, monkeypatch):
+    # I:3,3 at cutoff 6 can write 26 442 terms: refused under a 10 MB limit
+    # after the matrix, before any component is built.
+    monkeypatch.setattr(multiindex, "MEMORY_LIMIT_BYTES", 10**7)
+    monkeypatch.setattr(calabi, "_spectral_pass", None)  # extraction would call it
+    code, out, err = run(capsys, "immersion", "I:3,3", "--lambda", "4", "--cutoff", "6")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "write-out of up to 26442 terms" in err
+
+
+def test_generic_norm_is_charged_before_its_products(capsys, monkeypatch):
+    # III:7 at cutoff 7 would form about 58 M products of the squares' terms.
+    started = time.monotonic()
+    code, out, err = run(capsys, "calabi", "III:7", "--lambda", "2.75", "--cutoff", "7")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "57905114 term products of the generic norm" in err
+
+    # The widest norms that answer today pass the charge and reach their basis.
+    class Charged(Exception):
+        pass
+
+    def reached(*args):
+        raise Charged
+
+    monkeypatch.setattr(domains, "basis", reached)
+    for spec, cutoff in (("I:6,6", 5), ("III:6", 6)):
+        with pytest.raises(Charged):
+            norm_series(parse_domain(spec), cutoff)
+
+
+@pytest.mark.parametrize(
+    "argv, code, said",
+    [(("calabi", "I:2,2", "--lambda", "-1e300", "--cutoff", "3"), 1, "non-finite coefficients"),
+     (("calabi", "I:2,2", "--c", "-5e-324", "--cutoff", "3"), 0, "lambda=-1.97626e-323"),
+     (("wallach", "I:2,2", "--lambda", "-2.5E+1"), 0, "member=False"),
+     (("ch-check", "CHD(I:2,2;mu=einstein)", "--c", "1e300", "--cutoff", "3"), 1,
+      "RuntimeError: degree-2 block has non-finite coefficients")],
+)
+def test_extreme_numbers_are_values_and_overflow_is_reported(capsys, argv, code, said):
+    # A negative value in exponent notation is read as a number, not a flag,
+    # and a scale that overflows the coefficients names them, not numpy's
+    # overflow warning.
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert said in out + err
 
 
 def test_immersion_components(capsys):

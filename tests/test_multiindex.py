@@ -77,6 +77,14 @@ def test_index_sum_mismatch_rejected():
         basis(2, 2).rank((1, 0), (1, 0, 0))
 
 
+@pytest.mark.parametrize("terms", [([[2, -1]],), ((-1, 0),), ((1, 0), (0, -1)), ((3, 1), (-1, 0))])
+def test_rank_rejects_negative_exponents(terms):
+    # (2, -1) would rank as (0, 1) and a sum with a negative term as another
+    # vector; every term is checked, even where the sum is nonnegative.
+    with pytest.raises(ValueError, match="nonnegative"):
+        basis(2, 3).rank(*terms)
+
+
 def test_position_accepts_multi_index_and_tuple():
     # A tuple, a list and an int64 row rank alike.
     b = basis(2, 2)

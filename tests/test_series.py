@@ -39,7 +39,6 @@ from wallachkit.series import (
     inverse_norm_power,
     inverse_power,
     linear_combination,
-    max_abs_diff,
     power_sequence,
     product,
     zero,
@@ -134,7 +133,7 @@ def test_product_single_term():
     assert p.coefficient((1,), (1,)) == 0.0
 
 
-def test_product_with_constant_one_is_identity():
+def test_product_with_constant_one_is_identity(max_abs_diff):
     one = from_terms(2, 3, {((0, 0), (0, 0)): 1.0})
     s = from_terms(2, 3, {((1, 0), (1, 0)): 2.0, ((1, 1), (1, 1)): -0.5})
     assert max_abs_diff(product(one, s), s) == 0.0
@@ -184,14 +183,14 @@ def test_product_matches_brute_force_convolution(n_vars, cutoff, seed):
         assert p.coefficient(hol, anti) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-def test_product_commutative_exact():
+def test_product_commutative_exact(max_abs_diff):
     dom = wk.catalog("I", 2, 2)
     q = one_minus_norm(dom, 3)
     q2 = linear_combination((add(q, product(q, q)),), (0.7,))
     assert max_abs_diff(product(q, q2), product(q2, q)) == 0.0
 
 
-def test_product_associative_to_roundoff():
+def test_product_associative_to_roundoff(max_abs_diff):
     dom = wk.catalog("I", 2, 2)
     q = one_minus_norm(dom, 3)
     left = product(product(q, q), q)
@@ -199,7 +198,7 @@ def test_product_associative_to_roundoff():
     assert max_abs_diff(left, right) <= 1e-13 * max(left.max_abs(), 1.0)
 
 
-def test_truncated_product_consistent_with_wider_cutoff():
+def test_truncated_product_consistent_with_wider_cutoff(max_abs_diff):
     # truncating a degree-4 product to cutoff 2 equals the cutoff-2 product
     dom = wk.catalog("III", 2)
     q4 = one_minus_norm(dom, 4)
@@ -296,7 +295,7 @@ def test_exp_log_round_trip_against_oracle():
         assert got[k] == pytest.approx(float(exp_oracle[k]), rel=1e-13)
 
 
-def test_exponent_additivity_on_catalog_norm():
+def test_exponent_additivity_on_catalog_norm(max_abs_diff):
     dom = wk.catalog("I", 2, 2)
     q = one_minus_norm(dom, 3)
     lam, mu = 0.7, 0.9
@@ -321,7 +320,7 @@ def test_operations_preserve_hermitian_symmetry():
             assert full[(k, j)] == v
 
 
-def test_power_sequence_lengths_and_values():
+def test_power_sequence_lengths_and_values(max_abs_diff):
     q = unit_disk_q(3)
     powers = power_sequence(q)
     # the sequence starts at Q^1 and stops when truncation kills the power
@@ -408,7 +407,7 @@ def _dict_combination(series, weights):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_linear_combination_add_and_diff_match_dict_reference(seed):
+def test_linear_combination_add_and_diff_match_dict_reference(seed, max_abs_diff):
     rng = np.random.default_rng(seed)
     series = [_random_series(rng, 2, 4, 40) for _ in range(4)]
     series.append(linear_combination(series[:1], (-1.0,)))  # cancels series[0] exactly
