@@ -170,7 +170,7 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
         raise ValueError("cutoff must be >= 1")
     if not c > 0:
         raise ValueError("c must be positive")
-    full = basis(ch.n_vars, cutoff)
+    full, base = basis(ch.n_vars, cutoff), basis(ch.base.d, cutoff).exponents
     plan = hs.compile_recurrence(norm_series(ch.base, cutoff), symmetries(ch.base))
     o = plan.orbits
     # The constant term, value 1 and a 1x1 orbit at position 0, becomes w^m for m >= 1.
@@ -180,7 +180,7 @@ def ch_block_assembly(ch: CHDomain, c: float, cutoff: int) -> CalabiMatrix:
     parts = []
     for m in range(cutoff + 1):
         # Positions of the base monomials times w^m; position 0 is w^m itself.
-        exps = basis(ch.base.d, cutoff - m).exponents
+        exps = base[: math.comb(cutoff - m + ch.base.d, ch.base.d)]
         pos = full.rank(np.hstack((exps, np.full((len(exps), 1), m))))
         # Entries and orbits are in graded order, so those of degree <= cutoff - m lead.
         e, p, k = (np.count_nonzero(x < len(exps)) for x in (rows, positions, lead))

@@ -6,6 +6,10 @@ can be replayed exactly.  Exit codes: 0 = verdict computed and consistent,
 error.  Output is human-readable text by default; --format json emits the
 report with 17-significant-digit floats, --format csv is supported by the
 scan subcommand.
+
+A run builds the parser of its own subcommand alone; a call that names none
+(no arguments, --help, an unknown name) builds them all.  The top-level help
+prints this docstring without this last paragraph.
 """
 
 from __future__ import annotations
@@ -55,12 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
-    choices = ["text", "json"] + (["csv"] if csv_ok else [])
-    p.add_argument("--format", choices=choices, default="text")
-    p.add_argument("--out", type=Path, default=None, help="write output to a file")
-
-
 def _finite_float(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not math.isfinite(value):
@@ -75,7 +73,17 @@ def _ch_domain(text: str) -> CHDomain:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_lambda_or_c(p: argparse.ArgumentParser) -> None:
+def _resolve_lambda(dom: DomainModel, args: argparse.Namespace) -> float:
+    if getattr(args, "lam", None) is not None:
+        return args.lam
+    return args.c * dom.gamma
+
+
+# --- each subcommand's arguments, before the --format and --out all share -------
+
+
+def _args_scaled_domain(p: argparse.ArgumentParser) -> None:
+    p.add_argument("domain")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=_finite_float, help="Wallach exponent")
     group.add_argument(
@@ -83,39 +91,13 @@ def _add_lambda_or_c(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_lambda(dom: DomainModel, args: argparse.Namespace) -> float:
-    if getattr(args, "lam", None) is not None:
-        return args.lam
-    return args.c * dom.gamma
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wallachkit", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("info", help="domain invariants and Wallach set")
-    p.add_argument("domain")
-    _add_common(p)
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("calabi", help="truncated positivity verdict for N^(-lambda)")
-    p.add_argument("domain")
-    _add_lambda_or_c(p)
+def _args_verdict(p: argparse.ArgumentParser) -> None:
+    _args_scaled_domain(p)
     p.add_argument("--cutoff", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_calabi)
 
-    p = sub.add_parser("wallach", help="closed-form Wallach membership")
-    p.add_argument("domain")
-    _add_lambda_or_c(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_wallach)
 
-    p = sub.add_parser(
-        "gram", help="search symmetric point designs for a non-PSD Gram configuration"
-    )
-    p.add_argument("domain")
-    _add_lambda_or_c(p)
+def _args_gram(p: argparse.ArgumentParser) -> None:
+    _args_scaled_domain(p)
     p.add_argument(
         "--budget",
         type=int,
@@ -123,47 +105,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest design, in points, that is tried; larger ones are skipped",
     )
     p.add_argument("--witness-out", type=Path, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("ch-check", help="Hartogs-extension inducibility verdict")
+
+def _args_ch_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("chspec", type=_ch_domain)
     p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=int, default=None, help="also run the block verdict")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ch_check)
 
-    p = sub.add_parser(
-        "einstein", help="Einstein residual |Ric - k g| from the potential's exact Taylor jet"
-    )
+
+def _args_einstein(p: argparse.ArgumentParser) -> None:
     p.add_argument("chspec", type=_ch_domain)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_einstein)
 
-    p = sub.add_parser("scan", help="min block eigenvalue vs lambda (CSV-friendly)")
+
+def _args_scan(p: argparse.ArgumentParser) -> None:
     p.add_argument("domain")
     p.add_argument("--lambda-from", dest="lam_from", type=_finite_float, required=True)
     p.add_argument("--lambda-to", dest="lam_to", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=int, required=True)
-    _add_common(p, csv_ok=True)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("immersion", help="truncated immersion components")
-    p.add_argument("domain")
-    _add_lambda_or_c(p)
-    p.add_argument("--cutoff", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_immersion)
-
-    p = sub.add_parser("replay", help="recompute an archived witness file")
-    p.add_argument("witness", type=Path)
-    _add_common(p)
-    p.set_defaults(func=_cmd_replay)
-
-    return parser
 
 
 # --- handlers: return (report, text_lines, payload_override) -------------------
@@ -232,7 +193,7 @@ def _cmd_calabi(args):
         sizes=matrix.sizes,
     )
     lines = [
-        f"{dom.spec_string}, lambda={lam:g}, cutoff={args.cutoff}:",
+        f"{dom.spec_string}, lambda={lam!r}, cutoff={args.cutoff}:",
         f"  closed-form Wallach member: {closed}",
         f"  truncated verdict: {'PSD' if verdict.psd else 'not PSD'} ({verdict.certainty})",
     ]
@@ -259,7 +220,7 @@ def _cmd_wallach(args):
             "wallach_continuous_from": ws.continuous_from,
         },
     )
-    lines = [f"{dom.spec_string}, lambda={lam:g}: member={member}"]
+    lines = [f"{dom.spec_string}, lambda={lam!r}: member={member}"]
     return report, lines, None
 
 
@@ -286,7 +247,7 @@ def _cmd_gram(args):
         verdicts=verdicts,
         agreement=agreement,
     )
-    lines = [f"{dom.spec_string}, lambda={lam:g}: Wallach member={closed}"]
+    lines = [f"{dom.spec_string}, lambda={lam!r}: Wallach member={closed}"]
     if result.found:
         lines.append(
             f"  witness found: {len(result.report.points)} points, "
@@ -323,8 +284,8 @@ def _cmd_ch_check(args):
             "lambda": cf.first_failure[1],
         }
     lines = [
-        f"{ch.spec_string}, c={args.c:g}:",
-        f"  closed-form induced: {cf.induced} (threshold c >= {threshold:g} at mu_einstein)",
+        f"{ch.spec_string}, c={args.c!r}:",
+        f"  closed-form induced: {cf.induced} (threshold c >= {threshold!r} at mu_einstein)",
     ]
     agreement, per_block, sizes = None, [], {}
     if args.cutoff is not None:
@@ -348,7 +309,7 @@ def _cmd_ch_check(args):
             fail = {"degree": bv.degree, "m": m, "lambda": ch.mu * (args.c + m)}
             verdicts["truncated_first_failure"] = fail
             lines.append(f"  first refuted degree {bv.degree}: w-degree m={m}, "
-                         f"lambda_m={fail['lambda']:g}")
+                         f"lambda_m={fail['lambda']!r}")
     report = RunReport(
         command="ch-check",
         domain=ch.spec_string,
@@ -449,10 +410,10 @@ def _cmd_scan(args):
         agreement=not disagreements,
         sizes=calabi.scan_sizes(dom, args.cutoff),
     )
-    lines = [f"{dom.spec_string}: scan lambda in [{args.lam_from:g}, {args.lam_to:g}]"]
+    lines = [f"{dom.spec_string}: scan lambda in [{args.lam_from!r}, {args.lam_to!r}]"]
     for lam in lams:
         lines.append(
-            f"  lambda={lam:g}: {'PSD' if per_lambda_psd[lam] else 'not PSD'}"
+            f"  lambda={lam!r}: {'PSD' if per_lambda_psd[lam] else 'not PSD'}"
             f" (min_eig={worst[lam]:.6g})"
         )
     if disagreements:
@@ -467,6 +428,7 @@ def _cmd_immersion(args):
     matrix = calabi.calabi_matrix(dom, lam, args.cutoff)
     components = calabi.extract_immersion(matrix)
     recon = calabi.immersion_reconstruction_error(components, matrix)
+    # Only the JSON output reads the term dicts, with one key string per term.
     comp_dicts = [
         {
             "degree": comp.degree,
@@ -475,7 +437,7 @@ def _cmd_immersion(args):
                 for exps, coeff in sorted(comp.coeffs.items())
             },
         }
-        for comp in components
+        for comp in (components if args.format == "json" else ())
     ]
     report = RunReport(
         command="immersion",
@@ -488,7 +450,7 @@ def _cmd_immersion(args):
         per_block=comp_dicts,
     )
     def lines():  # formatted only if the text output joins them
-        yield (f"{dom.spec_string}, lambda={lam:g}, cutoff={args.cutoff}: "
+        yield (f"{dom.spec_string}, lambda={lam!r}, cutoff={args.cutoff}: "
                f"{len(components)} components, reconstruction error {recon:.3e}")
         for j, comp in enumerate(components):
             terms = " + ".join(
@@ -527,6 +489,39 @@ def _cmd_replay(args):
 
 # --- entry point ----------------------------------------------------------------
 
+# (name, help, argument adder, handler) per subcommand, in the order --help lists them.
+_COMMANDS = (
+    ("info", "domain invariants and Wallach set", lambda p: p.add_argument("domain"), _cmd_info),
+    ("calabi", "truncated positivity verdict for N^(-lambda)", _args_verdict, _cmd_calabi),
+    ("wallach", "closed-form Wallach membership", _args_scaled_domain, _cmd_wallach),
+    ("gram", "search symmetric point designs for a non-PSD Gram configuration", _args_gram,
+     _cmd_gram),
+    ("ch-check", "Hartogs-extension inducibility verdict", _args_ch_check, _cmd_ch_check),
+    ("einstein", "Einstein residual |Ric - k g| from the potential's exact Taylor jet",
+     _args_einstein, _cmd_einstein),
+    ("scan", "min block eigenvalue vs lambda (CSV-friendly)", _args_scan, _cmd_scan),
+    ("immersion", "truncated immersion components", _args_verdict, _cmd_immersion),
+    ("replay", "recompute an archived witness file",
+     lambda p: p.add_argument("witness", type=Path), _cmd_replay),
+)
+
+
+def build_parser(only: str | None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand named by only, or with all of them
+    when only names none (no arguments, --help, an unknown name), so that
+    the top-level help and the invalid-choice error list every subcommand."""
+    parser = _Parser(prog="wallachkit", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    chosen = [c for c in _COMMANDS if c[0] == only] or _COMMANDS
+    for name, summary, add_arguments, handler in chosen:
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        formats = ["text", "json"] + (["csv"] if name == "scan" else [])
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", type=Path, default=None, help="write output to a file")
+        p.set_defaults(func=handler)
+    return parser
+
 
 def _emit_output(args, report: RunReport, lines: Iterable[str], payload: str | None) -> None:
     if payload is not None:
@@ -542,7 +537,8 @@ def _emit_output(args, report: RunReport, lines: Iterable[str], payload: str | N
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -1,6 +1,7 @@
 """Hartogs-type extensions: series paths, reduction verdict, Einstein probe."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -193,6 +194,23 @@ def test_assembly_replays_one_plan_like_one_recurrence_per_w_degree(spec, cutoff
             assert np.array_equal(got.rows[mine], np.concatenate(rows)), (c, m)
             assert np.array_equal(got.cols[mine], np.concatenate(cols)), (c, m)
             assert got.values[mine].tobytes() == np.concatenate(vals).tobytes(), (c, m)
+
+
+def test_assembly_builds_one_basis_in_the_base_variables():
+    # basis(d, k) is a prefix of basis(d, cutoff), so the w-degrees slice one
+    # basis instead of building one per degree cutoff - m.
+    for mod in [m for name, m in sys.modules.items() if name.startswith("wallachkit")]:
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    ch = wk.parse_ch_spec("CHD(I:2,2;mu=einstein)")
+    wk.ch_block_assembly(ch, 1.2, 6)
+    built = []
+    for k in range(7):
+        misses = basis.cache_info().misses
+        basis(ch.base.d, k)
+        built.append(basis.cache_info().misses == misses)
+    assert built == [False] * 6 + [True]
 
 
 def test_fiber_degree_zero_structure():

@@ -1,5 +1,6 @@
 """End-to-end command-line checks through main(argv)."""
 
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from wallachkit import calabi, domains, multiindex
 from wallachkit import series as hs
 from wallachkit.cartan_hartogs import ch_projectively_induced, parse_ch_spec
-from wallachkit.cli import _scan_grid, main
+from wallachkit.cli import UsageError, _scan_grid, build_parser, main
 from wallachkit.domains import norm_series, parse_domain, symmetries, wallach_contains, wallach_set
 from wallachkit.series import compile_recurrence
 
@@ -46,6 +47,9 @@ def test_wallach_membership(capsys):
     code, out, _ = run(capsys, "wallach", "I:2,2", "--lambda", "0.5")
     assert code == 0
     assert "member=False" in out
+    # The text prints lambda exactly, not rounded onto the Wallach point 1.
+    code, out, _ = run(capsys, "wallach", "I:3,3", "--lambda", "0.9999999999")
+    assert (code, out) == (0, "I:3,3, lambda=0.9999999999: member=False\n")
 
 
 def test_calabi_refuted_case(capsys):
@@ -485,7 +489,7 @@ def test_scan_text_reads_each_lambda_from_all_its_rows(capsys):
         psd = all(r.psd for r in own)
         assert psd == wallach_contains(dom, lam)
         worst = min(r.min_eig for r in own)
-        expected.append(f"  lambda={lam:g}: {'PSD' if psd else 'not PSD'} (min_eig={worst:.6g})")
+        expected.append(f"  lambda={lam!r}: {'PSD' if psd else 'not PSD'} (min_eig={worst:.6g})")
     assert out == "\n".join(expected) + "\n"
 
 
@@ -740,7 +744,7 @@ def test_generic_norm_is_charged_before_its_products(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, code, said",
     [(("calabi", "I:2,2", "--lambda", "-1e300", "--cutoff", "3"), 1, "non-finite coefficients"),
-     (("calabi", "I:2,2", "--c", "-5e-324", "--cutoff", "3"), 0, "lambda=-1.97626e-323"),
+     (("calabi", "I:2,2", "--c", "-5e-324", "--cutoff", "3"), 0, "lambda=-2e-323,"),
      (("wallach", "I:2,2", "--lambda", "-2.5E+1"), 0, "member=False"),
      (("ch-check", "CHD(I:2,2;mu=einstein)", "--c", "1e300", "--cutoff", "3"), 1,
       "RuntimeError: degree-2 block has non-finite coefficients")],
@@ -868,3 +872,49 @@ def test_json_error_object(capsys):
     d = json.loads(out)
     assert d["error"]["type"] == "ValueError"
     assert "Z:9" in d["error"]["message"]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(_subparsers(build_parser(None))))
+def test_a_subcommands_own_parser_prints_the_full_parsers_help(name):
+    alone = _subparsers(build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == _subparsers(build_parser(None))[name].format_help()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("calabi", "I:2,2", "--lambda", "1"),
+     ("scan", "I:2,2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.5"),
+     ("gram", "I:2,2", "--lambda", "1", "--budget", "many"),
+     ("calabi", "I:2,2", "--lambda", "1", "--cutoff", "3.5"),
+     ("immersion", "I:2,2", "--lambda", "1", "--c", "0.25", "--cutoff", "2"),
+     ("calabi", "I:2,2", "--lambda", "1", "--cutoff", "3", "--format", "csv"),
+     ("wallach", "I:2,2", "--lambda", "1", "surplus"),
+     ("calibrate", "I:2,2"),
+     ()],
+)
+def test_a_subcommands_own_parser_refuses_as_the_full_parser_does(capsys, argv):
+    with pytest.raises(UsageError) as full:
+        build_parser(None).parse_args(argv)
+    assert run(capsys, *argv) == (1, "", f"usage error: {full.value}\n")
+
+
+def test_a_run_registers_only_its_own_subcommand(monkeypatch, capsys):
+    registered, every = [], list(_subparsers(build_parser(None)))
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["wallach", "I:2,2", "--lambda", "1"]) == 0
+    assert registered == ["wallach"]
+    registered.clear()
+    assert main(["--help"]) == 0  # the top-level help lists every subcommand
+    assert registered == every and len(every) == 9
+    assert "wallachkit" in capsys.readouterr().out
